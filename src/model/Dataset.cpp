@@ -15,16 +15,12 @@
 #include <cassert>
 #include <cmath>
 #include <cstdio>
-#include <filesystem>
 #include <fstream>
 #include <set>
 #include <sstream>
-#include <thread>
 
 using namespace pinj;
 using namespace pinj::model;
-
-namespace fs = std::filesystem;
 
 namespace {
 
@@ -283,28 +279,7 @@ bool pinj::model::parseDataset(const std::string &Text, Dataset &Out,
 
 bool pinj::model::saveDataset(const Dataset &D, const std::string &Path,
                               std::string *Err) {
-  std::ostringstream TmpName;
-  TmpName << Path << ".tmp." << std::this_thread::get_id();
-  std::string Tmp = TmpName.str();
-  {
-    std::ofstream Out(Tmp, std::ios::binary | std::ios::trunc);
-    if (!Out)
-      return fail(Err, "cannot open " + Tmp + " for writing");
-    Out << serializeDataset(D);
-    Out.close();
-    if (!Out) {
-      std::error_code Ec;
-      fs::remove(Tmp, Ec);
-      return fail(Err, "write to " + Tmp + " failed");
-    }
-  }
-  std::error_code Ec;
-  fs::rename(Tmp, Path, Ec);
-  if (Ec) {
-    fs::remove(Tmp, Ec);
-    return fail(Err, "rename to " + Path + " failed: " + Ec.message());
-  }
-  return true;
+  return writeFileAtomically(Path, serializeDataset(D), Err);
 }
 
 bool pinj::model::loadDataset(const std::string &Path, Dataset &Out,

@@ -13,16 +13,12 @@
 #include <cassert>
 #include <cmath>
 #include <cstdio>
-#include <filesystem>
 #include <fstream>
 #include <numeric>
 #include <sstream>
-#include <thread>
 
 using namespace pinj;
 using namespace pinj::model;
-
-namespace fs = std::filesystem;
 
 namespace {
 
@@ -320,29 +316,7 @@ bool pinj::model::parseModel(const std::string &Text, GbStumpsModel &Out,
 
 bool pinj::model::saveModel(const GbStumpsModel &M, const std::string &Path,
                             std::string *Err) {
-  std::ostringstream TmpName;
-  TmpName << Path << ".tmp." << std::this_thread::get_id();
-  std::string Tmp = TmpName.str();
-  {
-    std::ofstream Out(Tmp, std::ios::binary | std::ios::trunc);
-    if (!Out)
-      return fail(Err, "cannot open " + Tmp + " for writing");
-    Out << serializeModel(M);
-    Out.close();
-    if (!Out) {
-      std::error_code Ec;
-      fs::remove(Tmp, Ec);
-      return fail(Err, "write to " + Tmp + " failed");
-    }
-  }
-  // Write-then-rename so readers only ever see complete model files.
-  std::error_code Ec;
-  fs::rename(Tmp, Path, Ec);
-  if (Ec) {
-    fs::remove(Tmp, Ec);
-    return fail(Err, "rename to " + Path + " failed: " + Ec.message());
-  }
-  return true;
+  return writeFileAtomically(Path, serializeModel(M), Err);
 }
 
 bool pinj::model::loadModel(const std::string &Path, GbStumpsModel &Out,

@@ -6,12 +6,16 @@
 #include "exec/Interpreter.h"
 #include "lp/Budget.h"
 #include "obs/Journal.h"
+#include "obs/Stage.h"
 #include "obs/Trace.h"
 #include "support/Status.h"
 #include "target/Target.h"
 
 #include <chrono>
 #include <cstdio>
+#include <functional>
+#include <optional>
+#include <string_view>
 
 using namespace pinj;
 
@@ -33,11 +37,21 @@ bool pinj::isSimulatableSchedule(const Kernel &K, const Schedule &S) {
   return true;
 }
 
-namespace {
-
-bool backendAccepts(const Kernel &K, const Schedule &S) {
-  return isSimulatableSchedule(K, S);
+SchedulerResult pinj::scheduleInfluenced(const Kernel &K,
+                                         const PipelineOptions &Options) {
+  InfluenceTree Tree = buildInfluenceTree(K, Options.Influence);
+  SchedulerOptions Sched = Options.Sched;
+  Sched.SerializeSccs = false; // Let fusion constraints take effect.
+  return scheduleKernel(K, Sched, &Tree);
 }
+
+std::string pinj::renderCuda(const Kernel &K, const Schedule &S,
+                             const GpuMappingOptions &Mapping) {
+  MappedKernel M = mapToGpu(K, S, Mapping);
+  return printCuda(M);
+}
+
+namespace {
 
 bool sameTransforms(const Schedule &A, const Schedule &B) {
   if (A.Transforms.size() != B.Transforms.size())
@@ -46,6 +60,16 @@ bool sameTransforms(const Schedule &A, const Schedule &B) {
     if (!(A.Transforms[S] == B.Transforms[S]))
       return false;
   return true;
+}
+
+/// Strips explicit vector marks by hand; the degradation-path
+/// equivalent of finalizeVectorMarks(..., DisableVectorization=true)
+/// when the vectorizer itself is what failed.
+void stripVectorMarks(Schedule &S) {
+  for (DimInfo &D : S.Dims) {
+    D.VectorStmts.clear();
+    D.VectorWidth = 0;
+  }
 }
 
 /// Nesting depth of runOperator on this thread. Exactly one
@@ -59,42 +83,197 @@ struct RequestDepthGuard {
   ~RequestDepthGuard() { --RequestDepth; }
 };
 
-double stageClockUs() {
-  return std::chrono::duration<double, std::micro>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
+/// The scheduling half of runOperator and the only code that runs the
+/// degradation ladder (see DegradationEvent): runOperator drives it one
+/// configuration per stage, scheduleInflConfig asks for infl alone. The
+/// isl and influenced runs happen once, on first use, so infl()
+/// schedules isl only when the influenced schedule is unusable. novec
+/// and infl are Skipped once the operator deadline has expired.
+class ScheduleLadder {
+public:
+  /// Sees each degradation (configuration, cause) as the ladder takes it.
+  using Observer = std::function<void(const char *, const Status &)>;
 
-/// Journals one stage_end record (isl/novec/infl/tvm/validate) with the
-/// stage's wall time and the solver-effort counters attributed to it.
-void journalStageEnd(const char *Stage, double DurUs,
-                     const obs::MetricsSnapshot &Delta,
-                     const Status &Outcome) {
-  if (!obs::Journal::fastEnabled())
-    return;
-  obs::JournalEvent("stage_end")
-      .field("stage", Stage)
-      .field("dur_us", DurUs)
-      .field("ilp_nodes", Delta.counter("lp.ilp_nodes"))
-      .field("ilp_solves", Delta.counter("lp.ilp_solves"))
-      .field("pivots", Delta.counter("lp.simplex_pivots"))
-      .field("outcome", Outcome.ok() ? "ok" : statusCodeName(Outcome.code()));
-}
+  /// With \p Replay, every step returns its cached schedule instead.
+  ScheduleLadder(const Kernel &K, const PipelineOptions &Options,
+                 Observer OnDegrade, const CachedCompilation *Replay = nullptr)
+      : K(K), Options(Options), OnDegrade(std::move(OnDegrade)),
+        Replay(Replay) {}
+
+  ConfigResult isl() {
+    if (Replay)
+      return ConfigResult(Replay->Isl);
+    ConfigResult C = islRun();
+    clearVectorMarks("isl", C.Sched);
+    return C;
+  }
+
+  ConfigResult novec() {
+    if (Replay)
+      return ConfigResult(Replay->Novec);
+    ConfigResult C = influencedRun();
+    if (!C.Skipped)
+      clearVectorMarks("novec", C.Sched);
+    return C;
+  }
+
+  ConfigResult infl() {
+    if (Replay)
+      return ConfigResult(Replay->Infl);
+    ConfigResult C(influencedRun().Sched);
+    if (skipOnDeadline("infl", C))
+      return C;
+    try {
+      VecEligible = finalizeVectorMarks(K, C.Sched,
+                                        /*DisableVectorization=*/false) > 0;
+    } catch (const RecoverableError &E) {
+      // Degrade to the novec schedule: the influenced schedule with its
+      // vector marks cleared.
+      OnDegrade("infl", E.status());
+      C.Outcome = E.status();
+      C.Sched = influencedRun().Sched;
+      stripVectorMarks(C.Sched);
+    }
+    C.Stats = influencedRun().Stats;
+    return C;
+  }
+
+  /// The influenced schedule differs from isl's.
+  bool influenced() {
+    return Replay ? Replay->Influenced
+                  : !sameTransforms(influencedRun().Sched, islRun().Sched);
+  }
+  /// infl() left at least one dimension vector-marked.
+  bool vecEligible() const {
+    return Replay ? Replay->VecEligible : VecEligible;
+  }
+
+  /// The operator deadline: once expired, the stage asking is skipped
+  /// and the skip recorded, once per stage.
+  bool deadlineExpired(const char *Config) {
+    if (!budget::deadlineExpired())
+      return false;
+    OnDegrade(Config, Status(StatusCode::BudgetExceeded, "pipeline.deadline",
+                             "operator budget exhausted; stage skipped"));
+    return true;
+  }
+
+  /// Influenced scheduling (shared by novec and infl) and its fallbacks,
+  /// before any vector-mark pass.
+  const ConfigResult &influencedRun() {
+    if (InfluencedResult)
+      return *InfluencedResult;
+    ConfigResult &C = InfluencedResult.emplace();
+    if (skipOnDeadline("novec", C)) {
+      C.Sched = islRun().Sched;
+      return C;
+    }
+    try {
+      SchedulerResult Run = scheduleInfluenced(K, Options);
+      C.Sched = std::move(Run.Sched);
+      C.Stats = Run.Stats;
+      if (!Run.Outcome.ok()) {
+        // Influenced scheduling fell back internally; prefer the
+        // reference schedule over the original order it returned.
+        OnDegrade("novec", Run.Outcome);
+        C.Outcome = Run.Outcome;
+        C.Sched = islRun().Sched;
+      }
+    } catch (const RecoverableError &E) {
+      // buildInfluenceTree (outside the scheduler's own recovery
+      // boundary) failed; degrade to the reference schedule.
+      OnDegrade("novec", E.status());
+      C.Outcome = E.status();
+      C.Sched = islRun().Sched;
+    }
+    // The influenced schedule fused statements the backend cannot
+    // generate together; fall back to the reference schedule. This is
+    // expected fusion rejection, not a degradation.
+    if (!isSimulatableSchedule(K, C.Sched))
+      C.Sched = islRun().Sched;
+    return C;
+  }
+
+private:
+  const ConfigResult &islRun() {
+    if (IslResult)
+      return *IslResult;
+    ConfigResult &C = IslResult.emplace();
+    // Reference configuration: plain scheduling, SCCs serialized up
+    // front (the isl behaviour observed in the paper's Fig. 2(b)). On
+    // any recoverable failure the scheduler already degraded to the
+    // original program order; the ladder only needs to record why.
+    SchedulerOptions IslOptions = Options.Sched;
+    IslOptions.SerializeSccs = true;
+    SchedulerResult Run = scheduleKernel(K, IslOptions);
+    C.Sched = std::move(Run.Sched);
+    C.Stats = Run.Stats;
+    if (!Run.Outcome.ok()) {
+      C.Outcome = Run.Outcome;
+      OnDegrade("isl", Run.Outcome);
+    }
+    if (!isSimulatableSchedule(K, C.Sched)) {
+      // A constructed reference schedule is generatable on every kernel
+      // the operator library produces; reaching this means the
+      // construction itself was degraded. Fall to the original order.
+      OnDegrade("isl", Status(StatusCode::Internal, "pipeline.isl",
+                              "reference schedule not generatable; using "
+                              "original program order"));
+      C.Sched = originalSchedule(K);
+    }
+    return C;
+  }
+
+  void clearVectorMarks(const char *Config, Schedule &S) {
+    try {
+      finalizeVectorMarks(K, S, /*DisableVectorization=*/true);
+    } catch (const RecoverableError &E) {
+      stripVectorMarks(S);
+      OnDegrade(Config, E.status());
+    }
+  }
+
+  bool skipOnDeadline(const char *Config, ConfigResult &C) {
+    if (!deadlineExpired(Config))
+      return false;
+    C.Outcome = Status(StatusCode::BudgetExceeded, "pipeline.deadline");
+    C.Skipped = true;
+    return true;
+  }
+
+  const Kernel &K;
+  const PipelineOptions &Options;
+  Observer OnDegrade;
+  const CachedCompilation *Replay;
+  std::optional<ConfigResult> IslResult, InfluencedResult;
+  bool VecEligible = false;
+};
 
 } // namespace
 
-SchedulerResult pinj::scheduleInfluenced(const Kernel &K,
-                                         const PipelineOptions &Options) {
-  InfluenceTree Tree = buildInfluenceTree(K, Options.Influence);
-  SchedulerOptions Sched = Options.Sched;
-  Sched.SerializeSccs = false; // Let fusion constraints take effect.
-  return scheduleKernel(K, Sched, &Tree);
-}
-
-std::string pinj::renderCuda(const Kernel &K, const Schedule &S,
-                             const GpuMappingOptions &Mapping) {
-  MappedKernel M = mapToGpu(K, S, Mapping);
-  return printCuda(M);
+bool pinj::scheduleInflConfig(const Kernel &K, const PipelineOptions &Options,
+                              Schedule &Out) {
+  try {
+    // runOperator's operator-wide budget; anyTripped() then sees both
+    // this scope and any caller-installed one.
+    budget::BudgetScope OpBudget(Options.Budget);
+    bool IslDegraded = false;
+    ScheduleLadder Ladder(K, Options, [&](const char *Config, const Status &) {
+      IslDegraded |= std::string_view(Config) == "isl";
+    });
+    // A degraded isl fallback already decides; skip the vector pass.
+    Ladder.influencedRun();
+    if (IslDegraded)
+      return false;
+    ConfigResult Infl = Ladder.infl();
+    if (!Infl.Outcome.ok() || !isSimulatableSchedule(K, Infl.Sched) ||
+        budget::anyTripped())
+      return false;
+    Out = std::move(Infl.Sched);
+    return true;
+  } catch (const RecoverableError &) {
+    return false;
+  }
 }
 
 OperatorReport pinj::runOperator(const Kernel &K,
@@ -110,7 +289,7 @@ OperatorReport pinj::runOperator(const Kernel &K,
     Rid = obs::nextRequestId();
   obs::RequestScope Request(Rid);
   RequestDepthGuard DepthGuard;
-  const double RequestT0 = stageClockUs();
+  const auto RequestT0 = std::chrono::steady_clock::now();
   if (Outermost && obs::Journal::fastEnabled())
     obs::JournalEvent("request_start")
         .field("operator", K.Name)
@@ -120,7 +299,9 @@ OperatorReport pinj::runOperator(const Kernel &K,
       return;
     obs::JournalEvent("request_end")
         .field("operator", K.Name)
-        .field("dur_us", stageClockUs() - RequestT0)
+        .field("dur_us", std::chrono::duration<double, std::micro>(
+                             std::chrono::steady_clock::now() - RequestT0)
+                             .count())
         .field("degradations", R.Degradations.size())
         .field("influenced", R.Influenced)
         .field("vec_eligible", R.VecEligible)
@@ -165,7 +346,8 @@ OperatorReport pinj::runOperator(const Kernel &K,
   static obs::Counter &Operators = M.counter("pipeline.operators");
   static obs::Counter &Degradations = M.counter("pipeline.degradations");
   Operators.inc();
-  obs::MetricsSnapshot Begin = M.snapshot();
+  const obs::MetricsSnapshot Begin = M.snapshot();
+  obs::MetricsSnapshot Mark = Begin;
 
   OperatorReport Report;
   Report.Name = K.Name;
@@ -196,49 +378,26 @@ OperatorReport pinj::runOperator(const Kernel &K,
     obs::Tracer::get().autoFlush();
     obs::Journal::get().flushFile();
   };
-  // Strips explicit vector marks by hand; the degradation-path
-  // equivalent of finalizeVectorMarks(..., DisableVectorization=true)
-  // when the vectorizer itself is what failed.
-  auto stripVectorMarks = [](Schedule &S) {
-    for (DimInfo &D : S.Dims) {
-      D.VectorStmts.clear();
-      D.VectorWidth = 0;
-    }
-  };
-  // Maps and simulates \p S into \p Out; on failure Out keeps the
-  // schedule but reports zero simulation results. A schedule the
-  // backend cannot generate is skipped the same way (the last-resort
+  // Maps and simulates \p Out's schedule; on failure Out keeps the
+  // schedule but reports zero simulation results. A schedule the backend
+  // cannot generate is skipped the same way (the last-resort
   // original-order fallback is always executable by the interpreter,
   // but not always expressible as a single fused launch).
-  auto simulateGuarded = [&](const char *Config, const Schedule &S,
-                             ConfigResult &Out) {
-    Out.Sched = S;
-    if (!backendAccepts(K, S)) {
+  auto simulateGuarded = [&](const char *Config, ConfigResult &Out) {
+    if (!isSimulatableSchedule(K, Out.Sched)) {
       Out.Outcome = Status(StatusCode::Internal, "codegen.map",
                            "schedule not generatable; simulation skipped");
       recordDegradation(Config, Out.Outcome);
       return;
     }
     try {
-      MappedKernel Mk = mapToGpu(K, S, Options.Mapping);
-      Out.Sim = target::simulateForOptions(Mk, Options);
+      Out.Sim = target::simulateForOptions(
+          mapToGpu(K, Out.Sched, Options.Mapping), Options);
       Out.TimeUs = Out.Sim.TimeUs;
     } catch (const RecoverableError &E) {
-      Out.Sim = KernelSim();
-      Out.TimeUs = 0;
       Out.Outcome = E.status();
       recordDegradation(Config, E.status());
     }
-  };
-  // The operator deadline: once expired, remaining stages are skipped
-  // and the skip is recorded once per stage.
-  auto deadlineExpired = [&](const char *Config) {
-    if (!budget::deadlineExpired())
-      return false;
-    recordDegradation(Config,
-                      Status(StatusCode::BudgetExceeded, "pipeline.deadline",
-                             "operator budget exhausted; stage skipped"));
-    return true;
   };
 
   // Compilation-cache fast path: on a hit the scheduling phase is
@@ -247,196 +406,70 @@ OperatorReport pinj::runOperator(const Kernel &K,
   // incompatible schedules (corrupt entry that slipped through its own
   // validation) is treated as a miss.
   CachedCompilation Cached;
-  bool CacheHit = false;
-  if (Options.Cache && Options.Cache->lookup(K, Options, Cached) &&
+  Report.CacheHit =
+      Options.Cache && Options.Cache->lookup(K, Options, Cached) &&
       Cached.Isl.compatibleWith(K) && Cached.Novec.compatibleWith(K) &&
-      Cached.Infl.compatibleWith(K))
-    CacheHit = true;
-  Report.CacheHit = CacheHit;
+      Cached.Infl.compatibleWith(K);
   if (Op.active())
-    Op.arg("cache_hit", CacheHit);
+    Op.arg("cache_hit", Report.CacheHit);
   if (Options.Cache && obs::Journal::fastEnabled())
-    obs::JournalEvent("cache_lookup").field("hit", CacheHit);
+    obs::JournalEvent("cache_lookup").field("hit", Report.CacheHit);
 
-  // Reference configuration: plain scheduling, SCCs serialized up front
-  // (the isl behaviour observed in the paper's Fig. 2(b)). On any
-  // recoverable failure the scheduler already degraded to the original
-  // program order; the report only needs to record why.
-  SchedulerResult IslRun;
-  double StageT0 = stageClockUs();
-  {
-    obs::Span Cfg("pipeline.config.isl");
-    if (CacheHit) {
-      IslRun.Sched = Cached.Isl;
-    } else {
-      SchedulerOptions IslOptions = Options.Sched;
-      IslOptions.SerializeSccs = true;
-      IslRun = scheduleKernel(K, IslOptions);
-      if (!IslRun.Outcome.ok()) {
-        Report.Isl.Outcome = IslRun.Outcome;
-        recordDegradation("isl", IslRun.Outcome);
-      }
-      try {
-        finalizeVectorMarks(K, IslRun.Sched, /*DisableVectorization=*/true);
-      } catch (const RecoverableError &E) {
-        stripVectorMarks(IslRun.Sched);
-        recordDegradation("isl", E.status());
-      }
-      if (!backendAccepts(K, IslRun.Sched)) {
-        // A constructed reference schedule is generatable on every kernel
-        // the operator library produces; reaching this means the
-        // construction itself was degraded. Fall to the original order.
-        recordDegradation(
-            "isl", Status(StatusCode::Internal, "pipeline.isl",
-                          "reference schedule not generatable; using "
-                          "original program order"));
-        IslRun.Sched = originalSchedule(K);
-      }
-    }
-    simulateGuarded("isl", IslRun.Sched, Report.Isl);
-    Report.Isl.Stats = IslRun.Stats;
-  }
-  obs::MetricsSnapshot AfterIsl = M.snapshot();
-  Report.Isl.Metrics = AfterIsl.since(Begin);
-  journalStageEnd("isl", stageClockUs() - StageT0, Report.Isl.Metrics,
-                  Report.Isl.Outcome);
+  // Each scheduled configuration is one stage: its ladder step, then its
+  // simulation unless the deadline skipped it.
+  ScheduleLadder Ladder(K, Options, recordDegradation,
+                        Report.CacheHit ? &Cached : nullptr);
+  auto configStage = [&](const char *Config, const char *SpanName,
+                         ConfigResult (ScheduleLadder::*Step)(),
+                         ConfigResult &Out) {
+    obs::Stage S(Config, SpanName, &Mark, &Out.Metrics);
+    Out = (Ladder.*Step)();
+    if (!Out.Skipped)
+      simulateGuarded(Config, Out);
+    S.setOutcome(Out.Outcome.ok() ? "ok" : statusCodeName(Out.Outcome.code()));
+  };
 
-  // Influenced scheduling (shared by novec and infl). A failed
-  // influenced run degrades to the isl reference schedule.
-  SchedulerResult InflRun;
-  Schedule NovecSched;
-  StageT0 = stageClockUs();
-  {
-    obs::Span Cfg("pipeline.config.novec");
-    if (CacheHit) {
-      InflRun.Sched = Cached.Novec;
-      Report.Influenced = Cached.Influenced;
-      NovecSched = Cached.Novec;
-      simulateGuarded("novec", NovecSched, Report.Novec);
-    } else if (deadlineExpired("novec")) {
-      InflRun.Sched = IslRun.Sched;
-      Report.Novec.Sched = InflRun.Sched;
-      Report.Novec.Outcome =
-          Status(StatusCode::BudgetExceeded, "pipeline.deadline");
-    } else {
-      try {
-        InflRun = scheduleInfluenced(K, Options);
-        if (!InflRun.Outcome.ok()) {
-          // Influenced scheduling fell back internally; prefer the
-          // reference schedule over the original order it returned.
-          recordDegradation("novec", InflRun.Outcome);
-          Report.Novec.Outcome = InflRun.Outcome;
-          InflRun.Sched = IslRun.Sched;
-          InflRun.ReachedLeaf = nullptr;
-        }
-      } catch (const RecoverableError &E) {
-        // buildInfluenceTree (outside the scheduler's own recovery
-        // boundary) failed; degrade to the reference schedule.
-        recordDegradation("novec", E.status());
-        Report.Novec.Outcome = E.status();
-        InflRun = SchedulerResult();
-        InflRun.Sched = IslRun.Sched;
-      }
-      if (!backendAccepts(K, InflRun.Sched)) {
-        // The influenced schedule fused statements the backend cannot
-        // generate together; fall back to the reference schedule. This
-        // is expected fusion rejection, not a degradation.
-        InflRun.Sched = IslRun.Sched;
-        InflRun.ReachedLeaf = nullptr;
-      }
-      Report.Influenced = !sameTransforms(InflRun.Sched, IslRun.Sched);
-
-      NovecSched = InflRun.Sched;
-      try {
-        finalizeVectorMarks(K, NovecSched, /*DisableVectorization=*/true);
-      } catch (const RecoverableError &E) {
-        stripVectorMarks(NovecSched);
-        recordDegradation("novec", E.status());
-      }
-      simulateGuarded("novec", NovecSched, Report.Novec);
-      Report.Novec.Stats = InflRun.Stats;
-    }
-  }
-  obs::MetricsSnapshot AfterNovec = M.snapshot();
-  Report.Novec.Metrics = AfterNovec.since(AfterIsl);
-  journalStageEnd("novec", stageClockUs() - StageT0, Report.Novec.Metrics,
-                  Report.Novec.Outcome);
-
-  // Vectorized configuration; a failed vectorizer degrades to novec.
-  Schedule InflSched = CacheHit ? Cached.Infl : InflRun.Sched;
-  StageT0 = stageClockUs();
-  {
-    obs::Span Cfg("pipeline.config.infl");
-    if (CacheHit) {
-      Report.VecEligible = Cached.VecEligible;
-      simulateGuarded("infl", InflSched, Report.Infl);
-    } else if (deadlineExpired("infl")) {
-      Report.Infl.Sched = InflSched;
-      Report.Infl.Outcome =
-          Status(StatusCode::BudgetExceeded, "pipeline.deadline");
-    } else {
-      try {
-        Report.VecEligible =
-            finalizeVectorMarks(K, InflSched,
-                                /*DisableVectorization=*/false) > 0;
-      } catch (const RecoverableError &E) {
-        recordDegradation("infl", E.status());
-        Report.Infl.Outcome = E.status();
-        InflSched = NovecSched.Dims.empty() ? InflRun.Sched : NovecSched;
-        stripVectorMarks(InflSched);
-        Report.VecEligible = false;
-      }
-      simulateGuarded("infl", InflSched, Report.Infl);
-      Report.Infl.Stats = InflRun.Stats;
-    }
-  }
-  Report.Infl.Metrics = M.snapshot().since(AfterNovec);
-  journalStageEnd("infl", stageClockUs() - StageT0, Report.Infl.Metrics,
-                  Report.Infl.Outcome);
+  configStage("isl", "pipeline.config.isl", &ScheduleLadder::isl, Report.Isl);
+  configStage("novec", "pipeline.config.novec", &ScheduleLadder::novec,
+              Report.Novec);
+  configStage("infl", "pipeline.config.infl", &ScheduleLadder::infl,
+              Report.Infl);
+  Report.Influenced = Ladder.influenced();
+  Report.VecEligible = Ladder.vecEligible();
 
   // Manual-schedule proxy.
-  StageT0 = stageClockUs();
   {
-    obs::Span Cfg("pipeline.config.tvm");
-    if (!deadlineExpired("tvm")) {
+    obs::Stage S("tvm", "pipeline.config.tvm");
+    if (!Ladder.deadlineExpired("tvm")) {
       try {
         Report.Tvm = Options.Target
                          ? simulateTvmProxy(K, *Options.Target,
                                             Options.Mapping)
                          : simulateTvmProxy(K, Options.Gpu, Options.Mapping);
       } catch (const RecoverableError &E) {
-        Report.Tvm = TvmProxyResult();
         recordDegradation("tvm", E.status());
       }
     }
   }
-  journalStageEnd("tvm", stageClockUs() - StageT0, obs::MetricsSnapshot(),
-                  Status());
 
-  if (Options.Validate && !deadlineExpired("validate")) {
-    obs::Span Val("pipeline.validate");
-    StageT0 = stageClockUs();
+  if (Options.Validate && !Ladder.deadlineExpired("validate")) {
+    obs::Stage S("validate", "pipeline.validate");
     try {
-      Report.Validated = scheduleIsSemanticallyEqual(K, IslRun.Sched) &&
-                         scheduleIsSemanticallyEqual(K, InflSched);
+      Report.Validated =
+          scheduleIsSemanticallyEqual(K, Report.Isl.Sched) &&
+          scheduleIsSemanticallyEqual(K, Report.Infl.Sched);
     } catch (const RecoverableError &E) {
-      Report.Validated = false;
       recordDegradation("validate", E.status());
     }
-    journalStageEnd("validate", stageClockUs() - StageT0,
-                    obs::MetricsSnapshot(), Status());
   }
 
   // Offer the result for caching: only full-fidelity compilations are
   // stored, so replays never resurrect a degraded schedule.
-  if (Options.Cache && !CacheHit && Report.Degradations.empty()) {
-    CachedCompilation Entry;
-    Entry.Isl = Report.Isl.Sched;
-    Entry.Novec = Report.Novec.Sched;
-    Entry.Infl = Report.Infl.Sched;
-    Entry.Influenced = Report.Influenced;
-    Entry.VecEligible = Report.VecEligible;
-    Options.Cache->store(K, Options, Entry);
+  if (Options.Cache && !Report.CacheHit && Report.Degradations.empty()) {
+    Options.Cache->store(K, Options,
+                         {Report.Isl.Sched, Report.Novec.Sched,
+                          Report.Infl.Sched, Report.Influenced,
+                          Report.VecEligible});
     if (obs::Journal::fastEnabled())
       obs::JournalEvent("cache_store").field("operator", K.Name);
   }

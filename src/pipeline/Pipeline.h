@@ -145,6 +145,10 @@ struct PipelineOptions {
 
 /// Result of one configuration of one operator.
 struct ConfigResult {
+  ConfigResult() = default;
+  /// \p S at full fidelity, not yet simulated.
+  explicit ConfigResult(Schedule S) : Sched(std::move(S)) {}
+
   Schedule Sched;
   KernelSim Sim;
   double TimeUs = 0;
@@ -153,6 +157,9 @@ struct ConfigResult {
   /// did. Details of what was substituted are in
   /// OperatorReport::Degradations.
   Status Outcome;
+  /// The operator deadline expired before this configuration ran: Sched
+  /// holds its fallback, and nothing was simulated.
+  bool Skipped = false;
   /// Pipeline metrics delta attributed to this configuration (isl:
   /// reference scheduling + simulation; novec: influenced scheduling +
   /// simulation; infl: vector finalization + simulation).
@@ -211,7 +218,16 @@ struct OperatorReport {
 /// Runs the full pipeline on \p K.
 OperatorReport runOperator(const Kernel &K, const PipelineOptions &Options);
 
-/// Schedules \p K with influence and finalizes vector marks.
+/// The infl configuration's schedule from runOperator's own degradation
+/// ladder (isl is scheduled only if the influenced schedule is unusable),
+/// for the autotuner to score. \returns false unless \p Out is what an
+/// un-degraded runOperator simulates: the isl fallback degraded, the
+/// vectorizer failed, the deadline skipped infl, the schedule is not
+/// simulatable, or any solver budget tripped.
+bool scheduleInflConfig(const Kernel &K, const PipelineOptions &Options,
+                        Schedule &Out);
+
+/// Schedules \p K under its influence tree (no vector-mark pass).
 /// Exposed for examples that want the intermediate artifacts.
 SchedulerResult scheduleInfluenced(const Kernel &K,
                                    const PipelineOptions &Options);
@@ -222,8 +238,7 @@ std::string renderCuda(const Kernel &K, const Schedule &S,
 
 /// True if the backend can generate and simulate \p S on \p K:
 /// unit/constant rows only, and statements sharing a loop dimension
-/// agree on its extent. The autotuner's evaluator uses it to mirror the
-/// pipeline's fallback decisions exactly.
+/// agree on its extent. runOperator's degradation ladder tests it.
 bool isSimulatableSchedule(const Kernel &K, const Schedule &S);
 
 /// A compact per-configuration stats table for one operator report:

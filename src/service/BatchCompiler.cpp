@@ -3,13 +3,10 @@
 #include "service/BatchCompiler.h"
 
 #include "obs/Journal.h"
-#include "obs/Metrics.h"
+#include "support/Parallel.h"
 
 #include <algorithm>
-#include <atomic>
 #include <exception>
-#include <mutex>
-#include <thread>
 
 using namespace pinj;
 using namespace pinj::service;
@@ -35,12 +32,13 @@ BatchCompiler::BatchCompiler(PipelineOptions Opts, unsigned Jobs)
 namespace {
 
 /// Builds the placeholder report for a job whose worker threw: empty
-/// results, one degradation event at site "service.batch" so the
-/// failure is visible in reports and the sidecar.
-OperatorReport failedReport(const std::string &Name,
+/// results under the job's request id, one degradation event at site
+/// "service.batch" so the failure is visible in reports and the sidecar.
+OperatorReport failedReport(const BatchJob &Job, const std::string &Rid,
                             const std::string &What) {
   OperatorReport R;
-  R.Name = Name;
+  R.Name = Job.K.Name;
+  R.RequestId = Rid;
   DegradationEvent E;
   E.Config = "batch";
   E.Site = "service.batch";
@@ -77,37 +75,16 @@ BatchResult BatchCompiler::run(const std::vector<BatchJob> &Jobs) {
         .field("workers",
                std::min<std::size_t>(NumWorkers, Jobs.size()));
 
-  std::atomic<std::size_t> Next{0};
-  auto Work = [&]() {
-    for (;;) {
-      std::size_t I = Next.fetch_add(1, std::memory_order_relaxed);
-      if (I >= Jobs.size())
-        return;
-      obs::RequestScope Request(RequestIds[I]);
-      try {
-        Result.Reports[I] = runOperator(Jobs[I].K, WorkerOptions);
-      } catch (const std::exception &Ex) {
-        Result.Reports[I] = failedReport(Jobs[I].K.Name, Ex.what());
-        Result.Reports[I].RequestId = RequestIds[I];
-      } catch (...) {
-        Result.Reports[I] = failedReport(Jobs[I].K.Name, "unknown");
-        Result.Reports[I].RequestId = RequestIds[I];
-      }
+  parallelFor(Jobs.size(), NumWorkers, [&](std::size_t I) {
+    obs::RequestScope Request(RequestIds[I]);
+    try {
+      Result.Reports[I] = runOperator(Jobs[I].K, WorkerOptions);
+    } catch (const std::exception &Ex) {
+      Result.Reports[I] = failedReport(Jobs[I], RequestIds[I], Ex.what());
+    } catch (...) {
+      Result.Reports[I] = failedReport(Jobs[I], RequestIds[I], "unknown");
     }
-  };
-
-  unsigned PoolSize = static_cast<unsigned>(
-      std::min<std::size_t>(NumWorkers, Jobs.size()));
-  if (PoolSize <= 1) {
-    Work();
-  } else {
-    std::vector<std::thread> Pool;
-    Pool.reserve(PoolSize);
-    for (unsigned W = 0; W != PoolSize; ++W)
-      Pool.emplace_back(Work);
-    for (std::thread &T : Pool)
-      T.join();
-  }
+  });
 
   if (obs::Journal::fastEnabled())
     obs::JournalEvent("batch_end")

@@ -10,13 +10,13 @@
 /// that runs `runOperator` on N operators concurrently and merges the
 /// results deterministically.
 ///
-/// Concurrency model: jobs are pulled from a mutex-guarded index queue;
-/// each worker thread runs whole operators, so the solver-budget
-/// machinery (thread_local scope stack in lp/Budget.cpp) and the
-/// degradation ladder isolate jobs exactly as in serial operation. The
-/// shared obs::MetricsRegistry is thread-safe (atomic counters), and the
-/// optional cache hook is required to be thread-safe
-/// (service::ScheduleCache is).
+/// Concurrency model: workers pull job indices from one atomic counter
+/// (support/Parallel.h parallelFor); each worker thread runs whole
+/// operators, so the solver-budget machinery (thread_local scope stack
+/// in lp/Budget.cpp) and the degradation ladder isolate jobs exactly as
+/// in serial operation. The shared obs::MetricsRegistry is thread-safe
+/// (atomic counters), and the optional cache hook is required to be
+/// thread-safe (service::ScheduleCache is).
 ///
 /// Determinism guarantee: results land in a pre-sized vector at their
 /// submission index, and sink records are appended in submission order

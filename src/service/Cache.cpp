@@ -10,7 +10,6 @@
 #include <filesystem>
 #include <fstream>
 #include <sstream>
-#include <thread>
 #include <utility>
 
 using namespace pinj;
@@ -400,25 +399,8 @@ void ScheduleCache::diskStore(const Fingerprint &Key,
   fs::create_directories(Cfg.DiskDir, Ec);
   if (Ec)
     return; // Disk tier is best-effort; memory tier already has it.
-  // Write-then-rename so readers only ever see complete files, even
-  // with concurrent writers (the rename is atomic within a directory).
-  std::ostringstream TmpName;
-  TmpName << Path << ".tmp." << std::this_thread::get_id();
-  std::string Tmp = TmpName.str();
-  {
-    std::ofstream OutF(Tmp, std::ios::binary | std::ios::trunc);
-    if (!OutF)
-      return;
-    OutF << encodeCacheEntry(Key, Value);
-    OutF.close();
-    if (!OutF) {
-      fs::remove(Tmp, Ec);
-      return;
-    }
-  }
-  fs::rename(Tmp, Path, Ec);
-  if (Ec)
-    fs::remove(Tmp, Ec);
+  // Best-effort as well: a failed write leaves the previous file, if any.
+  writeFileAtomically(Path, encodeCacheEntry(Key, Value));
 }
 
 bool ScheduleCache::lookup(const Kernel &K, const PipelineOptions &Options,

@@ -4,6 +4,10 @@
 
 #include <cstdio>
 #include <execinfo.h>
+#include <filesystem>
+#include <fstream>
+#include <sstream>
+#include <thread>
 
 using namespace pinj;
 
@@ -51,4 +55,37 @@ std::string pinj::joinStrings(const std::vector<std::string> &Parts,
     Result += Parts[I];
   }
   return Result;
+}
+
+bool pinj::writeFileAtomically(const std::string &Path,
+                               const std::string &Contents, std::string *Err) {
+  namespace fs = std::filesystem;
+  auto Fail = [Err](const std::string &Msg) {
+    if (Err)
+      *Err = Msg;
+    return false;
+  };
+  std::ostringstream TmpName;
+  TmpName << Path << ".tmp." << std::this_thread::get_id();
+  std::string Tmp = TmpName.str();
+  {
+    std::ofstream Out(Tmp, std::ios::binary | std::ios::trunc);
+    if (!Out)
+      return Fail("cannot open " + Tmp + " for writing");
+    Out << Contents;
+    Out.close();
+    if (!Out) {
+      std::error_code Ec;
+      fs::remove(Tmp, Ec);
+      return Fail("write to " + Tmp + " failed");
+    }
+  }
+  // The rename is atomic within a directory.
+  std::error_code Ec;
+  fs::rename(Tmp, Path, Ec);
+  if (Ec) {
+    fs::remove(Tmp, Ec);
+    return Fail("rename to " + Path + " failed: " + Ec.message());
+  }
+  return true;
 }

@@ -97,6 +97,13 @@ inline Int ceilDiv(Int A, Int B) {
 std::string joinStrings(const std::vector<std::string> &Parts,
                         const std::string &Sep);
 
+/// Writes \p Contents to \p Path through a per-thread temporary beside
+/// it, renamed over \p Path, so readers (and concurrent writers) only
+/// ever see complete files. \returns false, with the reason in \p Err
+/// when non-null, if any step failed; the temporary is then removed.
+bool writeFileAtomically(const std::string &Path, const std::string &Contents,
+                         std::string *Err = nullptr);
+
 } // namespace pinj
 
 #endif // POLYINJECT_SUPPORT_SUPPORT_H

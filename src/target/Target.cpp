@@ -15,7 +15,6 @@
 #include <filesystem>
 #include <fstream>
 #include <sstream>
-#include <thread>
 
 using namespace pinj;
 using namespace pinj::target;
@@ -116,12 +115,6 @@ std::shared_ptr<TargetModel> reject(std::string *Err,
   if (Err)
     *Err = Msg;
   return nullptr;
-}
-
-bool failSave(std::string *Err, const std::string &Msg) {
-  if (Err)
-    *Err = Msg;
-  return false;
 }
 
 std::string sanitizeToken(const std::string &S) {
@@ -232,28 +225,7 @@ std::shared_ptr<TargetModel> target::parseTarget(const std::string &Text,
 
 bool target::saveTargetFile(const TargetModel &T, const std::string &Path,
                             std::string *Err) {
-  std::ostringstream TmpName;
-  TmpName << Path << ".tmp." << std::this_thread::get_id();
-  std::string Tmp = TmpName.str();
-  {
-    std::ofstream Out(Tmp, std::ios::binary | std::ios::trunc);
-    if (!Out)
-      return failSave(Err, "cannot open " + Tmp + " for writing");
-    Out << serializeTarget(T);
-    Out.close();
-    if (!Out) {
-      std::error_code Ec;
-      fs::remove(Tmp, Ec);
-      return failSave(Err, "write to " + Tmp + " failed");
-    }
-  }
-  std::error_code Ec;
-  fs::rename(Tmp, Path, Ec);
-  if (Ec) {
-    fs::remove(Tmp, Ec);
-    return failSave(Err, "rename to " + Path + " failed: " + Ec.message());
-  }
-  return true;
+  return writeFileAtomically(Path, serializeTarget(T), Err);
 }
 
 std::shared_ptr<TargetModel> target::loadTargetFile(const std::string &Path,

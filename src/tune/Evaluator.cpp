@@ -3,64 +3,22 @@
 #include "tune/Evaluator.h"
 
 #include "codegen/Mapping.h"
-#include "codegen/Vectorizer.h"
 #include "lp/Budget.h"
 #include "obs/Metrics.h"
+#include "support/Parallel.h"
 #include "support/Status.h"
 #include "target/Target.h"
-
-#include <atomic>
-#include <thread>
 
 using namespace pinj;
 using namespace pinj::tune;
 
 bool tune::buildInflMappedKernel(const Kernel &K, const PipelineOptions &O,
                                  MappedKernel &Out) {
+  Schedule Infl;
+  if (!scheduleInflConfig(K, O, Infl))
+    return false;
   try {
-    // Mirror runOperator's operator-wide budget; anyTripped() below then
-    // sees both this scope and any caller-installed candidate scope.
-    budget::BudgetScope OpBudget(O.Budget);
-
-    Schedule InflSched;
-    bool Fallback = false;
-    try {
-      SchedulerResult InflRun = scheduleInfluenced(K, O);
-      if (!InflRun.Outcome.ok())
-        Fallback = true;
-      else
-        InflSched = InflRun.Sched;
-    } catch (const RecoverableError &) {
-      Fallback = true;
-    }
-    if (!Fallback && !isSimulatableSchedule(K, InflSched))
-      Fallback = true; // Fusion the backend rejects; runOperator falls
-                       // back to the reference schedule.
-    if (Fallback) {
-      SchedulerOptions IslOptions = O.Sched;
-      IslOptions.SerializeSccs = true;
-      SchedulerResult IslRun = scheduleKernel(K, IslOptions);
-      if (!IslRun.Outcome.ok())
-        return false;
-      InflSched = IslRun.Sched;
-      if (!isSimulatableSchedule(K, InflSched))
-        return false;
-    }
-
-    try {
-      finalizeVectorMarks(K, InflSched, /*DisableVectorization=*/false);
-    } catch (const RecoverableError &) {
-      return false;
-    }
-    if (!isSimulatableSchedule(K, InflSched))
-      return false;
-
-    // A budget shaped this run; the un-tripped pipeline would produce a
-    // different schedule, so the score would be for the wrong config.
-    if (budget::anyTripped())
-      return false;
-
-    Out = mapToGpu(K, InflSched, O.Mapping);
+    Out = mapToGpu(K, Infl, O.Mapping);
     return true;
   } catch (const RecoverableError &) {
     return false;
@@ -135,37 +93,15 @@ std::vector<double> Evaluator::evaluate(const std::vector<Candidate> &Batch) {
   // disjoint Scores slots; the memo is filled after the join, so no
   // locking is needed and results are independent of the worker count.
   std::vector<double> Scores(Fresh.size(), failedScore());
-  if (!Fresh.empty()) {
-    unsigned Workers = static_cast<unsigned>(
-        std::min<std::size_t>(Cfg.Jobs, Fresh.size()));
-    if (Workers <= 1) {
-      for (std::size_t I = 0; I < Fresh.size(); ++I)
-        Scores[I] = scoreOne(Fresh[I]);
-    } else {
-      std::atomic<std::size_t> Next{0};
-      auto Work = [&] {
-        for (;;) {
-          std::size_t I = Next.fetch_add(1, std::memory_order_relaxed);
-          if (I >= Fresh.size())
-            return;
-          Scores[I] = scoreOne(Fresh[I]);
-        }
-      };
-      std::vector<std::thread> Pool;
-      Pool.reserve(Workers);
-      for (unsigned W = 0; W < Workers; ++W)
-        Pool.emplace_back(Work);
-      for (std::thread &T : Pool)
-        T.join();
-    }
-    for (std::size_t I = 0; I < Fresh.size(); ++I) {
-      Memo.emplace(Fresh[I], Scores[I]);
-      if (Scores[I] == failedScore())
-        Failures.inc();
-    }
-    Evals += Fresh.size();
-    Evaluated.add(Fresh.size());
+  parallelFor(Fresh.size(), Cfg.Jobs,
+              [&](std::size_t I) { Scores[I] = scoreOne(Fresh[I]); });
+  for (std::size_t I = 0; I < Fresh.size(); ++I) {
+    Memo.emplace(Fresh[I], Scores[I]);
+    if (Scores[I] == failedScore())
+      Failures.inc();
   }
+  Evals += Fresh.size();
+  Evaluated.add(Fresh.size());
 
   for (std::size_t I = 0; I < Batch.size(); ++I) {
     auto It = Memo.find(Batch[I]);

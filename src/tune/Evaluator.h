@@ -7,13 +7,13 @@
 ///
 /// \file
 /// Scores tuning candidates by the simulated infl-configuration kernel
-/// time. Each evaluation replays the pipeline's own decisions — the
-/// influenced scheduler, its isl fallback, vector finalization, GPU
-/// mapping and the warp simulator — under a per-candidate solver budget
-/// so one pathological candidate cannot stall the search. Batches run
-/// on a worker pool (the service::BatchCompiler atomic-index pattern);
-/// scores are analytic, so the result is identical for any worker
-/// count.
+/// time. Each evaluation schedules the infl configuration through the
+/// pipeline's own degradation ladder (scheduleInflConfig in
+/// pipeline/Pipeline.h), then maps it and runs the target simulator,
+/// under a per-candidate solver budget so one pathological candidate
+/// cannot stall the search. Batches run on a worker pool
+/// (support/Parallel.h parallelFor); scores are analytic, so the result
+/// is identical for any worker count.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -93,12 +93,10 @@ private:
 };
 
 /// The scoring primitive: the simulated kernel time of \p K's infl
-/// configuration under \p O, mirroring runOperator exactly — influenced
-/// scheduling, fallback to serialized-SCC isl scheduling when that
-/// fails or is not simulatable, vector-mark finalization, GPU mapping,
-/// warp simulation. \returns failedScore() when no simulatable schedule
-/// results or any solver budget tripped (a tripped run's schedule is
-/// not what the un-tripped pipeline would produce).
+/// configuration under \p O, scheduled by scheduleInflConfig — so equal
+/// to runOperator's infl time wherever both run undegraded. \returns
+/// failedScore() where scheduleInflConfig rejects the schedule or
+/// mapping fails.
 double predictInflTimeUs(const Kernel &K, const PipelineOptions &O);
 
 /// The scheduling-and-mapping front half of predictInflTimeUs: produces

@@ -5,15 +5,11 @@
 #include "obs/Metrics.h"
 
 #include <cstdio>
-#include <filesystem>
 #include <fstream>
 #include <sstream>
-#include <thread>
 
 using namespace pinj;
 using namespace pinj::tune;
-
-namespace fs = std::filesystem;
 
 namespace {
 
@@ -147,40 +143,18 @@ void TuningDb::saveLocked() {
   static obs::Counter &WriteErrors =
       obs::metrics().counter("tune.db_write_errors");
 
-  std::ostringstream TmpName;
-  TmpName << Path << ".tmp." << std::this_thread::get_id();
-  std::string Tmp = TmpName.str();
-  {
-    std::ofstream Out(Tmp, std::ios::binary | std::ios::trunc);
-    if (!Out) {
-      WriteErrors.inc();
-      return;
-    }
-    Out << FileHeader << '\n';
-    for (const auto &[Key, E] : Entries) {
-      char Time[64];
-      std::snprintf(Time, sizeof(Time), "%.17g", E.PredictedTimeUs);
-      Out << "entry " << Key.str() << ' ' << E.SpaceSignature << ' '
-          << E.Strategy << ' ' << Time << ' ' << E.Encoding.size() << '\n'
-          << E.Encoding << '\n';
-    }
-    Out << "end\n";
-    Out.close();
-    if (!Out) {
-      WriteErrors.inc();
-      std::error_code Ec;
-      fs::remove(Tmp, Ec);
-      return;
-    }
+  std::ostringstream Out;
+  Out << FileHeader << '\n';
+  for (const auto &[Key, E] : Entries) {
+    char Time[64];
+    std::snprintf(Time, sizeof(Time), "%.17g", E.PredictedTimeUs);
+    Out << "entry " << Key.str() << ' ' << E.SpaceSignature << ' '
+        << E.Strategy << ' ' << Time << ' ' << E.Encoding.size() << '\n'
+        << E.Encoding << '\n';
   }
-  // Write-then-rename so readers only ever see complete files (the
-  // rename is atomic within a directory).
-  std::error_code Ec;
-  fs::rename(Tmp, Path, Ec);
-  if (Ec) {
+  Out << "end\n";
+  if (!writeFileAtomically(Path, Out.str()))
     WriteErrors.inc();
-    fs::remove(Tmp, Ec);
-  }
 }
 
 bool TuningDb::lookup(const service::Fingerprint &Key, DbEntry &Out) {

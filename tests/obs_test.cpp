@@ -6,6 +6,7 @@
 #include "obs/Metrics.h"
 #include "obs/Report.h"
 #include "obs/Trace.h"
+#include "ops/OpFactory.h"
 #include "pipeline/Pipeline.h"
 #include "TestKernels.h"
 
@@ -669,6 +670,48 @@ TEST(Journal, ConcurrentEmitIsThreadSafe) {
   ASSERT_EQ(PerId.size(), Threads);
   for (const auto &[Id, N] : PerId)
     EXPECT_EQ(N, PerThread) << Id;
+}
+
+TEST(Journal, StageEndPerPipelineStageMatchesReport) {
+  // One stage_end per stage, in pipeline order, with a fixed field list;
+  // a configuration stage reports its own metrics delta's solver effort.
+  // This operator's ILPs branch, so nodes and solves differ.
+  JournalGuard Guard;
+  Kernel K = makeSoftmaxLike("softmax", 48, 96);
+  PipelineOptions Options;
+  Options.Validate = true;
+  OperatorReport R = runOperator(K, Options);
+  std::vector<obs::JournalRecord> Stages;
+  for (obs::JournalRecord &Rec : obs::journal().snapshot())
+    if (Rec.Type == "stage_end")
+      Stages.push_back(std::move(Rec));
+  const char *Names[] = {"isl", "novec", "infl", "tvm", "validate"};
+  const ConfigResult *Configs[] = {&R.Isl, &R.Novec, &R.Infl, nullptr,
+                                   nullptr};
+  ASSERT_EQ(Stages.size(), 5u);
+  for (unsigned I = 0; I != 5; ++I) {
+    const std::vector<obs::JournalField> &F = Stages[I].Fields;
+    ASSERT_EQ(F.size(), 6u) << Names[I];
+    EXPECT_EQ(Stages[I].RequestId, R.RequestId);
+    EXPECT_EQ(F[0].Key, "stage");
+    EXPECT_EQ(F[0].Value, Names[I]);
+    EXPECT_EQ(F[1].Key, "dur_us");
+    const char *Counters[] = {"lp.ilp_nodes", "lp.ilp_solves",
+                              "lp.simplex_pivots"};
+    for (unsigned C = 0; C != 3; ++C)
+      EXPECT_EQ(F[2 + C].Value,
+                std::to_string(Configs[I]
+                                   ? Configs[I]->Metrics.counter(Counters[C])
+                                   : 0))
+          << Names[I] << " " << F[2 + C].Key;
+    EXPECT_EQ(F[2].Key, "ilp_nodes");
+    EXPECT_EQ(F[3].Key, "ilp_solves");
+    EXPECT_EQ(F[4].Key, "pivots");
+    EXPECT_EQ(F[5].Key, "outcome");
+    EXPECT_EQ(F[5].Value, "ok");
+  }
+  EXPECT_GT(R.Isl.Metrics.counter("lp.ilp_nodes"),
+            R.Isl.Metrics.counter("lp.ilp_solves"));
 }
 
 //===----------------------------------------------------------------------===//

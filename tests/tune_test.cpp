@@ -22,6 +22,7 @@
 #include "tune/TuningDb.h"
 
 #include "TestKernels.h"
+#include "../bench/BenchUtil.h"
 
 #include <cmath>
 #include <filesystem>
@@ -292,6 +293,34 @@ TEST(Evaluator, ScoresIndependentOfWorkerCount) {
   ASSERT_EQ(S1.size(), S8.size());
   for (std::size_t I = 0; I < S1.size(); ++I)
     EXPECT_DOUBLE_EQ(S1[I], S8[I]) << "candidate " << I;
+}
+
+TEST(Evaluator, ScoresWhatRunOperatorSimulates) {
+  // The evaluator scores the infl configuration runOperator would
+  // produce: wherever it accepts a candidate and the pipeline took no
+  // degradation, the two times agree bit for bit. Corpus x (baseline +
+  // a fixed stride of default-space candidates).
+  SearchSpace Space = defaultSearchSpace();
+  std::vector<PipelineOptions> Configs(1);
+  const std::size_t Stride = Space.size() / 4;
+  for (std::size_t I = 0; I < 4; ++I) {
+    Configs.emplace_back();
+    Space.apply(Space.candidateAt(I * Stride + Stride / 2), Configs.back());
+  }
+  unsigned Compared = 0, Pairs = 0;
+  for (const Kernel &K : tuneBenchCorpus(0)) {
+    for (std::size_t C = 0; C < Configs.size(); ++C) {
+      ++Pairs;
+      double Predicted = predictInflTimeUs(K, Configs[C]);
+      OperatorReport R = runOperator(K, Configs[C]);
+      if (Predicted == failedScore() || R.degraded())
+        continue;
+      ++Compared;
+      EXPECT_EQ(Predicted, R.Infl.TimeUs) << K.Name << " config " << C;
+    }
+  }
+  // The comparison must not be vacuous.
+  EXPECT_GE(Compared * 2, Pairs);
 }
 
 //===----------------------------------------------------------------------===//
