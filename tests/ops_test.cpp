@@ -98,6 +98,14 @@ struct SuiteCounts {
   unsigned Infl;
 };
 
+// Without a printer gtest lists the parameter as raw bytes, which embed
+// the Name pointer and the struct padding, so the listed test names would
+// change from build to build.
+void PrintTo(const SuiteCounts &C, std::ostream *OS) {
+  *OS << C.Name << " total=" << C.Total << " vec=" << C.Vec
+      << " infl=" << C.Infl;
+}
+
 class NetworkCounts : public ::testing::TestWithParam<SuiteCounts> {};
 
 TEST_P(NetworkCounts, MatchesTable2) {
