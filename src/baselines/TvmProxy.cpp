@@ -86,63 +86,34 @@ bool needsSharedMemoryTile(const Kernel &SubKernel, const Schedule &S) {
 
 TvmProxyResult pinj::simulateTvmProxy(const Kernel &K, const GpuModel &Model,
                                       const GpuMappingOptions &Mapping) {
-  failpoint::hit("baselines.tvm");
-  TvmProxyResult Result;
-  for (unsigned Stmt = 0, E = K.Stmts.size(); Stmt != E; ++Stmt) {
-    Kernel Sub = extractStatement(K, Stmt);
-    Schedule Sched = buildTvmSchedule(Sub);
-    MappedKernel M = mapToGpu(Sub, Sched, Mapping);
-    KernelSim Sim = simulateKernel(M, Model);
-    if (needsSharedMemoryTile(Sub, Sched)) {
-      // Shared-memory tiling: both global sides coalesced (transactions
-      // shrink to the useful bytes), at ~2x the memory instructions for
-      // the staging through shared memory.
-      double IdealTx = Sim.UsefulBytes / Model.SectorBytes;
-      if (IdealTx < Sim.Transactions) {
-        Sim.Transactions = IdealTx;
-        Sim.TransactionBytes = Sim.UsefulBytes;
-        Sim.MemInstructions *= 2;
-        double WarpRequests =
-            Sim.MemInstructions / std::max(1.0, double(Model.WarpSize));
-        double BytesPerRequest =
-            WarpRequests > 0 ? Sim.TransactionBytes / WarpRequests : 0.0;
-        double BytesPerLane = Sim.MemInstructions > 0
-                                  ? Sim.UsefulBytes / Sim.MemInstructions
-                                  : 4.0;
-        double Efficiency = Model.bandwidthEfficiency(
-            Sim.Warps, BytesPerRequest, BytesPerLane);
-        Sim.MemTimeUs = Sim.TransactionBytes /
-                        (Model.PeakBandwidthGBs * Efficiency * 1e9) * 1e6;
-        Sim.ComputeTimeUs = (Sim.MemInstructions + Sim.ComputeInstructions) /
-                            (Model.IssueRateGops * 1e9) * 1e6;
-        Sim.TimeUs = Model.LaunchOverheadUs +
-                     std::max(Sim.MemTimeUs, Sim.ComputeTimeUs);
-      }
-    }
-    Result.TimeUs += Sim.TimeUs;
-    ++Result.Launches;
-    Result.Aggregate.Transactions += Sim.Transactions;
-    Result.Aggregate.TransactionBytes += Sim.TransactionBytes;
-    Result.Aggregate.UsefulBytes += Sim.UsefulBytes;
-    Result.Aggregate.MemInstructions += Sim.MemInstructions;
-    Result.Aggregate.ComputeInstructions += Sim.ComputeInstructions;
-    Result.Aggregate.TimeUs += Sim.TimeUs;
-  }
-  return Result;
+  return simulateTvmProxy(K, target::GpuAnalyticTarget(Model), Mapping);
 }
 
 TvmProxyResult pinj::simulateTvmProxy(const Kernel &K,
                                       const target::TargetModel &T,
                                       const GpuMappingOptions &Mapping) {
-  if (const auto *G = dynamic_cast<const target::GpuAnalyticTarget *>(&T))
-    return simulateTvmProxy(K, G->model(), Mapping);
   failpoint::hit("baselines.tvm");
+  // The shared-memory tile is a CUDA rewrite: only the GPU target has it.
+  const auto *Gpu = dynamic_cast<const target::GpuAnalyticTarget *>(&T);
   TvmProxyResult Result;
   for (unsigned Stmt = 0, E = K.Stmts.size(); Stmt != E; ++Stmt) {
     Kernel Sub = extractStatement(K, Stmt);
     Schedule Sched = buildTvmSchedule(Sub);
     MappedKernel M = mapToGpu(Sub, Sched, Mapping);
     KernelSim Sim = T.simulate(M);
+    if (Gpu && needsSharedMemoryTile(Sub, Sched)) {
+      // Shared-memory tiling: both global sides coalesced (transactions
+      // shrink to the useful bytes), at ~2x the memory instructions for
+      // the staging through shared memory.
+      const GpuModel &Model = Gpu->model();
+      double IdealTx = Sim.UsefulBytes / Model.SectorBytes;
+      if (IdealTx < Sim.Transactions) {
+        Sim.Transactions = IdealTx;
+        Sim.TransactionBytes = Sim.UsefulBytes;
+        Sim.MemInstructions *= 2;
+        Sim = finishGpuTime(Sim, Model);
+      }
+    }
     Result.TimeUs += Sim.TimeUs;
     ++Result.Launches;
     Result.Aggregate.Transactions += Sim.Transactions;

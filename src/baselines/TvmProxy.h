@@ -42,17 +42,17 @@ Kernel extractStatement(const Kernel &K, unsigned Stmt);
 /// order with the write-contiguous iterator rotated innermost.
 Schedule buildTvmSchedule(const Kernel &SubKernel);
 
-/// Simulates \p K under the TVM proxy (one launch per statement).
-TvmProxyResult simulateTvmProxy(const Kernel &K, const GpuModel &Model,
-                                const GpuMappingOptions &Mapping);
-
-/// The target-backend form. A GPU-analytic target delegates to the
-/// GpuModel overload above (bit-identical, including the shared-memory
-/// tile rewrite for uncoalesced transposes); any other backend scores
-/// the per-statement launches directly — the tile rewrite is a CUDA
+/// Simulates \p K under the TVM proxy (one launch per statement) on
+/// target \p T. On a GPU-analytic target, statements whose reads stay
+/// uncoalesced get the shared-memory tile rewrite; any other backend
+/// scores the launches as simulated, since the tile is a CUDA
 /// shared-memory idiom and does not transfer.
 TvmProxyResult simulateTvmProxy(const Kernel &K,
                                 const target::TargetModel &T,
+                                const GpuMappingOptions &Mapping);
+
+/// The same on a GPU-analytic target over \p Model.
+TvmProxyResult simulateTvmProxy(const Kernel &K, const GpuModel &Model,
                                 const GpuMappingOptions &Mapping);
 
 } // namespace pinj

@@ -2,152 +2,53 @@
 
 #include "lp/Ilp.h"
 
-#include "lp/Budget.h"
-#include "obs/Metrics.h"
-#include "support/FailPoint.h"
-#include "support/Status.h"
-
-#include <algorithm>
-#include <optional>
+#include "lp/BranchAndBound.h"
 
 using namespace pinj;
 
 namespace {
 
-/// Depth-first branch and bound, driven by an explicit worklist instead
-/// of recursion (deep branching chains used to blow the call stack) and
-/// branching by appending single-variable bound rows to a shared path
-/// instead of copying the whole problem per node. The node visit order,
-/// pruning decisions, and every LP relaxation are identical to the old
-/// recursive version: PathRows holds the rows of the current node's
-/// root-to-node path, and solveLpExt solves base + path exactly as the
-/// old code solved its copied-and-extended problem.
-class BranchAndBound {
+/// The cold relaxation: each node re-solves base + its root-to-node
+/// path of bound rows from scratch through solveLpExt, which replicates
+/// the original pivot sequence exactly. PathRows is shared by all nodes;
+/// entering a node truncates it to the parent's path and appends the
+/// node's own row, so no node copies any problem state.
+class ColdRelaxation {
 public:
-  explicit BranchAndBound(const IlpProblem &Problem) : Problem(Problem) {}
+  struct State {};
 
-  IlpResult run() {
-    // Each work item is a node, described by the path length of its
-    // parent plus the one bound row the branch adds. Pushing the up
-    // branch before the down branch pops them in the recursion's order.
-    struct WorkItem {
-      unsigned Depth; ///< Path rows before this node's own row.
-      LpConstraint Row;
-      bool HasRow;
-    };
-    std::vector<WorkItem> Work;
-    Work.push_back({0, LpConstraint(), false});
+  explicit ColdRelaxation(const IlpProblem &Problem) : Problem(Problem) {}
 
-    while (!Work.empty() && !Exhausted) {
-      WorkItem Item = std::move(Work.back());
-      Work.pop_back();
-      PathRows.resize(Item.Depth);
-      if (Item.HasRow)
-        PathRows.push_back(std::move(Item.Row));
-
-      if (!budget::chargeNode()) {
-        Exhausted = true;
-        break;
-      }
-      ++Nodes;
-      MaxDepth = std::max(MaxDepth,
-                          static_cast<unsigned>(PathRows.size()));
-      LpResult Relaxed = solveLpExt(Problem.Lp, PathRows);
-      if (Relaxed.Status == LpResult::BudgetExceeded) {
-        Exhausted = true;
-        break;
-      }
-      if (Relaxed.Status == LpResult::Infeasible)
-        continue;
-      // An unbounded relaxation cannot be pruned; in this project
-      // objectives are sums of nonnegative variables, so this indicates
-      // a misuse.
-      if (Relaxed.Status == LpResult::Unbounded)
-        raiseError(StatusCode::SolverError, "lp.ilp",
-                   "unbounded ILP relaxation");
-      if (Incumbent && Relaxed.Value >= IncumbentValue) {
-        ++Pruned;
-        continue; // Bound: cannot improve on the incumbent.
-      }
-
-      unsigned Fractional = findFractional(Relaxed.Point);
-      if (Fractional == Problem.numVars()) {
-        // Integral solution; becomes the new incumbent.
-        if (!Incumbent || Relaxed.Value < IncumbentValue) {
-          Incumbent = Relaxed.Point;
-          IncumbentValue = Relaxed.Value;
-          ++IncumbentUpdates;
-        }
-        continue;
-      }
-
-      Int Floor = Relaxed.Point[Fractional].floor();
-      unsigned ChildDepth = PathRows.size();
-      // Branch up: x >= floor + 1 (popped second).
-      {
-        IntVector Coeffs(Problem.numVars(), 0);
-        Coeffs[Fractional] = 1;
-        Work.push_back({ChildDepth,
-                        LpConstraint(std::move(Coeffs),
-                                     checkedNeg(checkedAdd(Floor, 1)),
-                                     LpConstraint::GE),
-                        true});
-      }
-      // Branch down: x <= floor (popped first).
-      {
-        IntVector Coeffs(Problem.numVars(), 0);
-        Coeffs[Fractional] = 1;
-        Work.push_back({ChildDepth,
-                        LpConstraint(std::move(Coeffs), checkedNeg(Floor),
-                                     LpConstraint::LE),
-                        true});
-      }
+  /// Solves one node for branchAndBound.
+  NodeStatus solve(BnbNode<State> &Node, std::vector<Rational> &Point,
+                   Rational &Value) {
+    if (Node.Depth != 0) {
+      PathRows.resize(Node.Depth - 1);
+      IntVector Coeffs(Problem.numVars(), 0);
+      Coeffs[Node.Var] = 1;
+      PathRows.emplace_back(std::move(Coeffs), checkedNeg(Node.Bound),
+                            Node.Upper ? LpConstraint::LE
+                                       : LpConstraint::GE);
     }
-
-    IlpResult Result;
-    Result.NodesExplored = Nodes;
-    Result.NodesPruned = Pruned;
-    Result.IncumbentUpdates = IncumbentUpdates;
-    Result.MaxDepth = MaxDepth;
-    if (Exhausted) {
-      // The search stopped early: an incumbent (if any) is feasible but
-      // unproven, and the absence of one proves nothing.
-      Result.Status = IlpResult::BudgetExceeded;
-      if (Incumbent) {
-        Result.Value = IncumbentValue;
-        Result.Point = *Incumbent;
-      }
-      return Result;
+    LpResult Relaxed = solveLpExt(Problem.Lp, PathRows);
+    switch (Relaxed.Status) {
+    case LpResult::BudgetExceeded:
+      return NodeStatus::Budget;
+    case LpResult::Infeasible:
+      return NodeStatus::Infeasible;
+    case LpResult::Unbounded:
+      return NodeStatus::Unbounded;
+    case LpResult::Optimal:
+      break;
     }
-    if (!Incumbent) {
-      Result.Status = IlpResult::Infeasible;
-      return Result;
-    }
-    Result.Status = IlpResult::Optimal;
-    Result.Value = IncumbentValue;
-    Result.Point = *Incumbent;
-    return Result;
+    Point = std::move(Relaxed.Point);
+    Value = Relaxed.Value;
+    return NodeStatus::Optimal;
   }
 
 private:
-  /// \returns the index of an integer variable with fractional value, or
-  /// numVars() when the point is integral on all integer variables.
-  unsigned findFractional(const std::vector<Rational> &Point) const {
-    for (unsigned V = 0, E = Problem.numVars(); V != E; ++V)
-      if (Problem.IsInteger[V] && !Point[V].isInteger())
-        return V;
-    return Problem.numVars();
-  }
-
   const IlpProblem &Problem;
   std::vector<LpConstraint> PathRows;
-  std::optional<std::vector<Rational>> Incumbent;
-  Rational IncumbentValue;
-  unsigned Nodes = 0;
-  unsigned Pruned = 0;
-  unsigned IncumbentUpdates = 0;
-  unsigned MaxDepth = 0;
-  bool Exhausted = false;
 };
 
 } // namespace
@@ -155,27 +56,6 @@ private:
 IlpResult pinj::solveIlp(const IlpProblem &Problem) {
   assert(Problem.IsInteger.size() == Problem.numVars() &&
          "integrality flags out of sync");
-  static obs::Counter &Solves = obs::metrics().counter("lp.ilp_solves");
-  static obs::Counter &Failures = obs::metrics().counter("lp.ilp_failures");
-  static obs::Counter &Nodes = obs::metrics().counter("lp.ilp_nodes");
-  static obs::Histogram &NodesPerSolve =
-      obs::metrics().histogram("lp.ilp_nodes_per_solve");
-  static obs::Counter &PrunedTotal =
-      obs::metrics().counter("lp.bnb_pruned");
-  static obs::Counter &IncumbentTotal =
-      obs::metrics().counter("lp.bnb_incumbent_updates");
-  static obs::Histogram &MaxDepthPerSolve =
-      obs::metrics().histogram("lp.bnb_max_depth");
-  Solves.inc();
-  failpoint::hit("lp.ilp");
-  BranchAndBound Solver(Problem);
-  IlpResult Result = Solver.run();
-  if (!Result.isOptimal())
-    Failures.inc();
-  Nodes.add(Result.NodesExplored);
-  NodesPerSolve.observe(Result.NodesExplored);
-  PrunedTotal.add(Result.NodesPruned);
-  IncumbentTotal.add(Result.IncumbentUpdates);
-  MaxDepthPerSolve.observe(Result.MaxDepth);
-  return Result;
+  ColdRelaxation Relax(Problem);
+  return *branchAndBound(Problem, Relax);
 }

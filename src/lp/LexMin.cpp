@@ -5,7 +5,8 @@
 // objective level; this one keeps one tableau at a feasible basis across
 // levels (phase 1 runs once), pins each level with addPinEquality's mini
 // phase 1, and warm-starts branch-and-bound children from their parent's
-// basis via bound tightening + dual simplex.
+// basis via bound tightening + dual simplex. The search itself is the
+// one solveIlp runs (lp/BranchAndBound.h); only the relaxation differs.
 //
 // Bit-exactness: an intermediate level only contributes its optimal
 // VALUE (the pin row), which is unique, so any correct solver may
@@ -19,60 +20,35 @@
 
 #include "lp/LexMin.h"
 
-#include "lp/Budget.h"
-#include "lp/Tableau.h"
+#include "lp/BranchAndBound.h"
 #include "obs/Journal.h"
-#include "obs/Metrics.h"
-#include "support/FailPoint.h"
-#include "support/Status.h"
-
-#include <algorithm>
-#include <memory>
-#include <optional>
 
 using namespace pinj;
 
 namespace {
 
-struct LpMetrics {
-  obs::Counter &SimplexSolves;
-  obs::Counter &SimplexPivots;
-  obs::Histogram &PivotsPerSolve;
-  obs::Counter &IlpSolves;
-  obs::Counter &IlpFailures;
-  obs::Counter &IlpNodes;
-  obs::Histogram &NodesPerSolve;
-  obs::Counter &BnbPruned;
-  obs::Counter &BnbIncumbents;
-  obs::Histogram &BnbMaxDepth;
-  obs::Histogram &NodesPerDim;
-  obs::Histogram &PivotsPerDim;
-};
-
-LpMetrics &lpMetrics() {
-  static LpMetrics M{obs::metrics().counter("lp.simplex_solves"),
-                     obs::metrics().counter("lp.simplex_pivots"),
-                     obs::metrics().histogram("lp.pivots_per_solve"),
-                     obs::metrics().counter("lp.ilp_solves"),
-                     obs::metrics().counter("lp.ilp_failures"),
-                     obs::metrics().counter("lp.ilp_nodes"),
-                     obs::metrics().histogram("lp.ilp_nodes_per_solve"),
-                     obs::metrics().counter("lp.bnb_pruned"),
-                     obs::metrics().counter("lp.bnb_incumbent_updates"),
-                     obs::metrics().histogram("lp.bnb_max_depth"),
-                     obs::metrics().histogram("lp.nodes_per_dim"),
-                     obs::metrics().histogram("lp.pivots_per_dim")};
-  return M;
-}
-
-/// Warm solver state for one lexmin run: a persistent root tableau that
-/// survives across objective levels, plus the per-level warm branch and
-/// bound. Any failure flips Dead and the caller re-solves the level with
-/// the exact cold path.
+/// The warm relaxation for one lexmin run: a persistent root tableau
+/// that survives across objective levels, and per-node tableau copies
+/// that take their branch as a bound row and re-enter optimization with
+/// the dual simplex. Any failure flips Dead and the caller re-solves the
+/// level with the exact cold path.
 class WarmLexSolver {
+  struct BoundInfo {
+    unsigned SlackCol = 0;
+    Int Bound = 0;
+    bool Present = false;
+  };
+
 public:
+  /// A node's own tableau plus its bound rows, per variable and side.
+  struct State {
+    SimplexTableau T;
+    std::vector<BoundInfo> Le, Ge;
+  };
+
   WarmLexSolver(const IlpProblem &Problem, unsigned NumLevels)
       : Problem(Problem) {
+    unsigned NumIntegerVars = 0;
     for (bool I : Problem.IsInteger)
       if (I)
         ++NumIntegerVars;
@@ -85,196 +61,69 @@ public:
   bool dead() const { return Dead; }
   void kill() { Dead = true; }
 
-  /// Solves one level; \returns nullopt when the warm path gave up and
-  /// the caller must run the exact solver instead.
-  std::optional<IlpResult> solveLevel(const IntVector &Objective) {
-    LpMetrics &M = lpMetrics();
-    M.IlpSolves.inc();
-    failpoint::hit("lp.ilp");
+  /// Solves the level whose objective is Problem.Lp.Objective;
+  /// \returns nullopt when the warm path gave up and the caller must
+  /// run the exact solver instead.
+  std::optional<IlpResult> solveLevel() {
+    return branchAndBound(Problem, *this);
+  }
 
-    NodeCtx Root;
-    IlpResult Result;
-    unsigned Nodes = 0;
-    unsigned Pruned = 0;
-    unsigned IncumbentUpdates = 0;
-    unsigned MaxDepth = 0;
-    bool Exhausted = false;
-
-    // Root relaxation: full two-phase once, re-priced phase 2 after.
-    if (!budget::chargeNode()) {
-      Exhausted = true;
-    } else {
-      ++Nodes;
-      SimplexTableau::Outcome O;
-      unsigned PivotsBefore = Tab.pivots();
-      M.SimplexSolves.inc();
-      failpoint::hit("lp.simplex");
+  /// Solves one node for branchAndBound: the root on the persistent
+  /// tableau, any other node on its own copy.
+  NodeStatus solve(BnbNode<State> &Node, std::vector<Rational> &Point,
+                   Rational &Value) {
+    State &S = Node.State;
+    SimplexTableau::Outcome O;
+    if (Node.Depth == 0) {
+      // Root relaxation: full two-phase once, re-priced phase 2 after.
+      // The search branches on a copy, so the persistent root basis
+      // stays at the level's LP optimum for the pin.
+      const IntVector &Objective = Problem.Lp.Objective;
       if (!Built) {
         Tab.build(Problem.Lp, {}, Reserve, Reserve);
-        O = Tab.solveTwoPhase(Objective);
         Built = true;
+        O = countedSolve(Tab, [&] { return Tab.solveTwoPhase(Objective); });
       } else {
-        O = Tab.reoptimize(Objective);
+        O = countedSolve(Tab, [&] { return Tab.reoptimize(Objective); });
       }
-      M.SimplexPivots.add(Tab.pivots() - PivotsBefore);
-      M.PivotsPerSolve.observe(Tab.pivots() - PivotsBefore);
-      addThreadSimplexPivots(Tab.pivots() - PivotsBefore);
-      switch (O) {
-      case SimplexTableau::Outcome::Budget:
-        Exhausted = true;
-        break;
-      case SimplexTableau::Outcome::Infeasible:
-        Result.Status = IlpResult::Infeasible;
-        Result.NodesExplored = Nodes;
-        M.IlpFailures.inc();
-        M.IlpNodes.add(Nodes);
-        M.NodesPerSolve.observe(Nodes);
-        return Result;
-      case SimplexTableau::Outcome::Unbounded:
-        raiseError(StatusCode::SolverError, "lp.ilp",
-                   "unbounded ILP relaxation");
-      case SimplexTableau::Outcome::Optimal:
-        break;
+      if (O == SimplexTableau::Outcome::Optimal) {
+        S.T = Tab;
+        S.Le.assign(Problem.numVars(), BoundInfo());
+        S.Ge.assign(Problem.numVars(), BoundInfo());
       }
-    }
-
-    std::optional<std::vector<Rational>> Incumbent;
-    Rational IncumbentValue;
-
-    // The branch-and-bound works on copies of the root tableau, so the
-    // persistent root basis stays at the level's LP optimum for the pin.
-    struct WorkItem {
-      std::unique_ptr<NodeCtx> Ctx; ///< Parent state to branch from.
-      unsigned Var = 0;
-      Int Bound = 0;
-      bool Upper = false;
-      unsigned Depth = 0; ///< Root-to-node branch count, for stats.
-    };
-    std::vector<WorkItem> Work;
-
-    auto evaluate = [&](NodeCtx &Ctx, unsigned Depth) -> bool {
-      // \returns false when the warm path must be abandoned.
-      std::vector<Rational> Point;
-      Ctx.T.extractPoint(Point);
-      Rational Value(Problem.Lp.ObjectiveConstant);
-      for (unsigned V = 0, E = Problem.numVars(); V != E; ++V)
-        if (!Objective.empty() && Objective[V] != 0)
-          Value += Rational(Objective[V]) * Point[V];
-      if (Incumbent && Value >= IncumbentValue) {
-        ++Pruned;
-        return true; // Pruned.
-      }
-      unsigned Fractional = Problem.numVars();
-      for (unsigned V = 0, E = Problem.numVars(); V != E; ++V)
-        if (Problem.IsInteger[V] && !Point[V].isInteger()) {
-          Fractional = V;
-          break;
-        }
-      if (Fractional == Problem.numVars()) {
-        if (!Incumbent || Value < IncumbentValue) {
-          Incumbent = std::move(Point);
-          IncumbentValue = Value;
-          ++IncumbentUpdates;
-        }
-        return true;
-      }
-      Int Floor = Point[Fractional].floor();
-      // Up branch (popped second) gets a copy; the down branch (popped
-      // first) reuses this node's tableau.
-      auto UpCtx = std::make_unique<NodeCtx>(Ctx);
-      Work.push_back({std::move(UpCtx), Fractional, checkedAdd(Floor, 1),
-                      false, Depth + 1});
-      auto DownCtx = std::make_unique<NodeCtx>(std::move(Ctx));
-      Work.push_back({std::move(DownCtx), Fractional, Floor, true,
-                      Depth + 1});
-      return true;
-    };
-
-    if (!Exhausted) {
-      Root.T = Tab; // Branching copies; the member stays pristine.
-      Root.Le.assign(Problem.numVars(), BoundInfo());
-      Root.Ge.assign(Problem.numVars(), BoundInfo());
-      if (!evaluate(Root, 0))
-        return std::nullopt;
-    }
-
-    while (!Work.empty() && !Exhausted) {
-      WorkItem Item = std::move(Work.back());
-      Work.pop_back();
-      NodeCtx &Ctx = *Item.Ctx;
+    } else {
       // Apply the branch bound: tighten an existing bound row in place
       // or append a fresh one in the current basis.
-      std::vector<BoundInfo> &Side = Item.Upper ? Ctx.Le : Ctx.Ge;
-      BoundInfo &B = Side[Item.Var];
+      BoundInfo &B = (Node.Upper ? S.Le : S.Ge)[Node.Var];
       if (B.Present) {
         // Upper rows encode rhs = bound, lower rows rhs = -bound.
-        Int Delta = Item.Upper ? checkedSub(Item.Bound, B.Bound)
-                               : checkedSub(B.Bound, Item.Bound);
-        Ctx.T.tightenBoundRow(B.SlackCol, Delta);
-        B.Bound = Item.Bound;
+        S.T.tightenBoundRow(B.SlackCol,
+                            Node.Upper ? checkedSub(Node.Bound, B.Bound)
+                                       : checkedSub(B.Bound, Node.Bound));
       } else {
-        B.SlackCol = Ctx.T.addBoundRow(Item.Var, Item.Upper, Item.Bound);
-        B.Bound = Item.Bound;
+        B.SlackCol = S.T.addBoundRow(Node.Var, Node.Upper, Node.Bound);
         B.Present = true;
       }
-
-      if (!budget::chargeNode()) {
-        Exhausted = true;
-        break;
-      }
-      ++Nodes;
-      MaxDepth = std::max(MaxDepth, Item.Depth);
-      unsigned PivotsBefore = Ctx.T.pivots();
-      M.SimplexSolves.inc();
-      failpoint::hit("lp.simplex");
-      SimplexTableau::Outcome O = Ctx.T.dualReoptimize();
-      M.SimplexPivots.add(Ctx.T.pivots() - PivotsBefore);
-      M.PivotsPerSolve.observe(Ctx.T.pivots() - PivotsBefore);
-      addThreadSimplexPivots(Ctx.T.pivots() - PivotsBefore);
-      if (O == SimplexTableau::Outcome::Budget) {
-        if (budget::anyTripped()) {
-          Exhausted = true;
-          break;
-        }
-        // The dual simplex safety valve tripped without a real budget:
-        // abandon the warm path for this level.
-        M.IlpNodes.add(Nodes);
-        M.NodesPerSolve.observe(Nodes);
-        return std::nullopt;
-      }
-      if (O == SimplexTableau::Outcome::Infeasible)
-        continue;
-      if (!evaluate(Ctx, Item.Depth))
-        return std::nullopt;
+      B.Bound = Node.Bound;
+      O = countedSolve(S.T, [&] { return S.T.dualReoptimize(); });
+      // The dual simplex safety valve tripped without a real budget:
+      // abandon the warm path for this level.
+      if (O == SimplexTableau::Outcome::Budget && !budget::anyTripped())
+        return NodeStatus::Abandon;
     }
-
-    Result.NodesExplored = Nodes;
-    Result.NodesPruned = Pruned;
-    Result.IncumbentUpdates = IncumbentUpdates;
-    Result.MaxDepth = MaxDepth;
-    M.IlpNodes.add(Nodes);
-    M.NodesPerSolve.observe(Nodes);
-    M.BnbPruned.add(Pruned);
-    M.BnbIncumbents.add(IncumbentUpdates);
-    M.BnbMaxDepth.observe(MaxDepth);
-    if (Exhausted) {
-      Result.Status = IlpResult::BudgetExceeded;
-      if (Incumbent) {
-        Result.Value = IncumbentValue;
-        Result.Point = *Incumbent;
-      }
-      M.IlpFailures.inc();
-      return Result;
+    switch (O) {
+    case SimplexTableau::Outcome::Budget:
+      return NodeStatus::Budget;
+    case SimplexTableau::Outcome::Infeasible:
+      return NodeStatus::Infeasible;
+    case SimplexTableau::Outcome::Unbounded:
+      return NodeStatus::Unbounded;
+    case SimplexTableau::Outcome::Optimal:
+      break;
     }
-    if (!Incumbent) {
-      Result.Status = IlpResult::Infeasible;
-      M.IlpFailures.inc();
-      return Result;
-    }
-    Result.Status = IlpResult::Optimal;
-    Result.Value = IncumbentValue;
-    Result.Point = *Incumbent;
-    return Result;
+    S.T.extractPoint(Point);
+    Value = objectiveValue(Problem.Lp, Point);
+    return NodeStatus::Optimal;
   }
 
   /// Pins the just-solved level at Coeffs . x == P on the persistent
@@ -287,27 +136,12 @@ public:
   }
 
 private:
-  struct BoundInfo {
-    unsigned SlackCol = 0;
-    Int Bound = 0;
-    bool Present = false;
-  };
-  struct NodeCtx {
-    SimplexTableau T;
-    std::vector<BoundInfo> Le, Ge;
-  };
-
   const IlpProblem &Problem;
   SimplexTableau Tab;
   bool Built = false;
   bool Dead = false;
-  unsigned NumIntegerVars = 0;
   unsigned Reserve = 0;
 };
-
-} // namespace
-
-namespace {
 
 /// Per-dimension attribution: one solveLexMin call is one scheduler
 /// dimension's solve, so the pivot/node totals it accumulated feed the
@@ -364,7 +198,7 @@ IlpResult pinj::solveLexMin(IlpProblem Problem,
     Problem.Lp.Objective = Level.Coeffs;
     if (Final || Warm.dead()) {
       Last = solveIlp(Problem);
-    } else if (std::optional<IlpResult> W = Warm.solveLevel(Level.Coeffs)) {
+    } else if (std::optional<IlpResult> W = Warm.solveLevel()) {
       Last = std::move(*W);
     } else {
       Warm.kill();

@@ -2,10 +2,7 @@
 
 #include "lp/Simplex.h"
 
-#include "lp/Budget.h"
-#include "lp/Tableau.h"
-#include "obs/Metrics.h"
-#include "support/FailPoint.h"
+#include "lp/BranchAndBound.h"
 
 using namespace pinj;
 
@@ -25,24 +22,13 @@ void LpProblem::addUpperBound(unsigned Var, Int Bound) {
 
 LpResult pinj::solveLpExt(const LpProblem &Problem,
                           const std::vector<LpConstraint> &ExtraRows) {
-  static obs::Counter &SimplexSolves =
-      obs::metrics().counter("lp.simplex_solves");
-  static obs::Counter &SimplexPivots =
-      obs::metrics().counter("lp.simplex_pivots");
-  static obs::Histogram &PivotsPerSolve =
-      obs::metrics().histogram("lp.pivots_per_solve");
-  SimplexSolves.inc();
-  failpoint::hit("lp.simplex");
-
   // One scratch tableau per thread: the branch-and-bound hot path
   // re-solves hundreds of closely related problems, and reusing the
   // flat buffer makes each build allocation-free in the steady state.
   static thread_local SimplexTableau T;
   T.build(Problem, ExtraRows);
-  SimplexTableau::Outcome Outcome = T.solveTwoPhase(Problem.Objective);
-  SimplexPivots.add(T.pivots());
-  PivotsPerSolve.observe(T.pivots());
-  TlPivots += T.pivots();
+  SimplexTableau::Outcome Outcome =
+      countedSolve(T, [&] { return T.solveTwoPhase(Problem.Objective); });
 
   LpResult Result;
   switch (Outcome) {
@@ -61,12 +47,18 @@ LpResult pinj::solveLpExt(const LpProblem &Problem,
 
   Result.Status = LpResult::Optimal;
   T.extractPoint(Result.Point);
+  Result.Value = objectiveValue(Problem, Result.Point);
+  return Result;
+}
+
+Rational pinj::objectiveValue(const LpProblem &Problem,
+                              const std::vector<Rational> &Point) {
   // The tableau tracks -(objective shift); recompute the value directly.
-  Result.Value = Rational(Problem.ObjectiveConstant);
+  Rational Value(Problem.ObjectiveConstant);
   for (unsigned V = 0, E = Problem.NumVars; V != E; ++V)
     if (!Problem.Objective.empty() && Problem.Objective[V] != 0)
-      Result.Value += Rational(Problem.Objective[V]) * Result.Point[V];
-  return Result;
+      Value += Rational(Problem.Objective[V]) * Point[V];
+  return Value;
 }
 
 LpResult pinj::solveLp(const LpProblem &Problem) {

@@ -91,11 +91,9 @@ LpResult solveLpExt(const LpProblem &Problem,
 /// Simplex pivots performed by THIS thread since it started. The global
 /// `lp.simplex_pivots` counter mixes all batch workers together; the
 /// lexmin driver diffs this tally around a dimension's solve to
-/// attribute pivots exactly per dimension. Both the cold path
-/// (solveLpExt) and the warm tableau sites add to it.
+/// attribute pivots exactly per dimension. The one simplex-solve
+/// counting helper, countedSolve (lp/BranchAndBound.h), adds to it.
 std::uint64_t threadSimplexPivots();
-/// Adds \p N pivots to this thread's tally (warm-path tableau sites).
-void addThreadSimplexPivots(std::uint64_t N);
 
 } // namespace pinj
 

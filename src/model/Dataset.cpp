@@ -15,7 +15,6 @@
 #include <cassert>
 #include <cmath>
 #include <cstdio>
-#include <fstream>
 #include <set>
 #include <sstream>
 
@@ -284,10 +283,8 @@ bool pinj::model::saveDataset(const Dataset &D, const std::string &Path,
 
 bool pinj::model::loadDataset(const std::string &Path, Dataset &Out,
                               std::string *Err) {
-  std::ifstream In(Path, std::ios::binary);
-  if (!In)
+  std::string Text;
+  if (!readFile(Path, Text))
     return fail(Err, "cannot open dataset file " + Path);
-  std::ostringstream Text;
-  Text << In.rdbuf();
-  return parseDataset(Text.str(), Out, Err);
+  return parseDataset(Text, Out, Err);
 }

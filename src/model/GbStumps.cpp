@@ -13,7 +13,6 @@
 #include <cassert>
 #include <cmath>
 #include <cstdio>
-#include <fstream>
 #include <numeric>
 #include <sstream>
 
@@ -321,10 +320,8 @@ bool pinj::model::saveModel(const GbStumpsModel &M, const std::string &Path,
 
 bool pinj::model::loadModel(const std::string &Path, GbStumpsModel &Out,
                             std::string *Err) {
-  std::ifstream In(Path, std::ios::binary);
-  if (!In)
+  std::string Text;
+  if (!readFile(Path, Text))
     return fail(Err, "cannot open model file " + Path);
-  std::ostringstream Text;
-  Text << In.rdbuf();
-  return parseModel(Text.str(), Out, Err);
+  return parseModel(Text, Out, Err);
 }

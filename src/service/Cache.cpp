@@ -8,7 +8,6 @@
 
 #include <algorithm>
 #include <filesystem>
-#include <fstream>
 #include <sstream>
 #include <utility>
 
@@ -353,16 +352,8 @@ bool ScheduleCache::diskLookup(const Fingerprint &Key, const Kernel &K,
   if (Path.empty())
     return false;
   std::string Text;
-  {
-    std::ifstream In(Path, std::ios::binary);
-    if (!In)
-      return false; // Not present: a plain miss, not a reject.
-    std::ostringstream Buf;
-    Buf << In.rdbuf();
-    if (In.bad())
-      return false;
-    Text = Buf.str();
-  }
+  if (!readFile(Path, Text))
+    return false; // Not present: a plain miss, not a reject.
   std::string Error;
   CachedCompilation Decoded;
   bool Ok = decodeCacheEntry(Text, Key, Decoded, Error);
@@ -493,16 +484,8 @@ SweepReport service::sweepCacheDir(const std::string &DiskDir) {
         Why = "file name is not a fingerprint";
       } else {
         std::string Text;
-        {
-          std::ifstream In(Path, std::ios::binary);
-          std::ostringstream Buf;
-          if (In)
-            Buf << In.rdbuf();
-          if (!In || In.bad())
-            Why = "unreadable";
-          else
-            Text = Buf.str();
-        }
+        if (!readFile(Path, Text))
+          Why = "unreadable";
         if (Why.empty()) {
           CachedCompilation Decoded;
           std::string Error;

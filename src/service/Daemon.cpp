@@ -14,7 +14,6 @@
 #include <algorithm>
 #include <chrono>
 #include <filesystem>
-#include <fstream>
 #include <istream>
 #include <map>
 #include <ostream>
@@ -382,17 +381,13 @@ void Daemon::submitLine(const std::string &Line) {
   if (Inline && Inline->isString()) {
     KernelText = Inline->Str;
   } else if (File && File->isString()) {
-    std::ifstream In(File->Str);
-    if (!In) {
+    if (!readFile(File->Str, KernelText)) {
       ParseErrors.fetch_add(1);
       deliver(ClientId, LineNo,
               errorResponse(ClientId, LineNo, std::string(),
                             "cannot open kernel_file: " + File->Str));
       return;
     }
-    std::ostringstream Buf;
-    Buf << In.rdbuf();
-    KernelText = Buf.str();
   } else {
     ParseErrors.fetch_add(1);
     deliver(ClientId, LineNo,

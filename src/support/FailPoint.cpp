@@ -21,8 +21,8 @@ namespace {
 // (service/Daemon.cpp, service/Admission.cpp) rather than inside
 // runOperator; the pipeline fail-point sweep filters them out.
 const char *const Sites[] = {
-    "lp.simplex",       // solveLp entry (every relaxation).
-    "lp.ilp",           // solveIlp entry (every branch-and-bound run).
+    "lp.simplex",       // countedSolve (every simplex solve).
+    "lp.ilp",           // branchAndBound entry (every search).
     "poly.farkas",      // addFarkasNonNegative (constraint elimination).
     "sched.schedule",   // scheduleKernel entry (whole construction).
     "influence.tree",   // buildInfluenceTree entry.

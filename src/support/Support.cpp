@@ -89,3 +89,15 @@ bool pinj::writeFileAtomically(const std::string &Path,
   }
   return true;
 }
+
+bool pinj::readFile(const std::string &Path, std::string &Out) {
+  std::ifstream In(Path, std::ios::binary);
+  if (!In)
+    return false;
+  std::ostringstream Buf;
+  Buf << In.rdbuf();
+  if (In.bad())
+    return false;
+  Out = Buf.str();
+  return true;
+}

@@ -104,6 +104,11 @@ std::string joinStrings(const std::vector<std::string> &Parts,
 bool writeFileAtomically(const std::string &Path, const std::string &Contents,
                          std::string *Err = nullptr);
 
+/// Reads the whole of \p Path, byte for byte, into \p Out. \returns
+/// false, leaving \p Out untouched, when the file cannot be opened or
+/// read.
+bool readFile(const std::string &Path, std::string &Out);
+
 } // namespace pinj
 
 #endif // POLYINJECT_SUPPORT_SUPPORT_H

@@ -13,7 +13,6 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
-#include <fstream>
 #include <sstream>
 
 using namespace pinj;
@@ -230,12 +229,10 @@ bool target::saveTargetFile(const TargetModel &T, const std::string &Path,
 
 std::shared_ptr<TargetModel> target::loadTargetFile(const std::string &Path,
                                                     std::string *Err) {
-  std::ifstream In(Path, std::ios::binary);
-  if (!In)
+  std::string Text;
+  if (!readFile(Path, Text))
     return reject(Err, "cannot open target file " + Path);
-  std::ostringstream Text;
-  Text << In.rdbuf();
-  std::shared_ptr<TargetModel> T = parseTarget(Text.str(), Err);
+  std::shared_ptr<TargetModel> T = parseTarget(Text, Err);
   if (T && T->name() == "_")
     T->rename(fs::path(Path).stem().string());
   return T;

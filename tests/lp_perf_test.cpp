@@ -269,3 +269,32 @@ TEST(LpObservability, PivotHistogramRecordsSolves) {
   ASSERT_NE(H, nullptr);
   EXPECT_GE(H->Count, 1u);
 }
+
+// One recording rule: every finished search, warm lexmin level or cold
+// solveIlp, records one lp.bnb_max_depth sample. That includes a warm
+// level whose root relaxation is infeasible.
+TEST(LpObservability, EveryFinishedSearchRecordsItsDepth) {
+  IlpProblem Infeasible(2);
+  Infeasible.Lp.addGe({1, 0}, -3); // x0 >= 3
+  Infeasible.Lp.addUpperBound(0, 1);
+  IlpProblem Feasible(2);
+  Feasible.Lp.addGe({2, 2}, -3); // 2 x0 + 2 x1 >= 3: a fractional root.
+  Feasible.Lp.addUpperBound(0, 4);
+  Feasible.Lp.addUpperBound(1, 4);
+  for (IlpProblem *P : {&Infeasible, &Feasible}) {
+    P->markInteger(0);
+    P->markInteger(1);
+  }
+  const std::vector<LexObjective> Levels{LexObjective({1, 1}),
+                                         LexObjective({1, 0})};
+
+  for (const IlpProblem *P : {&Infeasible, &Feasible}) {
+    obs::MetricsSnapshot Before = obs::metrics().snapshot();
+    IlpResult R = solveLexMin(*P, Levels);
+    EXPECT_EQ(R.isOptimal(), P == &Feasible);
+    obs::MetricsSnapshot Delta = obs::metrics().snapshot().since(Before);
+    const obs::HistogramSummary *Depth = Delta.histogram("lp.bnb_max_depth");
+    EXPECT_EQ(Depth ? Depth->Count : 0u, Delta.counter("lp.ilp_solves"))
+        << (P == &Feasible ? "feasible" : "infeasible");
+  }
+}

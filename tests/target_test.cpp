@@ -5,7 +5,9 @@
 #include "target/GpuAnalyticTarget.h"
 #include "target/Target.h"
 
+#include "baselines/TvmProxy.h"
 #include "codegen/Vectorizer.h"
+#include "ir/Builder.h"
 #include "influence/TreeBuilder.h"
 #include "obs/Metrics.h"
 #include "pipeline/Pipeline.h"
@@ -125,6 +127,42 @@ TEST(TargetDifferential, GpuAnalyticMatchesSimulateKernelBitExactly) {
                             K.Name + "/" + P + "/baseline");
       expectSimBitIdentical(T.simulate(Infl), simulateKernel(Infl, Model),
                             K.Name + "/" + P + "/influenced");
+    }
+  }
+}
+
+// Both simulateTvmProxy overloads must score the same launches: over
+// the corpus and every GPU preset, the GpuModel form and the
+// GpuAnalyticTarget form agree bit for bit. The corpus reads share their
+// write's layout, so the transpose OUT[i][j] = IN[j][i] is added to
+// cover the shared-memory tile rewrite.
+TEST(TargetDifferential, TvmProxyOverloadsAgreeBitExactly) {
+  std::vector<Kernel> Kernels = tuneBenchCorpus(0);
+  ASSERT_GE(Kernels.size(), 20u);
+  KernelBuilder B("transpose");
+  unsigned In = B.tensor("IN", {512, 512});
+  unsigned Out = B.tensor("OUT", {512, 512});
+  B.stmt("T", {{"i", 512}, {"j", 512}})
+      .write(Out, {"i", "j"})
+      .read(In, {"j", "i"})
+      .op(OpKind::Assign);
+  Kernels.push_back(B.build());
+
+  for (const Kernel &K : Kernels) {
+    for (const std::string &P : gpuModelPresetNames()) {
+      GpuModel Model = *gpuModelPreset(P);
+      TvmProxyResult ViaTarget =
+          simulateTvmProxy(K, GpuAnalyticTarget(Model), GpuMappingOptions());
+      TvmProxyResult ViaModel =
+          simulateTvmProxy(K, Model, GpuMappingOptions());
+      std::string What = K.Name + "/" + P;
+      EXPECT_EQ(ViaTarget.TimeUs, ViaModel.TimeUs) << What;
+      EXPECT_EQ(ViaTarget.Launches, ViaModel.Launches) << What;
+      expectSimBitIdentical(ViaTarget.Aggregate, ViaModel.Aggregate, What);
+      if (&K == &Kernels.back()) // The tile moves only the useful bytes.
+        EXPECT_EQ(ViaTarget.Aggregate.TransactionBytes,
+                  ViaTarget.Aggregate.UsefulBytes)
+            << What;
     }
   }
 }

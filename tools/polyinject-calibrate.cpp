@@ -88,15 +88,13 @@ void printUsage(const char *Argv0) {
 }
 
 Kernel loadKernelOrDie(const std::string &Path) {
-  std::ifstream In(Path);
-  if (!In) {
+  std::string Text;
+  if (!readFile(Path, Text)) {
     std::fprintf(stderr, "error: cannot open %s\n", Path.c_str());
     std::exit(1);
   }
-  std::stringstream Buffer;
-  Buffer << In.rdbuf();
   std::string Error;
-  std::optional<Kernel> K = parseKernel(Buffer.str(), Error);
+  std::optional<Kernel> K = parseKernel(Text, Error);
   if (!K) {
     std::fprintf(stderr, "%s: %s\n", Path.c_str(), Error.c_str());
     std::exit(1);
@@ -354,16 +352,14 @@ int fitFromTable(const std::string &TablePath, const std::string &Kind,
                  const std::string &InitSpec, double InitScale,
                  const std::string &FitList, unsigned Sweeps,
                  const std::string &RefSpec, double CheckTol) {
-  std::ifstream In(TablePath, std::ios::binary);
-  if (!In) {
+  std::string Text;
+  if (!readFile(TablePath, Text)) {
     std::fprintf(stderr, "error: cannot open table %s\n", TablePath.c_str());
     return 1;
   }
-  std::ostringstream Text;
-  Text << In.rdbuf();
   Table Tbl;
   std::string Err;
-  if (!parseTable(Text.str(), Tbl, Err)) {
+  if (!parseTable(Text, Tbl, Err)) {
     std::fprintf(stderr, "error: %s: %s\n", TablePath.c_str(), Err.c_str());
     return 1;
   }

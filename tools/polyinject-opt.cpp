@@ -167,15 +167,13 @@ void printConfig(const Kernel &K, const char *Name, const ConfigResult &R,
 /// Reads one kernel file; exits the process with a diagnostic on
 /// failure (both modes treat an unreadable/unparsable input as fatal).
 Kernel loadKernel(const std::string &Path) {
-  std::ifstream In(Path);
-  if (!In) {
+  std::string Text;
+  if (!readFile(Path, Text)) {
     std::fprintf(stderr, "error: cannot open %s\n", Path.c_str());
     std::exit(1);
   }
-  std::stringstream Buffer;
-  Buffer << In.rdbuf();
   std::string Error;
-  std::optional<Kernel> K = parseKernel(Buffer.str(), Error);
+  std::optional<Kernel> K = parseKernel(Text, Error);
   if (!K) {
     std::fprintf(stderr, "%s: %s\n", Path.c_str(), Error.c_str());
     std::exit(1);
@@ -236,11 +234,9 @@ bool writeTraceChecked(const std::string &Path) {
     std::fprintf(stderr, "error: %s\n", Error.c_str());
     return false;
   }
-  std::ifstream TraceIn(Path);
-  std::stringstream TraceBuffer;
-  TraceBuffer << TraceIn.rdbuf();
-  std::optional<obs::json::Value> Parsed =
-      obs::json::parse(TraceBuffer.str(), Error);
+  std::string Trace;
+  readFile(Path, Trace); // An unreadable file fails the parse below.
+  std::optional<obs::json::Value> Parsed = obs::json::parse(Trace, Error);
   const obs::json::Value *Events =
       Parsed ? Parsed->find("traceEvents") : nullptr;
   if (!Parsed || !Events || !Events->isArray() || Events->Items.empty()) {
@@ -561,9 +557,7 @@ int main(int Argc, char **Argv) {
     return 2;
   }
   // Both flags resolve through the target registry; --gpu=PRESET is the
-  // historical spelling of --target=PRESET. A resolved GPU-analytic
-  // target also sets Options.Gpu, so influence heuristics and anything
-  // else reading the machine model see the chosen preset.
+  // historical spelling of --target=PRESET.
   GpuModel Gpu;
   std::shared_ptr<const target::TargetModel> Target;
   {

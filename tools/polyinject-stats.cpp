@@ -47,6 +47,7 @@
 
 #include "obs/Json.h"
 #include "obs/Metrics.h"
+#include "support/Support.h"
 
 #include <cctype>
 #include <cstdio>
@@ -316,15 +317,13 @@ bool loadJournal(const std::string &Path, JournalStats &Stats) {
 /// Parses one whole-file JSON document; exits with a diagnostic on I/O
 /// or parse failure (cross-check inputs are expected to be well-formed).
 obs::json::Value loadJsonFile(const std::string &Path) {
-  std::ifstream In(Path);
-  if (!In) {
+  std::string Text;
+  if (!readFile(Path, Text)) {
     std::fprintf(stderr, "error: cannot open %s\n", Path.c_str());
     std::exit(1);
   }
-  std::stringstream Buffer;
-  Buffer << In.rdbuf();
   std::string Error;
-  std::optional<obs::json::Value> V = obs::json::parse(Buffer.str(), Error);
+  std::optional<obs::json::Value> V = obs::json::parse(Text, Error);
   if (!V) {
     std::fprintf(stderr, "error: %s: %s\n", Path.c_str(), Error.c_str());
     std::exit(1);
