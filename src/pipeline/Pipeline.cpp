@@ -455,9 +455,10 @@ OperatorReport pinj::runOperator(const Kernel &K,
   if (Options.Validate && !Ladder.deadlineExpired("validate")) {
     obs::Stage S("validate", "pipeline.validate");
     try {
-      Report.Validated =
-          scheduleIsSemanticallyEqual(K, Report.Isl.Sched) &&
-          scheduleIsSemanticallyEqual(K, Report.Infl.Sched);
+      // One original-order reference run serves both schedules.
+      ScheduleValidator Validator(K);
+      Report.Validated = Validator.check(Report.Isl.Sched) &&
+                         Validator.check(Report.Infl.Sched);
     } catch (const RecoverableError &E) {
       recordDegradation("validate", E.status());
     }

@@ -1,12 +1,15 @@
 //===- tests/exec_test.cpp - interpreter and semantic validation ----------===//
 
 #include "exec/Interpreter.h"
+#include "exec/Reference.h"
 #include "influence/TreeBuilder.h"
+#include "pipeline/Pipeline.h"
+#include "sched/Scheduler.h"
+#include "support/Status.h"
+#include "TestKernels.h"
+#include "../bench/BenchUtil.h"
 
 #include <algorithm>
-#include <cmath>
-#include "sched/Scheduler.h"
-#include "TestKernels.h"
 
 #include <gtest/gtest.h>
 
@@ -206,46 +209,11 @@ bool parallelMarksHold(const Kernel &K, const Schedule &S, unsigned Seed) {
   ExecBuffers Reference = makeInputs(K, Seed);
   ExecBuffers Shuffled = Reference;
   runOriginal(K, Reference);
-  // Execute the instances in the permuted date order with a local
-  // evaluator mirroring exec/Interpreter's statement semantics.
-  for (const auto &I : Instances) {
-    const Statement &St = K.Stmts[I.Stmt];
-    double Reads[3] = {0, 0, 0};
-    auto flatten = [&](const Access &A) {
-      const Tensor &T = K.Tensors[A.TensorId];
-      std::vector<Int> Strides = T.strides();
-      Int Offset = 0;
-      for (unsigned D = 0; D != A.Indices.size(); ++D) {
-        Int Index = A.Indices[D].back();
-        for (unsigned It = 0; It != St.numIters(); ++It)
-          Index += A.Indices[D][It] * I.Iters[It];
-        Offset += Index * Strides[D];
-      }
-      return Offset;
-    };
-    for (unsigned R = 0; R != St.Reads.size(); ++R)
-      Reads[R] = Shuffled.Tensors[St.Reads[R].TensorId]
-                     [flatten(St.Reads[R])];
-    double Value = 0;
-    switch (St.Kind) {
-    case OpKind::Assign: Value = Reads[0]; break;
-    case OpKind::Add: Value = Reads[0] + Reads[1]; break;
-    case OpKind::Sub: Value = Reads[0] - Reads[1]; break;
-    case OpKind::Mul: Value = Reads[0] * Reads[1]; break;
-    case OpKind::Div: Value = Reads[0] / Reads[1]; break;
-    case OpKind::Max: Value = std::max(Reads[0], Reads[1]); break;
-    case OpKind::Min: Value = std::min(Reads[0], Reads[1]); break;
-    case OpKind::Relu: Value = std::max(Reads[0], 0.0); break;
-    case OpKind::Exp: Value = std::exp(Reads[0]); break;
-    case OpKind::Rsqrt:
-      Value = 1.0 / std::sqrt(std::abs(Reads[0]) + 1.0);
-      break;
-    case OpKind::Neg: Value = -Reads[0]; break;
-    case OpKind::Fma: Value = Reads[0] + Reads[1] * Reads[2]; break;
-    case OpKind::MulSub: Value = (Reads[0] - Reads[1]) * Reads[2]; break;
-    }
-    Shuffled.Tensors[St.Write.TensorId][flatten(St.Write)] = Value;
-  }
+  // Execute the instances in the permuted date order.
+  CompiledKernel Code(K);
+  std::vector<double *> Data = CompiledKernel::tensorData(Shuffled);
+  for (const auto &I : Instances)
+    Code.execute(I.Stmt, I.Iters.data(), Data.data());
   return buffersAlmostEqual(Reference, Shuffled, 1e-6);
 }
 
@@ -276,3 +244,182 @@ TEST_P(ParallelMarking, ShuffledParallelDimsPreserveSemantics) {
 INSTANTIATE_TEST_SUITE_P(Families, ParallelMarking,
                          ::testing::Combine(::testing::Range(0, 4),
                                             ::testing::Values(3, 11)));
+
+//===----------------------------------------------------------------------===//
+// Differential: the flat-key executor against the date-sorting oracle
+// (exec/Reference.h). Both run the same instances in the same order, so
+// the buffers must be bit-identical, not merely within tolerance.
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+void expectMatchesOracle(const Kernel &K, const Schedule &S,
+                         const std::string &What) {
+  ExecBuffers Inputs = makeInputs(K, 1);
+  ExecBuffers Fast = Inputs, Slow = Inputs;
+  runOriginal(K, Fast);
+  referenceRunOriginal(K, Slow);
+  EXPECT_TRUE(Fast.Tensors == Slow.Tensors) << What << " (original order)";
+  Fast = Inputs;
+  Slow = Inputs;
+  runScheduled(K, S, Fast);
+  referenceRunScheduled(K, S, Slow);
+  EXPECT_TRUE(Fast.Tensors == Slow.Tensors) << What;
+}
+
+} // namespace
+
+TEST(ExecutorDifferential, TestKernelsBitIdenticalToOracle) {
+  for (const Kernel &K :
+       {makeRunningExample(6), makeElementwise(5, 7), makeTranspose(4, 6),
+        makeProducerConsumer(5, 6), makeBadOrderCopy(6, 10),
+        makeRowReduction(4, 9)}) {
+    expectMatchesOracle(K, scheduleKernel(K, baseline()).Sched,
+                        K.Name + "/baseline");
+    InfluenceTree Tree = buildInfluenceTree(K, InfluenceOptions());
+    expectMatchesOracle(K, scheduleKernel(K, SchedulerOptions(), &Tree).Sched,
+                        K.Name + "/influenced");
+  }
+}
+
+namespace {
+
+/// A random (generally invalid) schedule: the differential compares
+/// instance orders, so any date function works. Coefficients mix zero,
+/// small values (many ties), and magnitudes near 2^20 and 2^40, so the
+/// sort meets one-pass counting keys, multi-pass radix keys and
+/// schedules whose packed ranges need more than one 64-bit key.
+Schedule makeRandomSchedule(const Kernel &K, unsigned Seed) {
+  unsigned State = Seed * 2654435761u + 7u;
+  auto next = [&](unsigned Bound) {
+    State ^= State << 13;
+    State ^= State >> 17;
+    State ^= State << 5;
+    return State % Bound;
+  };
+  auto coefficient = [&]() -> Int {
+    Int Sign = next(2) ? 1 : -1;
+    switch (next(6)) {
+    case 0:
+    case 1:
+      return 0;
+    case 2:
+    case 3:
+      return Sign * static_cast<Int>(1 + next(3));
+    case 4:
+      return Sign * ((Int(1) << 20) + next(1000));
+    default:
+      return Sign * ((Int(1) << 40) + next(1000));
+    }
+  };
+  Schedule S;
+  S.Dims.resize(1 + next(5));
+  for (const Statement &St : K.Stmts) {
+    IntMatrix T(S.numDims(), K.rowWidth(St));
+    for (unsigned D = 0; D != S.numDims(); ++D) {
+      for (unsigned I = 0; I != St.numIters(); ++I)
+        T.at(D, I) = coefficient();
+      T.at(D, T.numCols() - 1) = coefficient();
+    }
+    S.Transforms.push_back(std::move(T));
+  }
+  return S;
+}
+
+} // namespace
+
+TEST(ExecutorDifferential, RandomSchedulesBitIdenticalToOracle) {
+  for (const Kernel &K : {makeRunningExample(5), makeProducerConsumer(4, 6),
+                          makeRowReduction(3, 7), makeTranspose(5, 4)})
+    for (unsigned Seed = 1; Seed != 41; ++Seed)
+      expectMatchesOracle(K, makeRandomSchedule(K, Seed),
+                          K.Name + " seed " + std::to_string(Seed));
+}
+
+TEST(ExecutorDifferential, DateOverflowRaisesLikeOracle) {
+  Kernel K = makeElementwise(4, 4);
+  Schedule S = scheduleKernel(K, baseline()).Sched;
+  S.Transforms[0].at(0, 0) = Int(1) << 62; // Dates reach 3 * 2^62.
+  ExecBuffers Buffers = makeInputs(K, 1);
+  for (bool Oracle : {false, true}) {
+    try {
+      Oracle ? referenceRunScheduled(K, S, Buffers)
+             : runScheduled(K, S, Buffers);
+      ADD_FAILURE() << "no overflow raised, oracle=" << Oracle;
+    } catch (const RecoverableError &E) {
+      EXPECT_EQ(E.status().code(), StatusCode::Overflow) << Oracle;
+    }
+  }
+}
+
+class CorpusOracle : public ::testing::TestWithParam<int> {};
+
+TEST_P(CorpusOracle, IslAndInflBitIdenticalToOracle) {
+  Kernel K = tuneBenchCorpus(0)[GetParam()];
+  OperatorReport R = runOperator(K, PipelineOptions());
+  ASSERT_FALSE(R.degraded()) << K.Name;
+  expectMatchesOracle(K, R.Isl.Sched, K.Name + "/isl");
+  expectMatchesOracle(K, R.Infl.Sched, K.Name + "/infl");
+}
+
+INSTANTIATE_TEST_SUITE_P(Corpus, CorpusOracle, ::testing::Range(0, 22));
+
+//===----------------------------------------------------------------------===//
+// Out-of-bounds accesses: OUT[i] = IN[i + 1] with i < N leaves IN only at
+// the far corner of the iteration box.
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+Kernel makeShiftedRead(Int N) {
+  KernelBuilder B("shifted_read");
+  unsigned In = B.tensor("IN", {N});
+  unsigned Out = B.tensor("OUT", {N});
+  B.stmt("S", {{"i", N}})
+      .write(Out, {"i"})
+      .read(In, {IndexExpr("i") + 1})
+      .op(OpKind::Assign);
+  return B.build();
+}
+
+template <typename Fn> void expectInterpretError(Fn &&Run, const char *What) {
+  try {
+    Run();
+    ADD_FAILURE() << What << ": no error raised";
+  } catch (const RecoverableError &E) {
+    EXPECT_EQ(E.status().site(), "exec.interpret") << What;
+    EXPECT_EQ(E.status().code(), StatusCode::Internal) << What;
+  }
+}
+
+} // namespace
+
+TEST(Interpreter, OutOfBoundsAccessRaises) {
+  Kernel K = makeShiftedRead(8);
+  Schedule S = scheduleKernel(K, baseline()).Sched;
+  ExecBuffers Buffers = makeInputs(K, 1);
+  expectInterpretError([&] { runOriginal(K, Buffers); }, "runOriginal");
+  expectInterpretError([&] { runScheduled(K, S, Buffers); }, "runScheduled");
+  expectInterpretError([&] { scheduleIsSemanticallyEqual(K, S); },
+                       "scheduleIsSemanticallyEqual");
+  expectInterpretError([&] { referenceRunOriginal(K, Buffers); },
+                       "referenceRunOriginal");
+  expectInterpretError([&] { referenceRunScheduled(K, S, Buffers); },
+                       "referenceRunScheduled");
+
+  // The in-bounds neighbour compiles.
+  Kernel InBounds = makeShiftedRead(8);
+  InBounds.Tensors[0].Shape[0] = 9;
+  EXPECT_TRUE(scheduleIsSemanticallyEqual(InBounds, S));
+}
+
+TEST(Interpreter, OutOfBoundsAccessDegradesValidation) {
+  PipelineOptions Options;
+  Options.Validate = true;
+  OperatorReport R = runOperator(makeShiftedRead(8), Options);
+  EXPECT_FALSE(R.Validated);
+  ASSERT_EQ(R.Degradations.size(), 1u);
+  EXPECT_EQ(R.Degradations[0].Config, "validate");
+  EXPECT_EQ(R.Degradations[0].Site, "exec.interpret");
+  EXPECT_EQ(R.Degradations[0].Code, StatusCode::Internal);
+}

@@ -11,6 +11,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "exec/Interpreter.h"
+#include "exec/Reference.h"
 #include "influence/TreeBuilder.h"
 #include "ir/Builder.h"
 #include "pipeline/Pipeline.h"
@@ -199,6 +200,38 @@ TEST_P(KernelFuzz, FeautrierModeValidAndSemanticsPreserved) {
   SchedulerResult R = scheduleKernel(K, Options);
   EXPECT_TRUE(isValidSchedule(K, R.Sched)) << K.Name;
   EXPECT_TRUE(scheduleIsSemanticallyEqual(K, R.Sched)) << K.Name;
+}
+
+// The flat-key executor against the date-sorting oracle on the schedules
+// of all four modes above: the same instance order, so bit-identical
+// buffers.
+TEST_P(KernelFuzz, ExecutorBitIdenticalToOracle) {
+  unsigned Seed = static_cast<unsigned>(GetParam());
+  Kernel K = makeRandomKernel(Seed);
+  SchedulerOptions Serial;
+  Serial.SerializeSccs = true;
+  SchedulerOptions Feautrier;
+  Feautrier.UseFeautrierFallback = true;
+  InfluenceTree Auto = buildInfluenceTree(K, InfluenceOptions());
+  InfluenceTree Random = makeRandomTree(K, Seed);
+  const std::pair<const char *, Schedule> Modes[] = {
+      {"baseline", scheduleKernel(K, Serial).Sched},
+      {"auto", scheduleKernel(K, SchedulerOptions(), &Auto).Sched},
+      {"random", scheduleKernel(K, SchedulerOptions(), &Random).Sched},
+      {"feautrier", scheduleKernel(K, Feautrier).Sched}};
+
+  ExecBuffers Inputs = makeInputs(K, Seed);
+  ExecBuffers Fast = Inputs, Slow = Inputs;
+  runOriginal(K, Fast);
+  referenceRunOriginal(K, Slow);
+  EXPECT_TRUE(Fast.Tensors == Slow.Tensors) << K.Name << " original";
+  for (const auto &[Mode, S] : Modes) {
+    Fast = Inputs;
+    Slow = Inputs;
+    runScheduled(K, S, Fast);
+    referenceRunScheduled(K, S, Slow);
+    EXPECT_TRUE(Fast.Tensors == Slow.Tensors) << K.Name << " " << Mode;
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, KernelFuzz, ::testing::Range(1, 41));
