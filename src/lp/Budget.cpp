@@ -36,6 +36,7 @@ struct pinj::budget::BudgetState {
 
 namespace {
 thread_local BudgetState *Top = nullptr;
+thread_local SolverWork Charged;
 } // namespace
 
 BudgetScope::BudgetScope(const SolverBudget &B) {
@@ -70,7 +71,10 @@ bool BudgetScope::tripped() const { return S && S->Tripped; }
 
 bool pinj::budget::active() { return Top != nullptr; }
 
+SolverWork pinj::budget::threadCharges() { return Charged; }
+
 bool pinj::budget::chargePivot() {
+  ++Charged.Pivots;
   bool Ok = true;
   for (BudgetState *S = Top; S; S = S->Parent) {
     if (S->Tripped)
@@ -82,6 +86,7 @@ bool pinj::budget::chargePivot() {
 }
 
 bool pinj::budget::chargeNode() {
+  ++Charged.Nodes;
   bool Ok = true;
   for (BudgetState *S = Top; S; S = S->Parent) {
     if (S->Tripped)

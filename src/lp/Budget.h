@@ -25,6 +25,13 @@
 
 namespace pinj {
 
+/// Solver work as budgets count it: simplex pivots and branch-and-bound
+/// nodes.
+struct SolverWork {
+  std::uint64_t Pivots = 0;
+  std::uint64_t Nodes = 0;
+};
+
 /// Limits for a region of solver work. A zero field means "unlimited".
 struct SolverBudget {
   /// Maximum simplex pivots (phase 1 + phase 2, all relaxations).
@@ -36,6 +43,14 @@ struct SolverBudget {
 
   bool unlimited() const {
     return MaxPivots == 0 && MaxIlpNodes == 0 && WallMs <= 0;
+  }
+
+  /// True when \p W fits under the pivot and node caps. A run that
+  /// charged \p W without tripping charges the same under any budget
+  /// that admits it, and does not trip there either (wall clock aside).
+  bool admits(const SolverWork &W) const {
+    return (MaxPivots == 0 || W.Pivots <= MaxPivots) &&
+           (MaxIlpNodes == 0 || W.Nodes <= MaxIlpNodes);
   }
 };
 
@@ -81,6 +96,12 @@ bool anyTripped();
 /// True when any budget scope is active on this thread (cheap check so
 /// solver hot loops can skip the clock entirely).
 bool active();
+
+/// Every chargePivot()/chargeNode() call made on this thread so far,
+/// passing or not. The simplex charges pivots only while some scope is
+/// active (nodes always), so the pivot count is complete only under an
+/// active scope.
+SolverWork threadCharges();
 
 } // namespace budget
 } // namespace pinj

@@ -11,6 +11,7 @@
 #include "support/Status.h"
 #include "target/Target.h"
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <functional>
@@ -37,12 +38,22 @@ bool pinj::isSimulatableSchedule(const Kernel &K, const Schedule &S) {
   return true;
 }
 
+namespace {
+
+SchedulerResult scheduleUnderTree(const Kernel &K,
+                                  const SchedulerOptions &Options,
+                                  const InfluenceTree &Tree) {
+  SchedulerOptions Sched = Options;
+  Sched.SerializeSccs = false; // Let fusion constraints take effect.
+  return scheduleKernel(K, Sched, &Tree);
+}
+
+} // namespace
+
 SchedulerResult pinj::scheduleInfluenced(const Kernel &K,
                                          const PipelineOptions &Options) {
   InfluenceTree Tree = buildInfluenceTree(K, Options.Influence);
-  SchedulerOptions Sched = Options.Sched;
-  Sched.SerializeSccs = false; // Let fusion constraints take effect.
-  return scheduleKernel(K, Sched, &Tree);
+  return scheduleUnderTree(K, Options.Sched, Tree);
 }
 
 std::string pinj::renderCuda(const Kernel &K, const Schedule &S,
@@ -95,10 +106,13 @@ public:
   using Observer = std::function<void(const char *, const Status &)>;
 
   /// With \p Replay, every step returns its cached schedule instead.
+  /// With \p Tree, the influenced run schedules under it rather than
+  /// building buildInfluenceTree(K, Options.Influence) itself.
   ScheduleLadder(const Kernel &K, const PipelineOptions &Options,
-                 Observer OnDegrade, const CachedCompilation *Replay = nullptr)
+                 Observer OnDegrade, const CachedCompilation *Replay = nullptr,
+                 const InfluenceTree *Tree = nullptr)
       : K(K), Options(Options), OnDegrade(std::move(OnDegrade)),
-        Replay(Replay) {}
+        Replay(Replay), Tree(Tree) {}
 
   ConfigResult isl() {
     if (Replay)
@@ -147,6 +161,8 @@ public:
   bool vecEligible() const {
     return Replay ? Replay->VecEligible : VecEligible;
   }
+  /// The largest budget charge of any one scheduleKernel run so far.
+  SolverWork maxRunWork() const { return MaxRun; }
 
   /// The operator deadline: once expired, the stage asking is skipped
   /// and the skip recorded, once per stage.
@@ -169,7 +185,10 @@ public:
       return C;
     }
     try {
-      SchedulerResult Run = scheduleInfluenced(K, Options);
+      SchedulerResult Run = metered([&] {
+        return Tree ? scheduleUnderTree(K, Options.Sched, *Tree)
+                    : scheduleInfluenced(K, Options);
+      });
       C.Sched = std::move(Run.Sched);
       C.Stats = Run.Stats;
       if (!Run.Outcome.ok()) {
@@ -205,7 +224,8 @@ private:
     // original program order; the ladder only needs to record why.
     SchedulerOptions IslOptions = Options.Sched;
     IslOptions.SerializeSccs = true;
-    SchedulerResult Run = scheduleKernel(K, IslOptions);
+    SchedulerResult Run =
+        metered([&] { return scheduleKernel(K, IslOptions); });
     C.Sched = std::move(Run.Sched);
     C.Stats = Run.Stats;
     if (!Run.Outcome.ok()) {
@@ -222,6 +242,16 @@ private:
       C.Sched = originalSchedule(K);
     }
     return C;
+  }
+
+  /// Runs one scheduler invocation, folding its charges into MaxRun.
+  template <class RunFn> SchedulerResult metered(RunFn &&Run) {
+    const SolverWork Before = budget::threadCharges();
+    SchedulerResult Result = Run();
+    const SolverWork After = budget::threadCharges();
+    MaxRun.Pivots = std::max(MaxRun.Pivots, After.Pivots - Before.Pivots);
+    MaxRun.Nodes = std::max(MaxRun.Nodes, After.Nodes - Before.Nodes);
+    return Result;
   }
 
   void clearVectorMarks(const char *Config, Schedule &S) {
@@ -245,35 +275,52 @@ private:
   const PipelineOptions &Options;
   Observer OnDegrade;
   const CachedCompilation *Replay;
+  const InfluenceTree *Tree;
   std::optional<ConfigResult> IslResult, InfluencedResult;
   bool VecEligible = false;
+  SolverWork MaxRun;
 };
 
 } // namespace
 
 bool pinj::scheduleInflConfig(const Kernel &K, const PipelineOptions &Options,
-                              Schedule &Out) {
+                              Schedule &Out, const InfluenceTree *Tree,
+                              InflScheduleWork *Work) {
+  // runOperator's operator-wide budget; anyTripped() then sees both
+  // this scope and any caller-installed one.
+  budget::BudgetScope OpBudget(Options.Budget);
+  bool IslDegraded = false;
+  ScheduleLadder Ladder(
+      K, Options,
+      [&](const char *Config, const Status &) {
+        IslDegraded |= std::string_view(Config) == "isl";
+      },
+      /*Replay=*/nullptr, Tree);
+  std::optional<Schedule> Accepted;
   try {
-    // runOperator's operator-wide budget; anyTripped() then sees both
-    // this scope and any caller-installed one.
-    budget::BudgetScope OpBudget(Options.Budget);
-    bool IslDegraded = false;
-    ScheduleLadder Ladder(K, Options, [&](const char *Config, const Status &) {
-      IslDegraded |= std::string_view(Config) == "isl";
-    });
-    // A degraded isl fallback already decides; skip the vector pass.
-    Ladder.influencedRun();
-    if (IslDegraded)
-      return false;
-    ConfigResult Infl = Ladder.infl();
-    if (!Infl.Outcome.ok() || !isSimulatableSchedule(K, Infl.Sched) ||
-        budget::anyTripped())
-      return false;
-    Out = std::move(Infl.Sched);
-    return true;
+    // A degraded isl fallback already decides, and so does an influenced
+    // run its own Sched.Budget starved (that scope has ended, so
+    // anyTripped() below no longer sees it); skip the vector pass.
+    const ConfigResult &Influenced = Ladder.influencedRun();
+    if (!IslDegraded &&
+        Influenced.Outcome.code() != StatusCode::BudgetExceeded) {
+      ConfigResult Infl = Ladder.infl();
+      if (Infl.Outcome.ok() && isSimulatableSchedule(K, Infl.Sched))
+        Accepted = std::move(Infl.Sched);
+    }
   } catch (const RecoverableError &) {
-    return false;
   }
+  // A run that charged more than Sched.Budget admits tripped it, even
+  // where its outcome does not say so.
+  const SolverWork MaxRun = Ladder.maxRunWork();
+  const bool Tripped =
+      budget::anyTripped() || !Options.Sched.Budget.admits(MaxRun);
+  if (Work)
+    *Work = {MaxRun, Tripped};
+  if (!Accepted || Tripped)
+    return false;
+  Out = std::move(*Accepted);
+  return true;
 }
 
 OperatorReport pinj::runOperator(const Kernel &K,

@@ -218,14 +218,29 @@ struct OperatorReport {
 /// Runs the full pipeline on \p K.
 OperatorReport runOperator(const Kernel &K, const PipelineOptions &Options);
 
+/// The solver work behind one scheduleInflConfig call, for callers that
+/// reuse its outcome under other scheduler budgets (tune/Evaluator.h).
+struct InflScheduleWork {
+  /// The largest charge of any one scheduleKernel run: the unit
+  /// SchedulerOptions::Budget caps. Pivots are complete only when a
+  /// budget scope was active throughout (see budget::threadCharges).
+  SolverWork MaxRun;
+  /// Some budget tripped: a run's own Sched.Budget, Options.Budget or a
+  /// scope the caller installed.
+  bool Tripped = false;
+};
+
 /// The infl configuration's schedule from runOperator's own degradation
 /// ladder (isl is scheduled only if the influenced schedule is unusable),
 /// for the autotuner to score. \returns false unless \p Out is what an
 /// un-degraded runOperator simulates: the isl fallback degraded, the
 /// vectorizer failed, the deadline skipped infl, the schedule is not
-/// simulatable, or any solver budget tripped.
+/// simulatable, or any solver budget tripped. \p Tree, when given, is
+/// buildInfluenceTree(K, Options.Influence), built by the caller; \p Work,
+/// when given, receives the call's solver work.
 bool scheduleInflConfig(const Kernel &K, const PipelineOptions &Options,
-                        Schedule &Out);
+                        Schedule &Out, const InfluenceTree *Tree = nullptr,
+                        InflScheduleWork *Work = nullptr);
 
 /// Schedules \p K under its influence tree (no vector-mark pass).
 /// Exposed for examples that want the intermediate artifacts.

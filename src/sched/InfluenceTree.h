@@ -103,6 +103,9 @@ public:
     return Root.Children.empty() ? nullptr : Root.Children.front().get();
   }
 
+  /// A human-readable rendering only: it omits objectives and
+  /// RequireParallel, so trees that schedule differently can print the
+  /// same. Key on service::fingerprintInfluenceTree instead.
   std::string str(const Kernel &K) const;
 
 private:

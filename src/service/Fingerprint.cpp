@@ -94,13 +94,56 @@ void hashAccess(FingerprintBuilder &H, const Access &A) {
   }
 }
 
-void hashBudget(FingerprintBuilder &H, const SolverBudget &B) {
+void hashTerms(FingerprintBuilder &H, const std::vector<CoeffTerm> &Terms) {
+  H.u64(Terms.size());
+  for (const CoeffTerm &T : Terms) {
+    H.u32(T.Stmt);
+    H.u32(T.Dim);
+    H.u32(T.CoeffIdx);
+    H.i64(T.Factor);
+  }
+}
+
+void hashNode(FingerprintBuilder &H, const InfluenceNode &N) {
+  H.u32(N.Depth);
+  H.str(N.Label);
+  H.byte(N.RequireParallel ? 1 : 0);
+  H.u64(N.Constraints.size());
+  for (const InfluenceConstraint &C : N.Constraints) {
+    hashTerms(H, C.Terms);
+    H.i64(C.Constant);
+    H.byte(static_cast<std::uint8_t>(C.Rel));
+  }
+  H.u64(N.Objectives.size());
+  for (const InfluenceObjective &O : N.Objectives)
+    hashTerms(H, O.Terms);
+  H.u64(N.VectorStmts.size());
+  for (unsigned S : N.VectorStmts)
+    H.u32(S);
+  H.u32(N.VectorWidth);
+  H.u64(N.Children.size());
+  for (const auto &Child : N.Children)
+    hashNode(H, *Child);
+}
+
+} // namespace
+
+void service::hashBudget(FingerprintBuilder &H, const SolverBudget &B) {
   H.u64(B.MaxPivots);
   H.u64(B.MaxIlpNodes);
   H.f64(B.WallMs);
 }
 
-} // namespace
+void service::hashSchedulerOptions(FingerprintBuilder &H,
+                                   const SchedulerOptions &S) {
+  H.i64(S.CoeffBound);
+  H.i64(S.ConstBound);
+  H.byte(S.ProximityIncludesInput ? 1 : 0);
+  H.byte(S.SerializeSccs ? 1 : 0);
+  H.byte(S.PreferOriginalOrder ? 1 : 0);
+  H.byte(S.UseFeautrierFallback ? 1 : 0);
+  H.u32(S.MaxDims);
+}
 
 Fingerprint service::fingerprintKernel(const Kernel &K) {
   FingerprintBuilder H;
@@ -132,6 +175,13 @@ Fingerprint service::fingerprintKernel(const Kernel &K) {
   return H.get();
 }
 
+Fingerprint service::fingerprintInfluenceTree(const InfluenceTree &T) {
+  FingerprintBuilder H;
+  H.str("pinj-tree-v1"); // Format tag: bump when the hashed shape changes.
+  hashNode(H, T.root());
+  return H.get();
+}
+
 std::uint64_t service::fingerprintOptions(const PipelineOptions &O) {
   FingerprintBuilder H;
   // v3: the GPU machine-model fields were replaced by the canonical
@@ -140,14 +190,7 @@ std::uint64_t service::fingerprintOptions(const PipelineOptions &O) {
   // `--target=v100` and the defaults all share cache entries, while any
   // other backend or calibrated constant set never aliases them.
   H.str("pinj-options-v3");
-  // SchedulerOptions.
-  H.i64(O.Sched.CoeffBound);
-  H.i64(O.Sched.ConstBound);
-  H.byte(O.Sched.ProximityIncludesInput ? 1 : 0);
-  H.byte(O.Sched.SerializeSccs ? 1 : 0);
-  H.byte(O.Sched.PreferOriginalOrder ? 1 : 0);
-  H.byte(O.Sched.UseFeautrierFallback ? 1 : 0);
-  H.u32(O.Sched.MaxDims);
+  hashSchedulerOptions(H, O.Sched);
   hashBudget(H, O.Sched.Budget);
   // InfluenceOptions.
   H.f64(O.Influence.Weights.W1);

@@ -32,7 +32,10 @@
 
 namespace pinj {
 
+class InfluenceTree;
 struct PipelineOptions;
+struct SchedulerOptions;
+struct SolverBudget;
 
 namespace service {
 
@@ -85,6 +88,18 @@ private:
 /// The structural fingerprint of \p K with names erased (see file
 /// comment for exactly what is hashed).
 Fingerprint fingerprintKernel(const Kernel &K);
+
+/// The fingerprint of an influence tree: every node field (depth, label,
+/// constraints, objectives, RequireParallel, vector statements and
+/// width) and the child order. Unlike InfluenceTree::str, trees that can
+/// schedule differently never share one.
+Fingerprint fingerprintInfluenceTree(const InfluenceTree &T);
+
+/// Feeds every SchedulerOptions field except Budget into \p H.
+void hashSchedulerOptions(FingerprintBuilder &H, const SchedulerOptions &S);
+
+/// Feeds a solver budget's three limits into \p H.
+void hashBudget(FingerprintBuilder &H, const SolverBudget &B);
 
 /// A 64-bit hash of every PipelineOptions field that can change the
 /// compilation result: scheduler tunables, influence cost weights, GPU

@@ -95,6 +95,8 @@ bool Autotuner::tune(const Kernel &K, PipelineOptions &Tuned,
   if (Sp.active()) {
     Sp.arg("choice", Out.Encoding);
     Sp.arg("evaluations", std::to_string(Eval.evaluations()));
+    Sp.arg("sched_runs", std::to_string(Eval.work().ScheduleRuns));
+    Sp.arg("sims", std::to_string(Eval.work().Simulations));
   }
   return true;
 }

@@ -11,9 +11,21 @@
 /// pipeline's own degradation ladder (scheduleInflConfig in
 /// pipeline/Pipeline.h), then maps it and runs the target simulator,
 /// under a per-candidate solver budget so one pathological candidate
-/// cannot stall the search. Batches run on a worker pool
-/// (support/Parallel.h parallelFor); scores are analytic, so the result
-/// is identical for any worker count.
+/// cannot stall the search.
+///
+/// Many knobs leave the scheduler's input unchanged, so one search holds
+/// two memos. The schedule memo keys scheduleInflConfig's outcome on the
+/// influence tree's fingerprint, the scheduler options other than their
+/// budget, and the operator budget; an entry answers a lookup under its
+/// own Sched.Budget, and an entry where nothing tripped also answers any
+/// Sched.Budget that admits its largest per-run charge (the run would
+/// replay identically there). The score memo keys the simulated time on
+/// (schedule entry, mapping options); the target is fixed per search.
+/// Wall-clock budgets and a budget scope already active on the calling
+/// thread bypass both memos. Batches run on a worker pool
+/// (support/Parallel.h parallelFor), candidates sharing a schedule key
+/// in batch order on one worker, so scores and reuse counts are
+/// identical for any worker count.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -21,6 +33,7 @@
 #define POLYINJECT_TUNE_EVALUATOR_H
 
 #include "lp/Budget.h"
+#include "service/Fingerprint.h"
 #include "tune/SearchSpace.h"
 
 #include <cstddef>
@@ -79,17 +92,45 @@ public:
     return Evals >= Cfg.MaxEvaluations ? 0 : Cfg.MaxEvaluations - Evals;
   }
 
+  /// What the scorings so far (baseline included) cost and saved.
+  struct Work {
+    std::size_t ScheduleRuns = 0;   ///< scheduleInflConfig calls.
+    std::size_t Simulations = 0;    ///< Target simulator runs.
+    std::size_t ScheduleReuses = 0; ///< Answered by the schedule memo.
+    std::size_t ScoreReuses = 0;    ///< Answered by the score memo.
+
+    Work &operator+=(const Work &O);
+  };
+  const Work &work() const { return Done; }
+
 private:
-  double scoreOne(const Candidate &C) const;
+  /// One scheduleInflConfig outcome, with its schedule's scores.
+  struct ScheduleEntry {
+    SolverBudget Budget; ///< The Sched.Budget it ran under.
+    InflScheduleWork Charged;
+    bool Accepted = false;
+    Schedule Sched;
+    /// The score memo, by GpuMappingOptions::MaxThreadsPerBlock.
+    std::map<Int, double> Scores;
+  };
+  using ScheduleEntries = std::vector<ScheduleEntry>;
+
+  std::vector<double> scoreAll(const std::vector<PipelineOptions> &Opts);
+  /// Scores \p O, through \p Entries (its key's schedule memo slot) when
+  /// given. \p Tree is buildInfluenceTree(K, O.Influence) or null.
+  double scoreOne(const PipelineOptions &O, const InfluenceTree *Tree,
+                  ScheduleEntries *Entries, Work &W) const;
 
   const Kernel &K;
   PipelineOptions Base;
   const SearchSpace &Space;
   Config Cfg;
   std::map<Candidate, double> Memo;
+  std::map<service::Fingerprint, ScheduleEntries> Schedules;
   double BaselineScore = 0;
   bool HaveBaseline = false;
   std::size_t Evals = 0;
+  Work Done;
 };
 
 /// The scoring primitive: the simulated kernel time of \p K's infl

@@ -271,6 +271,99 @@ TEST(FingerprintTest, EveryPipelineOptionFieldIsHashed) {
   EXPECT_EQ(Base, fingerprintOptions(Plumbing));
 }
 
+namespace {
+
+// Compile-time checklist that fingerprintInfluenceTree covers every
+// InfluenceNode field, in the style of PipelineOptionsMirror above.
+struct InfluenceNodeMirror {
+  unsigned Depth;
+  std::vector<InfluenceConstraint> Constraints;
+  std::vector<InfluenceObjective> Objectives;
+  bool RequireParallel;
+  std::string Label;
+  std::vector<unsigned> VectorStmts;
+  unsigned VectorWidth;
+  InfluenceNode *Parent;
+  std::vector<std::unique_ptr<InfluenceNode>> Children;
+};
+static_assert(sizeof(InfluenceNodeMirror) == sizeof(InfluenceNode),
+              "InfluenceNode changed: update fingerprintInfluenceTree and "
+              "InfluenceTreeFingerprintCoversEveryNodeField");
+
+} // namespace
+
+TEST(FingerprintTest, InfluenceTreeFingerprintCoversEveryNodeField) {
+  Kernel K = makeRunningExample(8);
+  // The built tree plus one injected objective, so objective terms have
+  // something to differ in.
+  auto Fingerprint = [&](auto Mutate, std::string *Str = nullptr) {
+    InfluenceTree T = buildInfluenceTree(K, InfluenceOptions());
+    InfluenceNode &First = *T.firstScenario();
+    First.Objectives.push_back({{{0, 0, 0, 1}}});
+    Mutate(T, First);
+    if (Str)
+      *Str = T.str(K);
+    return fingerprintInfluenceTree(T);
+  };
+  std::string BaseStr;
+  const service::Fingerprint Base =
+      Fingerprint([](InfluenceTree &, InfluenceNode &) {}, &BaseStr);
+  EXPECT_EQ(Base, Fingerprint([](InfluenceTree &, InfluenceNode &) {}));
+
+  // The three fields the rendering omits or may not show: str() cannot
+  // tell these trees apart, the fingerprint must.
+  std::string Str;
+  EXPECT_NE(Base, Fingerprint([](InfluenceTree &, InfluenceNode &N) {
+              N.RequireParallel = true;
+            }, &Str));
+  EXPECT_EQ(Str, BaseStr);
+  EXPECT_NE(Base, Fingerprint([](InfluenceTree &, InfluenceNode &N) {
+              N.Objectives[0].Terms[0].CoeffIdx = 1;
+            }, &Str));
+  EXPECT_EQ(Str, BaseStr);
+  EXPECT_NE(Base, Fingerprint([](InfluenceTree &, InfluenceNode &N) {
+              N.VectorWidth += 2;
+            }));
+
+  // Every other node field, and the child order.
+  EXPECT_NE(Base, Fingerprint([](InfluenceTree &, InfluenceNode &N) {
+              N.Objectives[0].Terms[0].Factor = 2;
+            }));
+  EXPECT_NE(Base, Fingerprint([](InfluenceTree &, InfluenceNode &N) {
+              N.Objectives.push_back({});
+            }));
+  EXPECT_NE(Base, Fingerprint([](InfluenceTree &, InfluenceNode &N) {
+              N.Depth += 1;
+            }));
+  EXPECT_NE(Base, Fingerprint([](InfluenceTree &, InfluenceNode &N) {
+              N.Label += "'";
+            }));
+  auto WithConstraint = [&](InfluenceConstraint::RelTy Rel, Int Constant) {
+    return Fingerprint([&](InfluenceTree &, InfluenceNode &N) {
+      InfluenceConstraint C = makeCoeffEquals(0, 0, 0, 1);
+      C.Rel = Rel;
+      C.Constant = Constant;
+      N.Constraints.push_back(C);
+    });
+  };
+  const service::Fingerprint Constrained =
+      WithConstraint(InfluenceConstraint::Eq, -1);
+  EXPECT_NE(Base, Constrained);
+  EXPECT_NE(Constrained, WithConstraint(InfluenceConstraint::Ge, -1));
+  EXPECT_NE(Constrained, WithConstraint(InfluenceConstraint::Eq, -2));
+  EXPECT_NE(Base, Fingerprint([](InfluenceTree &, InfluenceNode &N) {
+              N.VectorStmts.push_back(0);
+            }));
+  EXPECT_NE(Base, Fingerprint([](InfluenceTree &, InfluenceNode &N) {
+              N.addChild("extra");
+            }));
+  EXPECT_NE(Base, Fingerprint([](InfluenceTree &T, InfluenceNode &) {
+              auto &Top = T.root().Children;
+              ASSERT_GE(Top.size(), 2u);
+              std::swap(Top[0], Top[1]);
+            }));
+}
+
 //===----------------------------------------------------------------------===//
 // Schedule serialization
 //===----------------------------------------------------------------------===//

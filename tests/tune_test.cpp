@@ -25,6 +25,7 @@
 #include "../bench/BenchUtil.h"
 
 #include <cmath>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -321,6 +322,233 @@ TEST(Evaluator, ScoresWhatRunOperatorSimulates) {
   }
   // The comparison must not be vacuous.
   EXPECT_GE(Compared * 2, Pairs);
+}
+
+TEST(Evaluator, RejectsRunsTheirOwnSchedulerBudgetStarved) {
+  // Sched.Budget's scope ends inside scheduleKernel, before
+  // scheduleInflConfig asks anyTripped(); a candidate whose influenced
+  // run it starved must fail all the same.
+  const std::set<std::string> Names = {
+      "hostile_permute_a", "hostile_permute_b", "middle_permuted_a",
+      "middle_permuted_b", "softmax_like_a",    "softmax_like_b"};
+  unsigned Starved = 0;
+  for (const Kernel &K : tuneBenchCorpus(0)) {
+    if (!Names.count(K.Name))
+      continue;
+    for (std::uint64_t Pivots :
+         {8, 16, 32, 48, 68, 96, 128, 192, 256, 384, 527, 768, 1024, 4096}) {
+      PipelineOptions O;
+      O.Sched.Budget.MaxPivots = Pivots;
+      Schedule S;
+      bool Accepted = scheduleInflConfig(K, O, S);
+      OperatorReport R = runOperator(K, O);
+      bool BudgetDegraded = false;
+      for (const DegradationEvent &D : R.Degradations)
+        BudgetDegraded |= D.Site == "sched.budget" &&
+                          (D.Config == "novec" || D.Config == "infl");
+      if (!BudgetDegraded)
+        continue;
+      ++Starved;
+      EXPECT_FALSE(Accepted) << K.Name << " MaxPivots=" << Pivots;
+    }
+  }
+  EXPECT_GT(Starved, 0u);
+}
+
+//===----------------------------------------------------------------------===//
+// Evaluator memos
+//===----------------------------------------------------------------------===//
+
+Kernel corpusKernel(const std::string &Name) {
+  for (Kernel &K : tuneBenchCorpus(0))
+    if (K.Name == Name)
+      return std::move(K);
+  ADD_FAILURE() << "no corpus kernel " << Name;
+  return Kernel();
+}
+
+std::uint64_t bitsOf(double V) {
+  std::uint64_t Bits;
+  std::memcpy(&Bits, &V, sizeof(Bits));
+  return Bits;
+}
+
+/// predictInflTimeUs of \p C under the evaluator's candidate scope, with
+/// no memo anywhere.
+double freshScore(const Kernel &K, const PipelineOptions &Base,
+                  const SearchSpace &Space, const Candidate &C,
+                  const Evaluator::Config &Cfg = {}) {
+  PipelineOptions O = Base;
+  Space.apply(C, O);
+  budget::BudgetScope Isolation(Cfg.CandidateBudget);
+  return predictInflTimeUs(K, O);
+}
+
+/// Candidates [Start, Start + 24) of the default space: every
+/// mapping.max_threads x sched.proximity_input x sched.budget_tier
+/// combination (the three fastest-varying dimensions) under one tree.
+std::vector<Candidate> defaultSpaceSlice(std::size_t Start) {
+  SearchSpace Space = defaultSearchSpace();
+  std::vector<Candidate> Slice;
+  for (std::size_t I = Start; I < Start + 24; ++I)
+    Slice.push_back(Space.candidateAt(I));
+  return Slice;
+}
+
+TEST(EvaluatorMemo, ScoresEqualFreshPredictionsBitForBit) {
+  SearchSpace Tiny = tinySearchSpace();
+  SearchSpace Full = defaultSearchSpace();
+  std::vector<Candidate> TinyAll;
+  for (std::size_t I = 0; I < Tiny.size(); ++I)
+    TinyAll.push_back(Tiny.candidateAt(I));
+  const std::vector<Candidate> Slice = defaultSpaceSlice(24 * 13);
+  std::set<std::int64_t> Tiers;
+  for (const Candidate &C : Slice) {
+    PipelineOptions O;
+    Full.apply(C, O);
+    Tiers.insert(O.Sched.Budget.MaxPivots);
+  }
+  ASSERT_EQ(Tiers.size(), 3u);
+
+  PipelineOptions Base;
+  std::size_t ScheduleReuses = 0, ScoreReuses = 0, Finite = 0;
+  for (const Kernel &K : tuneBenchCorpus(0)) {
+    for (const SearchSpace *Space : {&Tiny, &Full}) {
+      const std::vector<Candidate> &Batch = Space == &Tiny ? TinyAll : Slice;
+      Evaluator::Config Cfg;
+      Cfg.MaxEvaluations = Batch.size();
+      Evaluator Eval(K, Base, *Space, Cfg);
+      EXPECT_EQ(bitsOf(Eval.baseline()),
+                bitsOf(freshScore(K, Base, *Space, Space->project(Base))))
+          << K.Name;
+      std::vector<double> Memoized = Eval.evaluate(Batch);
+      for (std::size_t I = 0; I < Batch.size(); ++I) {
+        double Fresh = freshScore(K, Base, *Space, Batch[I]);
+        EXPECT_EQ(bitsOf(Memoized[I]), bitsOf(Fresh))
+            << K.Name << " " << Space->encode(Batch[I]);
+        Finite += std::isfinite(Fresh) ? 1 : 0;
+      }
+      ScheduleReuses += Eval.work().ScheduleReuses;
+      ScoreReuses += Eval.work().ScoreReuses;
+    }
+  }
+  // Not vacuous: most scores are real, and both memos answered.
+  EXPECT_GT(Finite, 22u * (4 + 24) / 2);
+  EXPECT_GT(ScheduleReuses, 0u);
+  EXPECT_GT(ScoreReuses, 0u);
+}
+
+TEST(EvaluatorMemo, TrippedEntryNeverAnswersAnotherTier) {
+  // Tier 0 keeps the base scheduler budget, here a cap the influenced
+  // run trips; tiers 1 and 2 cap far above what the run needs.
+  Kernel K = corpusKernel("hostile_permute_a");
+  PipelineOptions Base;
+  Base.Sched.Budget.MaxPivots = 68;
+  SearchSpace Space = defaultSearchSpace();
+  // sched.budget_tier is the last, fastest-varying dimension.
+  const Candidate T0 = Space.candidateAt(0), T1 = Space.candidateAt(1),
+                  T2 = Space.candidateAt(2);
+  ASSERT_EQ(freshScore(K, Base, Space, T0), failedScore());
+  ASSERT_NE(freshScore(K, Base, Space, T1), failedScore());
+
+  for (const std::vector<Candidate> &Order :
+       {std::vector<Candidate>{T0, T1, T2}, {T1, T0, T2}, {T2, T1, T0}}) {
+    Evaluator Eval(K, Base, Space, {});
+    std::vector<double> Scores = Eval.evaluate(Order);
+    for (std::size_t I = 0; I < Order.size(); ++I)
+      EXPECT_EQ(bitsOf(Scores[I]),
+                bitsOf(freshScore(K, Base, Space, Order[I])))
+          << Space.encode(Order[I]);
+    // Tier 0 ran on its own and tripped; tiers 1 and 2 share one run
+    // (whichever came first), since it fits under both of their caps.
+    EXPECT_EQ(Eval.work().ScheduleRuns, 2u);
+    EXPECT_EQ(Eval.work().ScheduleReuses, 1u);
+  }
+}
+
+TEST(EvaluatorMemo, WallClockBudgetsAndCallerScopesBypassBothMemos) {
+  Kernel K = makeRunningExample(8);
+  SearchSpace Space = defaultSearchSpace();
+  // Three tiers of one candidate (one schedule, one score between them)
+  // and a proximity flip (another schedule key).
+  const std::vector<Candidate> Batch = {
+      Space.candidateAt(0), Space.candidateAt(1), Space.candidateAt(2),
+      Space.candidateAt(3)};
+  const double Deadline = 600000;
+
+  Evaluator Memoized(K, PipelineOptions(), Space, {});
+  const std::vector<double> Expected = Memoized.evaluate(Batch);
+  EXPECT_EQ(Memoized.work().ScheduleReuses, 2u);
+  EXPECT_EQ(Memoized.work().ScoreReuses, 2u);
+
+  auto ExpectBypassed = [&](const PipelineOptions &Base,
+                            const Evaluator::Config &Cfg,
+                            const char *Case) {
+    Evaluator Eval(K, Base, Space, Cfg);
+    std::vector<double> Scores = Eval.evaluate(Batch);
+    for (std::size_t I = 0; I < Batch.size(); ++I)
+      EXPECT_EQ(bitsOf(Scores[I]), bitsOf(Expected[I])) << Case << " " << I;
+    EXPECT_EQ(Eval.work().ScheduleRuns, Batch.size()) << Case;
+    EXPECT_EQ(Eval.work().ScheduleReuses, 0u) << Case;
+    EXPECT_EQ(Eval.work().ScoreReuses, 0u) << Case;
+  };
+  PipelineOptions OpDeadline;
+  OpDeadline.Budget.WallMs = Deadline;
+  ExpectBypassed(OpDeadline, {}, "operator budget");
+  PipelineOptions SchedDeadline;
+  SchedDeadline.Sched.Budget.WallMs = Deadline;
+  ExpectBypassed(SchedDeadline, {}, "scheduler budget");
+  Evaluator::Config CandidateDeadline;
+  CandidateDeadline.CandidateBudget.WallMs = Deadline;
+  ExpectBypassed(PipelineOptions(), CandidateDeadline, "candidate budget");
+  {
+    budget::BudgetScope Caller(SolverBudget{/*MaxPivots=*/100000000,
+                                            /*MaxIlpNodes=*/0,
+                                            /*WallMs=*/0});
+    ExpectBypassed(PipelineOptions(), {}, "caller scope");
+  }
+}
+
+TEST(EvaluatorMemo, ScoresAndReuseCountsIndependentOfWorkerCount) {
+  SearchSpace Space = defaultSearchSpace();
+  std::vector<Candidate> First = defaultSpaceSlice(24 * 40);
+  std::vector<Candidate> Second = defaultSpaceSlice(24 * 41);
+  for (std::size_t I = 0; I < 8; ++I) {
+    First.push_back(Space.candidateAt(I * 97));
+    Second.push_back(Space.candidateAt(I * 97 + 1));
+  }
+  for (const Kernel &K :
+       {makeRunningExample(8), corpusKernel("softmax_like_a")}) {
+    std::vector<double> Scores[2];
+    Evaluator::Work Work[2];
+    const unsigned JobCounts[2] = {1, 4};
+    for (int Round = 0; Round < 2; ++Round) {
+      Evaluator::Config Cfg;
+      Cfg.Jobs = JobCounts[Round];
+      Cfg.MaxEvaluations = First.size() + Second.size();
+      Evaluator Eval(K, PipelineOptions(), Space, Cfg);
+      obs::MetricsSnapshot Before = obs::metrics().snapshot();
+      Eval.baseline();
+      // Two batches: the second one meets the first one's entries.
+      Scores[Round] = Eval.evaluate(First);
+      for (double S : Eval.evaluate(Second))
+        Scores[Round].push_back(S);
+      Work[Round] = Eval.work();
+      obs::MetricsSnapshot D = obs::metrics().snapshot().since(Before);
+      EXPECT_EQ(D.counter("tune.schedule_reuses"), Work[Round].ScheduleReuses);
+      EXPECT_EQ(D.counter("tune.score_reuses"), Work[Round].ScoreReuses);
+    }
+    ASSERT_EQ(Scores[0].size(), Scores[1].size());
+    for (std::size_t I = 0; I < Scores[0].size(); ++I)
+      EXPECT_EQ(bitsOf(Scores[0][I]), bitsOf(Scores[1][I]))
+          << K.Name << " candidate " << I;
+    EXPECT_EQ(Work[0].ScheduleRuns, Work[1].ScheduleRuns) << K.Name;
+    EXPECT_EQ(Work[0].Simulations, Work[1].Simulations) << K.Name;
+    EXPECT_EQ(Work[0].ScheduleReuses, Work[1].ScheduleReuses) << K.Name;
+    EXPECT_EQ(Work[0].ScoreReuses, Work[1].ScoreReuses) << K.Name;
+    EXPECT_GT(Work[0].ScheduleReuses, 0u) << K.Name;
+    EXPECT_GT(Work[0].ScoreReuses, 0u) << K.Name;
+  }
 }
 
 //===----------------------------------------------------------------------===//
