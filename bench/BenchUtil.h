@@ -3,13 +3,17 @@
 #ifndef POLYINJECT_BENCH_BENCHUTIL_H
 #define POLYINJECT_BENCH_BENCHUTIL_H
 
+#include "lp/LexMin.h"
 #include "ops/Networks.h"
 #include "ops/OpFactory.h"
 #include "pipeline/Pipeline.h"
+#include "poly/Dependence.h"
+#include "sched/ConstraintBuilders.h"
 
 #include <cmath>
 #include <cstdio>
 #include <string>
+#include <tuple>
 #include <vector>
 
 namespace pinj {
@@ -76,6 +80,59 @@ inline const char *familyName(int Family) {
   default:
     return "reduce";
   }
+}
+
+/// One scheduler-derived lexicographic ILP.
+struct LexCase {
+  std::string Name;
+  IlpProblem Problem;
+  std::vector<LexObjective> Levels;
+};
+
+/// Builds the dimension-0 scheduling ILP for \p K exactly as the
+/// scheduler's Construction::attempt does: progression for every
+/// statement, validity for every active relation, proximity for the
+/// flow relations, then the full lexicographic objective stack.
+inline LexCase makeSchedulingCase(std::string Name, const Kernel &K) {
+  SchedulerOptions Options;
+  std::vector<DependenceRelation> Deps = computeDependences(K);
+  Schedule Partial;
+  Partial.Transforms.assign(K.Stmts.size(), IntMatrix());
+  for (unsigned S = 0, E = K.Stmts.size(); S != E; ++S)
+    Partial.Transforms[S] = IntMatrix(0, K.rowWidth(K.Stmts[S]));
+
+  DimIlp Ilp = makeDimIlp(K, Options);
+  for (unsigned S = 0, E = K.Stmts.size(); S != E; ++S)
+    addProgression(Ilp, K, Partial, S);
+  for (const DependenceRelation &D : Deps)
+    if (D.constrainsValidity())
+      addValidity(Ilp, K, D);
+  for (const DependenceRelation &D : Deps)
+    if (D.constrainsValidity() && D.Kind == DepKind::Flow)
+      addProximity(Ilp, K, D);
+  addObjectives(Ilp, K, Options);
+
+  LexCase Case;
+  Case.Name = std::move(Name);
+  std::tie(Case.Problem, Case.Levels) = Ilp.Builder.materialize();
+  return Case;
+}
+
+/// The scheduler lexmin ILPs bench_lp times against the reference
+/// solver: every operator family at three sizes plus two long chains.
+inline std::vector<LexCase> schedulerLexCases() {
+  std::vector<LexCase> Cases;
+  for (int Family = 0; Family != 4; ++Family)
+    for (Int N : {32, 64, 128}) {
+      std::string Name = std::string(familyName(Family)) + "_" +
+                         std::to_string(static_cast<long long>(N));
+      Cases.push_back(makeSchedulingCase(Name, kernelForFamily(Family, N)));
+    }
+  Cases.push_back(
+      makeSchedulingCase("bias_act_3", makeBiasActivation("bias", 128, 96, 3)));
+  Cases.push_back(makeSchedulingCase(
+      "ew_chain_long", makeElementwiseChain("chain", 64, 192, 6, 3)));
+  return Cases;
 }
 
 /// The same corpus pinj-gen emits (tools/kernels/), built in-process.

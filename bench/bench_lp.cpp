@@ -17,8 +17,6 @@
 
 #include "BenchUtil.h"
 #include "lp/Reference.h"
-#include "poly/Dependence.h"
-#include "sched/ConstraintBuilders.h"
 
 #include <chrono>
 #include <cstdio>
@@ -30,41 +28,6 @@
 using namespace pinj;
 
 namespace {
-
-struct LexCase {
-  std::string Name;
-  IlpProblem Problem;
-  std::vector<LexObjective> Levels;
-};
-
-/// Builds the dimension-0 scheduling ILP for \p K exactly as the
-/// scheduler's Construction::attempt does: progression for every
-/// statement, validity for every active relation, proximity for the
-/// flow relations, then the full lexicographic objective stack.
-LexCase makeSchedulingCase(std::string Name, const Kernel &K) {
-  SchedulerOptions Options;
-  std::vector<DependenceRelation> Deps = computeDependences(K);
-  Schedule Partial;
-  Partial.Transforms.assign(K.Stmts.size(), IntMatrix());
-  for (unsigned S = 0, E = K.Stmts.size(); S != E; ++S)
-    Partial.Transforms[S] = IntMatrix(0, K.rowWidth(K.Stmts[S]));
-
-  DimIlp Ilp = makeDimIlp(K, Options);
-  for (unsigned S = 0, E = K.Stmts.size(); S != E; ++S)
-    addProgression(Ilp, K, Partial, S);
-  for (const DependenceRelation &D : Deps)
-    if (D.constrainsValidity())
-      addValidity(Ilp, K, D);
-  for (const DependenceRelation &D : Deps)
-    if (D.constrainsValidity() && D.Kind == DepKind::Flow)
-      addProximity(Ilp, K, D);
-  addObjectives(Ilp, K, Options);
-
-  LexCase Case;
-  Case.Name = std::move(Name);
-  std::tie(Case.Problem, Case.Levels) = Ilp.Builder.materialize();
-  return Case;
-}
 
 double toMs(std::chrono::steady_clock::duration D) {
   return std::chrono::duration<double, std::milli>(D).count();
@@ -116,17 +79,7 @@ int main(int argc, char **argv) {
     }
   }
 
-  std::vector<LexCase> Cases;
-  for (int Family = 0; Family != 4; ++Family)
-    for (Int N : {32, 64, 128}) {
-      std::string Name = std::string(familyName(Family)) + "_" +
-                         std::to_string(static_cast<long long>(N));
-      Cases.push_back(makeSchedulingCase(Name, kernelForFamily(Family, N)));
-    }
-  Cases.push_back(
-      makeSchedulingCase("bias_act_3", makeBiasActivation("bias", 128, 96, 3)));
-  Cases.push_back(makeSchedulingCase(
-      "ew_chain_long", makeElementwiseChain("chain", 64, 192, 6, 3)));
+  std::vector<LexCase> Cases = schedulerLexCases();
 
   struct Measured {
     std::string Name;

@@ -82,10 +82,18 @@ void addThreadSimplexPivots(std::uint64_t N);
 Rational objectiveValue(const LpProblem &Problem,
                         const std::vector<Rational> &Point);
 
+/// Counts \p Pivots simplex pivots in lp.simplex_pivots and the thread
+/// tally. Pivots outside a solve (the lexmin pin's mini phase 1) are
+/// counted by this alone.
+inline void countPivots(unsigned Pivots) {
+  lpMetrics().SimplexPivots.add(Pivots);
+  addThreadSimplexPivots(Pivots);
+}
+
 /// Runs \p Solve, one simplex solve on the already built \p T, and counts
 /// it: lp.simplex_solves and the lp.simplex fail point before, the
-/// solve's pivots into lp.simplex_pivots, lp.pivots_per_solve and the
-/// thread tally after. Every simplex solve in lp/ goes through here.
+/// solve's pivots into lp.pivots_per_solve and countPivots after. Every
+/// simplex solve in lp/ goes through here.
 template <class SolveFn>
 SimplexTableau::Outcome countedSolve(SimplexTableau &T, SolveFn &&Solve) {
   LpMetrics &M = lpMetrics();
@@ -94,9 +102,8 @@ SimplexTableau::Outcome countedSolve(SimplexTableau &T, SolveFn &&Solve) {
   unsigned Before = T.pivots();
   SimplexTableau::Outcome O = Solve();
   unsigned Pivots = T.pivots() - Before;
-  M.SimplexPivots.add(Pivots);
   M.PivotsPerSolve.observe(Pivots);
-  addThreadSimplexPivots(Pivots);
+  countPivots(Pivots);
   return O;
 }
 

@@ -40,7 +40,8 @@ class WarmLexSolver {
   };
 
 public:
-  /// A node's own tableau plus its bound rows, per variable and side.
+  /// A node's own tableau plus its bound rows, per variable and side;
+  /// empty at the root, which solves on the persistent tableau.
   struct State {
     SimplexTableau T;
     std::vector<BoundInfo> Le, Ge;
@@ -73,11 +74,13 @@ public:
   NodeStatus solve(BnbNode<State> &Node, std::vector<Rational> &Point,
                    Rational &Value) {
     State &S = Node.State;
+    SimplexTableau *Solved = &S.T;
     SimplexTableau::Outcome O;
     if (Node.Depth == 0) {
       // Root relaxation: full two-phase once, re-priced phase 2 after.
-      // The search branches on a copy, so the persistent root basis
-      // stays at the level's LP optimum for the pin.
+      // The root is read in place; Tab stays at the level's LP optimum
+      // until the pin, so a root child copies it only when it is solved
+      // (most levels never branch).
       const IntVector &Objective = Problem.Lp.Objective;
       if (!Built) {
         Tab.build(Problem.Lp, {}, Reserve, Reserve);
@@ -86,12 +89,14 @@ public:
       } else {
         O = countedSolve(Tab, [&] { return Tab.reoptimize(Objective); });
       }
-      if (O == SimplexTableau::Outcome::Optimal) {
+      Solved = &Tab;
+    } else {
+      if (Node.Depth == 1) {
+        // A root child starts from its own copy of the root optimum.
         S.T = Tab;
         S.Le.assign(Problem.numVars(), BoundInfo());
         S.Ge.assign(Problem.numVars(), BoundInfo());
       }
-    } else {
       // Apply the branch bound: tighten an existing bound row in place
       // or append a fresh one in the current basis.
       BoundInfo &B = (Node.Upper ? S.Le : S.Ge)[Node.Var];
@@ -121,7 +126,7 @@ public:
     case SimplexTableau::Outcome::Optimal:
       break;
     }
-    S.T.extractPoint(Point);
+    Solved->extractPoint(Point);
     Value = objectiveValue(Problem.Lp, Point);
     return NodeStatus::Optimal;
   }
@@ -131,7 +136,10 @@ public:
   bool pin(const IntVector &Coeffs, Int P) {
     if (!Built)
       return false;
+    unsigned Before = Tab.pivots();
     SimplexTableau::Outcome O = Tab.addPinEquality(Coeffs, P);
+    // The mini phase 1 pivots count, but it is not a solve.
+    countPivots(Tab.pivots() - Before);
     return O == SimplexTableau::Outcome::Optimal;
   }
 

@@ -18,13 +18,15 @@ namespace {
 enum class MinimizeOutcome { Optimal, Unbounded };
 
 /// A classic dense simplex tableau over exact rationals (the original
-/// per-row vector-of-vectors layout).
+/// per-row vector-of-vectors layout). Every pivot is added to the
+/// caller's \p Pivots tally, so tests can compare pivot counts.
 class RefTableau {
 public:
-  RefTableau(unsigned NumRows, unsigned NumCols)
+  RefTableau(unsigned NumRows, unsigned NumCols, unsigned &Pivots)
       : Rows(NumRows), Cols(NumCols),
         Cells(NumRows, std::vector<Rational>(NumCols + 1, Rational(0))),
-        ObjRow(NumCols + 1, Rational(0)), Basis(NumRows, 0) {}
+        ObjRow(NumCols + 1, Rational(0)), Basis(NumRows, 0),
+        Pivots(Pivots) {}
 
   Rational &at(unsigned R, unsigned C) { return Cells[R][C]; }
   Rational &rhs(unsigned R) { return Cells[R][Cols]; }
@@ -87,6 +89,7 @@ public:
   }
 
   void pivot(unsigned PivotRow, unsigned PivotCol) {
+    ++Pivots;
     Rational Pivot = Cells[PivotRow][PivotCol];
     assert(!Pivot.isZero() && "pivot on zero entry");
     for (unsigned C = 0; C <= Cols; ++C)
@@ -112,9 +115,10 @@ private:
   std::vector<std::vector<Rational>> Cells;
   std::vector<Rational> ObjRow;
   std::vector<unsigned> Basis;
+  unsigned &Pivots;
 };
 
-LpResult refSolveLpImpl(const LpProblem &Problem) {
+LpResult refSolveLpImpl(const LpProblem &Problem, unsigned &Pivots) {
   unsigned NumStructural = Problem.NumVars;
   unsigned NumRows = Problem.Constraints.size();
 
@@ -145,7 +149,7 @@ LpResult refSolveLpImpl(const LpProblem &Problem) {
   unsigned ArtBase = NumStructural + NumSlacks;
   unsigned NumCols = ArtBase + NumArtificials;
 
-  RefTableau T(NumRows, NumCols);
+  RefTableau T(NumRows, NumCols, Pivots);
 
   unsigned SlackIdx = 0, ArtIdx = 0;
   for (unsigned R = 0; R != NumRows; ++R) {
@@ -243,7 +247,8 @@ LpResult refSolveLpImpl(const LpProblem &Problem) {
 /// whole problem and appending a dense bound row at every branch.
 class RefBranchAndBound {
 public:
-  explicit RefBranchAndBound(const IlpProblem &Problem) : Problem(Problem) {}
+  RefBranchAndBound(const IlpProblem &Problem, unsigned &Pivots)
+      : Problem(Problem), Pivots(Pivots) {}
 
   IlpResult run() {
     solveNode(Problem.Lp);
@@ -269,7 +274,7 @@ private:
 
   void solveNode(const LpProblem &Node) {
     ++Nodes;
-    LpResult Relaxed = refSolveLpImpl(Node);
+    LpResult Relaxed = refSolveLpImpl(Node, Pivots);
     if (Relaxed.Status == LpResult::Infeasible)
       return;
     if (Relaxed.Status == LpResult::Unbounded)
@@ -311,35 +316,23 @@ private:
   std::optional<std::vector<Rational>> Incumbent;
   Rational IncumbentValue;
   unsigned Nodes = 0;
+  unsigned &Pivots;
 };
 
-IlpResult refSolveIlpImpl(const IlpProblem &Problem) {
+IlpResult refSolveIlpImpl(const IlpProblem &Problem, unsigned &Pivots) {
   assert(Problem.IsInteger.size() == Problem.numVars() &&
          "integrality flags out of sync");
-  RefBranchAndBound Solver(Problem);
+  RefBranchAndBound Solver(Problem, Pivots);
   return Solver.run();
 }
 
-} // namespace
-
-LpResult pinj::referenceSolveLp(const LpProblem &Problem) {
-  rational::ScopedForceWide Wide;
-  return refSolveLpImpl(Problem);
-}
-
-IlpResult pinj::referenceSolveIlp(const IlpProblem &Problem) {
-  rational::ScopedForceWide Wide;
-  return refSolveIlpImpl(Problem);
-}
-
-IlpResult
-pinj::referenceSolveLexMin(IlpProblem Problem,
-                           const std::vector<LexObjective> &Objectives) {
-  rational::ScopedForceWide Wide;
+IlpResult refSolveLexMinImpl(IlpProblem Problem,
+                             const std::vector<LexObjective> &Objectives,
+                             unsigned &Pivots) {
   IlpResult Last;
   if (Objectives.empty()) {
     Problem.Lp.Objective.assign(Problem.numVars(), 0);
-    return refSolveIlpImpl(Problem);
+    return refSolveIlpImpl(Problem, Pivots);
   }
 
   unsigned TotalNodes = 0;
@@ -347,7 +340,7 @@ pinj::referenceSolveLexMin(IlpProblem Problem,
     assert(Level.Coeffs.size() == Problem.numVars() &&
            "objective width mismatch");
     Problem.Lp.Objective = Level.Coeffs;
-    Last = refSolveIlpImpl(Problem);
+    Last = refSolveIlpImpl(Problem, Pivots);
     TotalNodes += Last.NodesExplored;
     if (!Last.isOptimal()) {
       Last.NodesExplored = TotalNodes;
@@ -363,4 +356,38 @@ pinj::referenceSolveLexMin(IlpProblem Problem,
   }
   Last.NodesExplored = TotalNodes;
   return Last;
+}
+
+} // namespace
+
+LpResult pinj::referenceSolveLp(const LpProblem &Problem, unsigned *Pivots) {
+  rational::ScopedForceWide Wide;
+  unsigned Tally = 0;
+  LpResult Result = refSolveLpImpl(Problem, Tally);
+  if (Pivots)
+    *Pivots = Tally;
+  return Result;
+}
+
+IlpResult pinj::referenceSolveIlp(const IlpProblem &Problem,
+                                  unsigned *Pivots) {
+  rational::ScopedForceWide Wide;
+  unsigned Tally = 0;
+  IlpResult Result = refSolveIlpImpl(Problem, Tally);
+  if (Pivots)
+    *Pivots = Tally;
+  return Result;
+}
+
+IlpResult
+pinj::referenceSolveLexMin(IlpProblem Problem,
+                           const std::vector<LexObjective> &Objectives,
+                           unsigned *Pivots) {
+  rational::ScopedForceWide Wide;
+  unsigned Tally = 0;
+  IlpResult Result =
+      refSolveLexMinImpl(std::move(Problem), Objectives, Tally);
+  if (Pivots)
+    *Pivots = Tally;
+  return Result;
 }

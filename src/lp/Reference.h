@@ -27,15 +27,22 @@
 
 namespace pinj {
 
-/// Two-phase primal simplex, original implementation.
-LpResult referenceSolveLp(const LpProblem &Problem);
+/// Two-phase primal simplex, original implementation. When \p Pivots is
+/// given it receives the number of pivots the solve made (an oracle-only
+/// tally: tests compare it with the production pivot count).
+LpResult referenceSolveLp(const LpProblem &Problem,
+                          unsigned *Pivots = nullptr);
 
-/// Recursive branch and bound over referenceSolveLp.
-IlpResult referenceSolveIlp(const IlpProblem &Problem);
+/// Recursive branch and bound over referenceSolveLp; \p Pivots receives
+/// the pivots of all its node solves.
+IlpResult referenceSolveIlp(const IlpProblem &Problem,
+                            unsigned *Pivots = nullptr);
 
-/// Level-by-level lexicographic minimization over referenceSolveIlp.
+/// Level-by-level lexicographic minimization over referenceSolveIlp;
+/// \p Pivots receives the pivots of all its levels.
 IlpResult referenceSolveLexMin(IlpProblem Problem,
-                               const std::vector<LexObjective> &Objectives);
+                               const std::vector<LexObjective> &Objectives,
+                               unsigned *Pivots = nullptr);
 
 } // namespace pinj
 

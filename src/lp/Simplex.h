@@ -91,8 +91,9 @@ LpResult solveLpExt(const LpProblem &Problem,
 /// Simplex pivots performed by THIS thread since it started. The global
 /// `lp.simplex_pivots` counter mixes all batch workers together; the
 /// lexmin driver diffs this tally around a dimension's solve to
-/// attribute pivots exactly per dimension. The one simplex-solve
-/// counting helper, countedSolve (lp/BranchAndBound.h), adds to it.
+/// attribute pivots exactly per dimension. countPivots
+/// (lp/BranchAndBound.h) adds to it, for every simplex solve and every
+/// lexmin pin.
 std::uint64_t threadSimplexPivots();
 
 } // namespace pinj

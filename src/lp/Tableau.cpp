@@ -4,7 +4,61 @@
 
 #include "lp/Budget.h"
 
+#include <utility>
+
 using namespace pinj;
+
+namespace {
+
+/// A row whose denominator passes this bound is gcd-normalized. Most
+/// rows never get there, so normalization stays off the pivot path.
+constexpr Int DenBound = Int(1) << 24;
+
+std::uint64_t magnitude(Int V) {
+  return V < 0 ? 0 - static_cast<std::uint64_t>(V)
+               : static_cast<std::uint64_t>(V);
+}
+
+/// Binary gcd of two magnitudes; gcd(0, B) == B.
+std::uint64_t gcdMag(std::uint64_t A, std::uint64_t B) {
+  if (A == 0)
+    return B;
+  if (B == 0)
+    return A;
+  int Shift = __builtin_ctzll(A | B);
+  A >>= __builtin_ctzll(A);
+  do {
+    B >>= __builtin_ctzll(B);
+    if (A > B)
+      std::swap(A, B);
+    B -= A;
+  } while (B != 0);
+  return A << Shift;
+}
+
+using UInt128 = unsigned __int128;
+
+UInt128 gcdWide(UInt128 A, UInt128 B) {
+  while (B != 0) {
+    UInt128 T = A % B;
+    A = B;
+    B = T;
+  }
+  return A;
+}
+
+[[noreturn]] void tableauOverflow() {
+  raiseError(StatusCode::Overflow, "lp.tableau",
+             "tableau row exceeds 64 bits after normalization");
+}
+
+Int negated(Int V) {
+  if (V == INT64_MIN)
+    tableauOverflow();
+  return -V;
+}
+
+} // namespace
 
 void SimplexTableau::build(const LpProblem &Base,
                            const std::vector<LpConstraint> &Extra,
@@ -43,7 +97,7 @@ void SimplexTableau::build(const LpProblem &Base,
   }
 
   // Columns: structural | slacks (row order) | artificials (only where
-  // needed) — the reference layout, so exact-mode pivot sequences match.
+  // needed) — the reference layout, so pivot sequences match.
   const unsigned SlackBase = NumStructural;
   const unsigned ArtBase = NumStructural + NumSlacks;
   const unsigned NumCols = ArtBase + NumArtificials;
@@ -55,8 +109,10 @@ void SimplexTableau::build(const LpProblem &Base,
   PivotCount = 0;
   // Every vector is sized to full capacity up front: copies of a warm
   // tableau (branch-and-bound snapshots) must keep the growth room.
-  Cells.assign(static_cast<size_t>(RowCapacity) * Stride, Rational(0));
-  ObjRow.assign(Stride, Rational(0));
+  Cells.assign(static_cast<size_t>(RowCapacity) * Stride, 0);
+  Den.assign(RowCapacity, 1);
+  ObjRow.assign(Stride, 0);
+  ObjDen = 1;
   Basis.assign(RowCapacity, 0);
   ColIsArtificial.assign(Stride - 1, false);
   for (unsigned A = 0; A != NumArtificials; ++A)
@@ -69,80 +125,177 @@ void SimplexTableau::build(const LpProblem &Base,
     // Constraint semantics: Coeffs.x + Constant (kind) 0, rewritten as
     // Coeffs.x (kind) -Constant, normalized to a nonnegative RHS.
     Int Sign = RowSign[R];
-    Int RhsVal = checkedMul(Sign, checkedNeg(C.Constant));
-    Rational *Rw = row(R);
+    Int *Rw = row(R);
     for (unsigned V = 0; V != NumStructural; ++V)
-      Rw[V] = Rational(checkedMul(Sign, C.Coeffs[V]));
-    Rw[Stride - 1] = Rational(RhsVal);
+      Rw[V] = checkedMul(Sign, C.Coeffs[V]);
+    Rw[Stride - 1] = checkedMul(Sign, checkedNeg(C.Constant));
     if (C.Kind != LpConstraint::EQ) {
       // GE becomes Coeffs.x - s = rhs (slack coeff -1), LE gets +1;
       // row negation flips the slack sign too.
       Int SlackSign = (C.Kind == LpConstraint::GE) ? -1 : 1;
-      Rw[SlackBase + SlackIdx] = Rational(checkedMul(Sign, SlackSign));
+      Rw[SlackBase + SlackIdx] = checkedMul(Sign, SlackSign);
       if (!NeedsArtificial[R])
         Basis[R] = SlackBase + SlackIdx;
       ++SlackIdx;
     }
     if (NeedsArtificial[R]) {
-      Rw[ArtBase + ArtIdx] = Rational(1);
+      Rw[ArtBase + ArtIdx] = 1;
       Basis[R] = ArtBase + ArtIdx;
       ++ArtIdx;
     }
   }
 }
 
+void SimplexTableau::clearObjective() {
+  std::fill(ObjRow.begin(), ObjRow.end(), 0);
+  ObjDen = 1;
+}
+
+void SimplexTableau::gatherNonZeros(const Int *Source) {
+  NonZeroScratch.clear();
+  for (unsigned C = 0; C != Cols; ++C)
+    if (Source[C] != 0)
+      NonZeroScratch.push_back(C);
+  if (Source[Stride - 1] != 0)
+    NonZeroScratch.push_back(Stride - 1);
+}
+
+void SimplexTableau::normalizeRow(Int *Row, Int &RowDen) const {
+  std::uint64_t G = static_cast<std::uint64_t>(RowDen);
+  for (unsigned C = 0; C != Cols && G != 1; ++C)
+    if (Row[C] != 0)
+      G = gcdMag(G, magnitude(Row[C]));
+  if (G != 1 && Row[Stride - 1] != 0)
+    G = gcdMag(G, magnitude(Row[Stride - 1]));
+  if (G == 1)
+    return;
+  const Int D = static_cast<Int>(G);
+  for (unsigned C = 0; C != Cols; ++C)
+    Row[C] /= D;
+  Row[Stride - 1] /= D;
+  RowDen /= D;
+}
+
+void SimplexTableau::storeWide(Int *Row, Int &RowDen, Int128 D) {
+  auto wideMagnitude = [](Int128 V) {
+    return V < 0 ? UInt128(0) - UInt128(V) : UInt128(V);
+  };
+  UInt128 G = UInt128(D);
+  for (unsigned P = 0; P <= Cols && G != 1; ++P) {
+    Int128 V = WideScratch[P == Cols ? Stride - 1 : P];
+    if (V != 0)
+      G = gcdWide(G, wideMagnitude(V));
+  }
+  const Int128 Divisor = static_cast<Int128>(G);
+  auto narrow = [&](Int128 V) {
+    V /= Divisor;
+    if (V < INT64_MIN || V > INT64_MAX)
+      tableauOverflow();
+    return static_cast<Int>(V);
+  };
+  RowDen = narrow(D);
+  for (unsigned P = 0; P <= Cols; ++P) {
+    unsigned C = P == Cols ? Stride - 1 : P;
+    Row[C] = narrow(WideScratch[C]);
+  }
+}
+
+void SimplexTableau::eliminate(Int *Target, Int &TargetDen, const Int *Source,
+                               Int SourceDen, unsigned Col) {
+  // Target - (F / TargetDen) * (Source / SourceDen) over the common
+  // denominator TargetDen * SourceDen, with the gcd G of F and
+  // SourceDen cancelled: Target * Scale - Quot * Source over
+  // TargetDen * Scale.
+  const Int F = Target[Col];
+  Int Quot = F, Scale = 1;
+  if (SourceDen != 1) {
+    Int G = static_cast<Int>(gcdMag(magnitude(F), SourceDen));
+    Quot = F / G;
+    Scale = SourceDen / G;
+  }
+  Int NewDen = TargetDen;
+  if (Scale != 1) {
+    if (__builtin_mul_overflow(TargetDen, Scale, &NewDen))
+      return eliminateWide(Target, TargetDen, Source, Quot, Scale, 0, 0);
+    Int Scaled;
+    for (unsigned C = 0; C != Cols; ++C) {
+      if (__builtin_mul_overflow(Target[C], Scale, &Scaled))
+        return eliminateWide(Target, TargetDen, Source, Quot, Scale, C, 0);
+      Target[C] = Scaled;
+    }
+    if (__builtin_mul_overflow(Target[Stride - 1], Scale, &Scaled))
+      return eliminateWide(Target, TargetDen, Source, Quot, Scale, Cols, 0);
+    Target[Stride - 1] = Scaled;
+  }
+  // Only the source row's nonzero columns change.
+  for (unsigned I = 0, E = NonZeroScratch.size(); I != E; ++I) {
+    unsigned C = NonZeroScratch[I];
+    Int Prod, Diff;
+    if (__builtin_mul_overflow(Quot, Source[C], &Prod) ||
+        __builtin_sub_overflow(Target[C], Prod, &Diff))
+      return eliminateWide(Target, TargetDen, Source, Quot, Scale, Cols + 1,
+                           I);
+    Target[C] = Diff;
+  }
+  if (Scale != 1) {
+    TargetDen = NewDen;
+    if (TargetDen > DenBound)
+      normalizeRow(Target, TargetDen);
+  }
+}
+
+void SimplexTableau::eliminateWide(Int *Target, Int &TargetDen,
+                                   const Int *Source, Int Quot, Int Scale,
+                                   unsigned Scaled, unsigned Subtracted) {
+  WideScratch.assign(Stride, 0);
+  for (unsigned P = 0; P <= Cols; ++P) {
+    unsigned C = P == Cols ? Stride - 1 : P;
+    WideScratch[C] = P < Scaled ? Int128(Target[C]) : Int128(Target[C]) * Scale;
+  }
+  for (unsigned I = Subtracted, E = NonZeroScratch.size(); I != E; ++I) {
+    unsigned C = NonZeroScratch[I];
+    WideScratch[C] -= Int128(Quot) * Source[C];
+  }
+  storeWide(Target, TargetDen, Int128(TargetDen) * Scale);
+}
+
 void SimplexTableau::priceOutBasis() {
   for (unsigned R = 0; R != Rows; ++R) {
     unsigned BV = Basis[R];
-    if (ObjRow[BV].isZero())
+    if (ObjRow[BV] == 0)
       continue;
-    Rational Factor = ObjRow[BV];
-    const Rational *Rw = row(R);
-    for (unsigned C = 0; C != Cols; ++C)
-      if (!Rw[C].isZero())
-        ObjRow[C] -= Factor * Rw[C];
-    if (!Rw[Stride - 1].isZero())
-      ObjRow[Stride - 1] -= Factor * Rw[Stride - 1];
+    const Int *Rw = row(R);
+    gatherNonZeros(Rw);
+    eliminate(ObjRow.data(), ObjDen, Rw, Den[R], BV);
   }
 }
 
 void SimplexTableau::pivot(unsigned PivotRow, unsigned PivotCol) {
   ++PivotCount;
-  Rational *PR = row(PivotRow);
-  const Rational Pivot = PR[PivotCol];
-  assert(!Pivot.isZero() && "pivot on zero entry");
-  // Normalize the pivot row (a unit pivot — the common slack case — is
-  // already normalized) and record its sparsity pattern; every update
-  // below only walks the nonzero pivot-row columns.
-  const bool UnitPivot = Pivot == Rational(1);
-  NonZeroScratch.clear();
-  for (unsigned C = 0; C != Cols; ++C) {
-    if (PR[C].isZero())
-      continue;
-    if (!UnitPivot)
-      PR[C] /= Pivot;
-    NonZeroScratch.push_back(C);
-  }
-  if (!PR[Stride - 1].isZero()) {
-    if (!UnitPivot)
-      PR[Stride - 1] /= Pivot;
-    NonZeroScratch.push_back(Stride - 1);
-  }
+  Int *PR = row(PivotRow);
+  const Int Pivot = PR[PivotCol];
+  assert(Pivot != 0 && "pivot on zero entry");
+  // Dividing the row N / D by its pivot entry N[PivotCol] / D leaves
+  // N / N[PivotCol]: the numerators stay (signs flipped for a negative
+  // pivot) and |N[PivotCol]| becomes the denominator. Record the row's
+  // sparsity pattern; every update below only walks those columns.
+  gatherNonZeros(PR);
+  if (Pivot < 0)
+    for (unsigned C : NonZeroScratch)
+      PR[C] = negated(PR[C]);
+  Int &PivotDen = Den[PivotRow];
+  PivotDen = Pivot < 0 ? negated(Pivot) : Pivot;
+  if (PivotDen > DenBound)
+    normalizeRow(PR, PivotDen);
   for (unsigned R = 0; R != Rows; ++R) {
     if (R == PivotRow)
       continue;
-    Rational *Rw = row(R);
-    if (Rw[PivotCol].isZero())
-      continue;
-    Rational Factor = Rw[PivotCol];
-    for (unsigned C : NonZeroScratch)
-      Rw[C] -= Factor * PR[C];
+    Int *Rw = row(R);
+    if (Rw[PivotCol] != 0)
+      eliminate(Rw, Den[R], PR, PivotDen, PivotCol);
   }
-  if (!ObjRow[PivotCol].isZero()) {
-    Rational Factor = ObjRow[PivotCol];
-    for (unsigned C : NonZeroScratch)
-      ObjRow[C] -= Factor * PR[C];
-  }
+  if (ObjRow[PivotCol] != 0)
+    eliminate(ObjRow.data(), ObjDen, PR, PivotDen, PivotCol);
   Basis[PivotRow] = PivotCol;
 }
 
@@ -151,10 +304,12 @@ SimplexTableau::Outcome SimplexTableau::minimize() {
   const unsigned BlandThreshold = 2 * (Rows + Cols) + 16;
   const bool Budgeted = budget::active();
   for (;;) {
+    // The objective row shares one denominator, so reduced costs
+    // compare by numerator.
     bool UseBland = DegenerateStreak > BlandThreshold;
     unsigned Entering = Cols;
     for (unsigned C = 0; C != Cols; ++C) {
-      if (!ObjRow[C].isNegative())
+      if (ObjRow[C] >= 0)
         continue;
       if (UseBland) {
         Entering = C; // Lowest index.
@@ -166,23 +321,29 @@ SimplexTableau::Outcome SimplexTableau::minimize() {
     if (Entering == Cols)
       return Outcome::Optimal;
 
-    // Ratio test; Bland tie-break on the basic variable index.
+    // Ratio test; Bland tie-break on the basic variable index. A row's
+    // ratio rhs / entry has its denominator cancelled, so BestNum /
+    // BestDen is compared by cross-multiplying numerators.
     unsigned Leaving = Rows;
-    Rational BestRatio;
+    Int BestNum = 0, BestDen = 1;
     for (unsigned R = 0; R != Rows; ++R) {
-      const Rational *Rw = row(R);
-      if (!Rw[Entering].isPositive())
+      const Int *Rw = row(R);
+      const Int Entry = Rw[Entering];
+      if (Entry <= 0)
         continue;
-      Rational Ratio = Rw[Stride - 1] / Rw[Entering];
-      if (Leaving == Rows || Ratio < BestRatio ||
-          (Ratio == BestRatio && Basis[R] < Basis[Leaving])) {
-        Leaving = R;
-        BestRatio = Ratio;
+      const Int Num = Rw[Stride - 1];
+      if (Leaving != Rows) {
+        Int128 Lhs = Int128(Num) * BestDen, Rhs = Int128(BestNum) * Entry;
+        if (Lhs > Rhs || (Lhs == Rhs && Basis[R] > Basis[Leaving]))
+          continue;
       }
+      Leaving = R;
+      BestNum = Num;
+      BestDen = Entry;
     }
     if (Leaving == Rows)
       return Outcome::Unbounded;
-    if (BestRatio.isZero())
+    if (BestNum == 0)
       ++DegenerateStreak; // No objective progress: possible cycling.
     else
       DegenerateStreak = 0;
@@ -208,14 +369,14 @@ SimplexTableau::Outcome SimplexTableau::solveTwoPhase(
   // Phase 1: minimize the sum of artificials (skipped when none).
   if (NumArtificials != 0) {
     for (unsigned A = 0; A != NumArtificials; ++A)
-      obj(ArtBase + A) = Rational(1);
+      ObjRow[ArtBase + A] = 1;
     priceOutBasis();
     Outcome Phase1 = minimize();
     // The phase-1 objective is bounded below by construction, so the
     // only non-optimal outcome is an exhausted budget.
     if (Phase1 != Outcome::Optimal)
       return Outcome::Budget;
-    if (!objValue().isZero())
+    if (ObjRow[Stride - 1] != 0)
       return Outcome::Infeasible;
   }
 
@@ -225,7 +386,7 @@ SimplexTableau::Outcome SimplexTableau::solveTwoPhase(
       continue;
     unsigned Entering = ArtBase;
     for (unsigned C = 0; C != ArtBase; ++C) {
-      if (!at(R, C).isZero()) {
+      if (at(R, C) != 0) {
         Entering = C;
         break;
       }
@@ -242,36 +403,23 @@ SimplexTableau::Outcome SimplexTableau::solveTwoPhase(
   for (unsigned R = 0; R != Rows; ++R)
     for (unsigned A = 0; A != NumArtificials; ++A)
       if (Basis[R] != ArtBase + A)
-        at(R, ArtBase + A) = Rational(0);
+        at(R, ArtBase + A) = 0;
 
-  for (unsigned C = 0; C != Cols; ++C)
-    obj(C) = Rational(0);
-  objValue() = Rational(0);
-  if (!Objective.empty()) {
-    assert(Objective.size() == NumStructural && "objective width mismatch");
-    for (unsigned V = 0; V != NumStructural; ++V)
-      obj(V) = Rational(Objective[V]);
-  }
-  // Keep artificials non-entering: give them +1 reduced cost
-  // pre-pricing; basic ones end up at zero, nonbasic ones keep +1.
-  for (unsigned A = 0; A != NumArtificials; ++A)
-    obj(ArtBase + A) = Rational(1);
-  priceOutBasis();
-
-  return minimize();
+  return reoptimize(Objective);
 }
 
 SimplexTableau::Outcome SimplexTableau::reoptimize(const IntVector &Objective) {
-  for (unsigned C = 0; C != Stride; ++C)
-    ObjRow[C] = Rational(0);
+  clearObjective();
   if (!Objective.empty()) {
     assert(Objective.size() == NumStructural && "objective width mismatch");
     for (unsigned V = 0; V != NumStructural; ++V)
-      obj(V) = Rational(Objective[V]);
+      ObjRow[V] = Objective[V];
   }
+  // Keep artificials non-entering: give them +1 reduced cost
+  // pre-pricing; basic ones end up at zero, nonbasic ones keep +1.
   for (unsigned C = 0; C != Cols; ++C)
     if (ColIsArtificial[C])
-      obj(C) = Rational(1);
+      ObjRow[C] = 1;
   priceOutBasis();
   return minimize();
 }
@@ -290,7 +438,7 @@ SimplexTableau::Outcome SimplexTableau::dualReoptimize() {
     // right-hand side; Bland mode: smallest basic variable index.
     unsigned Leaving = Rows;
     for (unsigned R = 0; R != Rows; ++R) {
-      if (!rhs(R).isNegative())
+      if (rhs(R) >= 0)
         continue;
       if (Leaving == Rows) {
         Leaving = R;
@@ -299,10 +447,13 @@ SimplexTableau::Outcome SimplexTableau::dualReoptimize() {
       if (UseBland) {
         if (Basis[R] < Basis[Leaving])
           Leaving = R;
-      } else if (rhs(R) < rhs(Leaving) ||
-                 (rhs(R) == rhs(Leaving) && Basis[R] < Basis[Leaving])) {
-        Leaving = R;
+        continue;
       }
+      // rhs(R) / Den[R] against rhs(Leaving) / Den[Leaving].
+      Int128 Lhs = Int128(rhs(R)) * Den[Leaving];
+      Int128 Rhs = Int128(rhs(Leaving)) * Den[R];
+      if (Lhs < Rhs || (Lhs == Rhs && Basis[R] < Basis[Leaving]))
+        Leaving = R;
     }
     if (Leaving == Rows)
       return Outcome::Optimal; // Primal feasible again, still dual feasible.
@@ -310,24 +461,18 @@ SimplexTableau::Outcome SimplexTableau::dualReoptimize() {
     // Entering column: dual ratio test over negative row entries,
     // minimizing ObjRow[C] / -row[C]; ties break toward the smallest
     // column index (together with Bland's leaving rule this is the
-    // cycling-free dual rule). Artificial columns never re-enter.
-    const Rational *Rw = row(Leaving);
+    // cycling-free dual rule). Artificial columns never re-enter. Both
+    // rows' denominators are common to every candidate and cancel.
+    const Int *Rw = row(Leaving);
     unsigned Entering = Cols;
-    Rational BestNum, BestDen; // Best ratio as BestNum / BestDen.
+    Int BestNum = 0;
+    Int128 BestDen = 1;
     for (unsigned C = 0; C != Cols; ++C) {
-      if (ColIsArtificial[C] || !Rw[C].isNegative())
+      if (ColIsArtificial[C] || Rw[C] >= 0)
         continue;
-      Rational Num = ObjRow[C];
-      Rational Den = -Rw[C];
-      if (Entering == Cols) {
-        Entering = C;
-        BestNum = Num;
-        BestDen = Den;
-        continue;
-      }
-      // Num/Den < BestNum/BestDen  <=>  Num*BestDen < BestNum*Den
-      // (both denominators positive).
-      if (Num * BestDen < BestNum * Den) {
+      const Int Num = ObjRow[C];
+      const Int128 Den = -Int128(Rw[C]);
+      if (Entering == Cols || Num * BestDen < BestNum * Den) {
         Entering = C;
         BestNum = Num;
         BestDen = Den;
@@ -336,7 +481,7 @@ SimplexTableau::Outcome SimplexTableau::dualReoptimize() {
     if (Entering == Cols)
       return Outcome::Infeasible; // Dual unbounded: primal empty.
 
-    if (ObjRow[Entering].isZero())
+    if (ObjRow[Entering] == 0)
       ++DegenerateStreak;
     else
       DegenerateStreak = 0;
@@ -357,42 +502,42 @@ unsigned SimplexTableau::appendRowAndColumn() {
   // columns, so the fresh row and column are already all-zero.
   Basis[NewRow] = NewCol;
   ColIsArtificial[NewCol] = false;
-  (void)NewRow;
   return NewCol;
 }
 
-void SimplexTableau::reduceAgainstBasis(std::vector<Rational> &Dense) {
+void SimplexTableau::storeAppendedRow(unsigned NewCol) {
+  Int *Rw = row(Rows - 1);
+  for (unsigned C = 0; C != NewCol; ++C)
+    Rw[C] = DenseScratch[C];
+  Rw[NewCol] = DenseDen;
+  Rw[Stride - 1] = DenseScratch[Stride - 1];
+  Den[Rows - 1] = DenseDen;
+}
+
+void SimplexTableau::reduceAgainstBasis() {
   // Eliminate basic variables: basic columns are unit vectors, so each
   // elimination only touches nonbasic columns and cannot reintroduce an
   // earlier basic variable.
   for (unsigned R = 0; R != Rows; ++R) {
     unsigned BV = Basis[R];
-    if (Dense[BV].isZero())
+    if (DenseScratch[BV] == 0)
       continue;
-    Rational Factor = Dense[BV];
-    const Rational *Rw = row(R);
-    for (unsigned C = 0; C != Cols; ++C)
-      if (!Rw[C].isZero())
-        Dense[C] -= Factor * Rw[C];
-    if (!Rw[Stride - 1].isZero())
-      Dense[Stride - 1] -= Factor * Rw[Stride - 1];
+    const Int *Rw = row(R);
+    gatherNonZeros(Rw);
+    eliminate(DenseScratch.data(), DenseDen, Rw, Den[R], BV);
   }
 }
 
 unsigned SimplexTableau::addBoundRow(unsigned Var, bool Upper, Int Bound) {
   assert(Var < NumStructural && "bound on a non-structural variable");
-  DenseScratch.assign(Stride, Rational(0));
+  DenseScratch.assign(Stride, 0);
+  DenseDen = 1;
   // Upper:  x + s =  Bound;  lower:  -x + s = -Bound  (slack s >= 0).
-  DenseScratch[Var] = Rational(Upper ? 1 : -1);
-  DenseScratch[Stride - 1] = Rational(Upper ? Bound : checkedNeg(Bound));
-  reduceAgainstBasis(DenseScratch);
-  unsigned OldCols = Cols;
+  DenseScratch[Var] = Upper ? 1 : -1;
+  DenseScratch[Stride - 1] = Upper ? Bound : checkedNeg(Bound);
+  reduceAgainstBasis();
   unsigned SlackCol = appendRowAndColumn();
-  Rational *Rw = row(Rows - 1);
-  for (unsigned C = 0; C != OldCols; ++C)
-    Rw[C] = DenseScratch[C];
-  Rw[SlackCol] = Rational(1);
-  Rw[Stride - 1] = DenseScratch[Stride - 1];
+  storeAppendedRow(SlackCol);
   // The new slack is basic with zero reduced cost: reduced costs of all
   // other columns are unchanged by a row whose dual value is zero.
   return SlackCol;
@@ -401,51 +546,56 @@ unsigned SimplexTableau::addBoundRow(unsigned Var, bool Upper, Int Bound) {
 void SimplexTableau::tightenBoundRow(unsigned SlackCol, Int Delta) {
   // The slack's column is B^-1 e_row for the bound row, so shifting the
   // row's original right-hand side by Delta shifts the current
-  // right-hand sides by Delta * column(SlackCol).
+  // right-hand sides by Delta * column(SlackCol) (same row denominator).
   if (Delta == 0)
     return;
-  Rational D(Delta);
   for (unsigned R = 0; R != Rows; ++R) {
-    const Rational &Entry = at(R, SlackCol);
-    if (!Entry.isZero())
-      rhs(R) += D * Entry;
+    Int *Rw = row(R);
+    const Int Entry = Rw[SlackCol];
+    if (Entry == 0)
+      continue;
+    Int Prod, Sum;
+    if (!__builtin_mul_overflow(Delta, Entry, &Prod) &&
+        !__builtin_add_overflow(Rw[Stride - 1], Prod, &Sum)) {
+      Rw[Stride - 1] = Sum;
+      continue;
+    }
+    WideScratch.assign(Stride, 0);
+    for (unsigned C = 0; C != Cols; ++C)
+      WideScratch[C] = Rw[C];
+    WideScratch[Stride - 1] = Int128(Rw[Stride - 1]) + Int128(Delta) * Entry;
+    storeWide(Rw, Den[R], Den[R]);
   }
 }
 
 SimplexTableau::Outcome SimplexTableau::addPinEquality(const IntVector &Coeffs,
                                                        Int Rhs) {
   assert(Coeffs.size() == NumStructural && "pin row width mismatch");
-  DenseScratch.assign(Stride, Rational(0));
+  DenseScratch.assign(Stride, 0);
+  DenseDen = 1;
   for (unsigned V = 0; V != NumStructural; ++V)
-    DenseScratch[V] = Rational(Coeffs[V]);
-  DenseScratch[Stride - 1] = Rational(Rhs);
-  reduceAgainstBasis(DenseScratch);
+    DenseScratch[V] = Coeffs[V];
+  DenseScratch[Stride - 1] = Rhs;
+  reduceAgainstBasis();
   // Normalize so the fresh artificial starts nonnegative.
-  if (DenseScratch[Stride - 1].isNegative())
-    for (unsigned C = 0; C != Stride; ++C)
-      if (!DenseScratch[C].isZero())
-        DenseScratch[C] = -DenseScratch[C];
-  unsigned OldCols = Cols;
+  if (DenseScratch[Stride - 1] < 0)
+    for (Int &V : DenseScratch)
+      V = negated(V);
   unsigned ArtCol = appendRowAndColumn();
-  Rational *Rw = row(Rows - 1);
-  for (unsigned C = 0; C != OldCols; ++C)
-    Rw[C] = DenseScratch[C];
-  Rw[ArtCol] = Rational(1);
-  Rw[Stride - 1] = DenseScratch[Stride - 1];
+  storeAppendedRow(ArtCol);
   ColIsArtificial[ArtCol] = true;
 
   // Mini phase 1 from the current feasible basis: minimize the sum of
   // artificials (the fresh one plus any basic-at-zero leftovers).
-  for (unsigned C = 0; C != Stride; ++C)
-    ObjRow[C] = Rational(0);
+  clearObjective();
   for (unsigned C = 0; C != Cols; ++C)
     if (ColIsArtificial[C])
-      obj(C) = Rational(1);
+      ObjRow[C] = 1;
   priceOutBasis();
   Outcome Phase = minimize();
   if (Phase != Outcome::Optimal)
     return Outcome::Budget; // Bounded below: only the budget can stop it.
-  if (!objValue().isZero())
+  if (ObjRow[Stride - 1] != 0)
     return Outcome::Infeasible;
 
   // Drive the artificial out of the basis if it is still there.
@@ -453,9 +603,9 @@ SimplexTableau::Outcome SimplexTableau::addPinEquality(const IntVector &Coeffs,
     if (!ColIsArtificial[Basis[R]])
       continue;
     unsigned Entering = Cols;
-    const Rational *RowPtr = row(R);
+    const Int *RowPtr = row(R);
     for (unsigned C = 0; C != Cols; ++C) {
-      if (!ColIsArtificial[C] && !RowPtr[C].isZero()) {
+      if (!ColIsArtificial[C] && RowPtr[C] != 0) {
         Entering = C;
         break;
       }
@@ -472,7 +622,7 @@ SimplexTableau::Outcome SimplexTableau::addPinEquality(const IntVector &Coeffs,
       continue;
     for (unsigned R = 0; R != Rows; ++R)
       if (Basis[R] != C)
-        at(R, C) = Rational(0);
+        at(R, C) = 0;
   }
   return Outcome::Optimal;
 }
@@ -481,5 +631,5 @@ void SimplexTableau::extractPoint(std::vector<Rational> &Point) const {
   Point.assign(NumStructural, Rational(0));
   for (unsigned R = 0; R != Rows; ++R)
     if (Basis[R] < NumStructural)
-      Point[Basis[R]] = rhs(R);
+      Point[Basis[R]] = Rational(rhs(R), Den[R]);
 }

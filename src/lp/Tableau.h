@@ -6,15 +6,35 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The dense exact-rational simplex tableau behind solveLp and the
-/// warm-started branch and bound. One flat row-major buffer replaces the
-/// old per-row std::vector<Rational> (one allocation, contiguous pivot
-/// loops, zero-skip over the pivot row's sparsity), and the class grew
-/// the warm-start operations the optimized solvers need:
+/// The dense exact simplex tableau behind solveLp and the warm-started
+/// branch and bound. Like isl's isl_tab it stores integer rows: each row
+/// is a vector of 64-bit numerators over one positive 64-bit row
+/// denominator (entry (R, C) is row(R)[C] / Den[R]), and the objective
+/// row has its own denominator. The rows live in one flat row-major
+/// buffer, so a pivot is a run of contiguous integer multiply-subtracts.
 ///
-///   - solveTwoPhase() replicates the original two-phase primal simplex
-///     pivot-for-pivot (Dantzig with a Bland switch, identical
-///     tie-breaks), so exact-mode callers produce bit-identical results;
+/// Exactness. The rows represent exactly the rationals the textbook
+/// tableau holds, and every decision compares exact integer
+/// cross-products of those values (in 128 bits where they can exceed 64):
+/// Dantzig pricing, the primal ratio test, the dual leaving row and ratio
+/// test, and every Bland tie-break. So each solve makes the pivots of the
+/// rational tableau (lp/Reference) and returns the same point.
+///
+/// Arithmetic. A pivot divides the pivot row by its pivot entry, which
+/// only moves the entry's magnitude into the row denominator. Each other
+/// row with a nonzero entry in the pivot column is first scaled by
+/// den / gcd(den, entry), where den is the pivot row's denominator
+/// (skipped when that is 1), and then updated in the pivot row's nonzero
+/// columns only. Rows are gcd-normalized lazily: when the denominator
+/// passes 2^24, or when a checked 64-bit multiply or subtract overflows
+/// (the row is then recomputed in 128 bits and reduced). A row that does
+/// not fit 64 bits even reduced raises StatusCode::Overflow at
+/// "lp.tableau"; nothing ever wraps.
+///
+/// Operations:
+///
+///   - solveTwoPhase() runs the two-phase primal simplex (Dantzig with a
+///     Bland switch after a degeneracy streak);
 ///   - addBoundRow()/tightenBoundRow() append or tighten single-variable
 ///     bound rows in the current basis (branch-and-bound branches by
 ///     bounds instead of copying the problem);
@@ -24,11 +44,12 @@
 ///   - addPinEquality() adds a lexmin level-pin row with one artificial
 ///     and a mini phase 1 from the current basis, so solveLexMin reuses
 ///     its feasible basis across objective levels;
-///   - setObjective()/reoptimize() swap in the next level's objective
-///     and re-minimize from the current basis.
+///   - reoptimize() swaps in the next level's objective and re-minimizes
+///     from the current basis.
 ///
 /// Capacity for rows/columns added after build() is reserved up front so
-/// warm growth never re-layouts the buffer.
+/// warm growth never re-layouts the buffer, and a copy of the tableau
+/// keeps that room.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -47,15 +68,14 @@ public:
 
   /// Loads \p Base's constraints followed by \p Extra (the
   /// branch-and-bound path rows) and sets up the phase-1 basis with the
-  /// original column layout: structural | slacks (row order) |
-  /// artificials (only where needed). Reserves capacity for
-  /// \p ReserveRows extra rows and \p ReserveCols extra columns.
+  /// column layout structural | slacks (row order) | artificials (only
+  /// where needed). Reserves capacity for \p ReserveRows extra rows and
+  /// \p ReserveCols extra columns.
   void build(const LpProblem &Base, const std::vector<LpConstraint> &Extra,
              unsigned ReserveRows = 0, unsigned ReserveCols = 0);
 
-  /// Runs phase 1 + phase 2 for \p Objective (empty = feasibility),
-  /// replicating the reference solver's pivot sequence exactly. Leaves
-  /// the tableau at the optimal basis on Outcome::Optimal.
+  /// Runs phase 1 + phase 2 for \p Objective (empty = feasibility).
+  /// Leaves the tableau at the optimal basis on Outcome::Optimal.
   Outcome solveTwoPhase(const IntVector &Objective);
 
   /// Swaps in a new objective over the structural variables and
@@ -96,25 +116,53 @@ public:
   unsigned numCols() const { return Cols; }
 
 private:
-  Rational *row(unsigned R) { return Cells.data() + R * Stride; }
-  const Rational *row(unsigned R) const { return Cells.data() + R * Stride; }
-  Rational &at(unsigned R, unsigned C) { return Cells[R * Stride + C]; }
-  Rational &rhs(unsigned R) { return Cells[R * Stride + Stride - 1]; }
-  const Rational &rhs(unsigned R) const {
-    return Cells[R * Stride + Stride - 1];
+  Int *row(unsigned R) { return Cells.data() + size_t(R) * Stride; }
+  const Int *row(unsigned R) const {
+    return Cells.data() + size_t(R) * Stride;
   }
-  Rational &obj(unsigned C) { return ObjRow[C]; }
-  Rational &objValue() { return ObjRow[Stride - 1]; }
+  Int &at(unsigned R, unsigned C) { return row(R)[C]; }
+  Int rhs(unsigned R) const { return row(R)[Stride - 1]; }
+
+  /// Resets the objective row to zero over denominator 1.
+  void clearObjective();
 
   /// Appends a fresh row/column pair (value cells zeroed); \returns the
   /// new column index. Capacity must have been reserved.
   unsigned appendRowAndColumn();
 
-  /// Expresses dense row \p Form (over structural and existing columns)
-  /// in the current basis by eliminating basic variables, writing into
-  /// the freshly appended row \p R. Scratch holds the dense row with the
-  /// right-hand side at Stride - 1.
-  void reduceAgainstBasis(std::vector<Rational> &Dense);
+  /// Copies DenseScratch (over DenseDen) into the freshly appended last
+  /// row, with the row's own basic column \p NewCol at value 1.
+  void storeAppendedRow(unsigned NewCol);
+
+  /// Expresses DenseScratch (over structural and existing columns, the
+  /// right-hand side at Stride - 1, denominator DenseDen) in the
+  /// current basis by eliminating the basic variables.
+  void reduceAgainstBasis();
+
+  /// Fills NonZeroScratch with \p Source's nonzero active columns,
+  /// right-hand side last.
+  void gatherNonZeros(const Int *Source);
+
+  /// Target -= (Target[Col] / Source[Col]) * Source, where Source[Col]
+  /// equals SourceDen (the value 1) and NonZeroScratch lists Source's
+  /// nonzero columns.
+  void eliminate(Int *Target, Int &TargetDen, const Int *Source,
+                 Int SourceDen, unsigned Col);
+
+  /// Finishes an eliminate whose 64-bit update overflowed, in 128 bits:
+  /// active positions below \p Scaled were already multiplied by Scale
+  /// (position Cols is the right-hand side), and NonZeroScratch entries
+  /// below \p Subtracted already had Quot * Source subtracted.
+  void eliminateWide(Int *Target, Int &TargetDen, const Int *Source,
+                     Int Quot, Int Scale, unsigned Scaled,
+                     unsigned Subtracted);
+
+  /// Divides \p Row and \p Den by the gcd of all their entries.
+  void normalizeRow(Int *Row, Int &Den) const;
+
+  /// Stores WideScratch over \p Den into \p Row and \p RowDen, reduced
+  /// by their gcd; raises Overflow when the reduced row exceeds 64 bits.
+  void storeWide(Int *Row, Int &RowDen, Int128 Den);
 
   Outcome minimize();
   void priceOutBasis();
@@ -126,12 +174,16 @@ private:
   unsigned RowCapacity = 0;
   unsigned NumStructural = 0;
   unsigned PivotCount = 0;
-  std::vector<Rational> Cells;
-  std::vector<Rational> ObjRow;
+  std::vector<Int> Cells; ///< Row numerators, RowCapacity x Stride.
+  std::vector<Int> Den;   ///< Positive row denominators.
+  std::vector<Int> ObjRow;
+  Int ObjDen = 1;
   std::vector<unsigned> Basis;
   std::vector<bool> ColIsArtificial;
-  std::vector<unsigned> NonZeroScratch; ///< Pivot-row sparsity pattern.
-  std::vector<Rational> DenseScratch;   ///< Row-append scratch.
+  std::vector<unsigned> NonZeroScratch; ///< Source-row sparsity pattern.
+  std::vector<Int> DenseScratch;        ///< Row-append scratch.
+  Int DenseDen = 1;
+  std::vector<Int128> WideScratch; ///< Overflow-path row.
 };
 
 } // namespace pinj

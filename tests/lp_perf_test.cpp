@@ -1,21 +1,25 @@
 //===- tests/lp_perf_test.cpp - Differential tests for the fast LP core ---===//
 //
-// The rewritten solver stack (small-int rational fast path, flat
-// tableau, warm-started lexmin) must be indistinguishable from the
+// The rewritten solver stack (small-int rational fast path, integer-row
+// flat tableau, warm-started lexmin) must be indistinguishable from the
 // retained reference solver (lp/Reference.h: always-wide rationals,
 // cold per-node solves) on every input: same status, same value, same
 // point. These tests cross-check the two on seeded random LPs, bounded
 // ILPs, and multi-level lexmin problems, and pin down the regressions
 // the rewrite fixed (deep-branching stack blowout) and the new
-// observability (wide-path counter, pivot histogram).
+// observability (wide-path counter, pivot histogram). They also pin the
+// integer-row tableau to the reference pivot for pivot, and check its
+// row normalization and overflow behaviour.
 //
 //===----------------------------------------------------------------------===//
 
+#include "../bench/BenchUtil.h"
 #include "lp/Budget.h"
 #include "lp/Ilp.h"
 #include "lp/LexMin.h"
 #include "lp/Reference.h"
 #include "lp/Simplex.h"
+#include "lp/Tableau.h"
 #include "obs/Metrics.h"
 
 #include <gtest/gtest.h>
@@ -114,6 +118,33 @@ void expectSameIlp(const IlpResult &Ref, const IlpResult &Fast,
     EXPECT_EQ(Ref.Point[V], Fast.Point[V]) << "seed " << Seed << " var " << V;
 }
 
+/// Runs \p Solve and \returns the simplex pivots it made on this thread.
+template <class Fn> std::uint64_t pivotsOf(Fn &&Solve) {
+  std::uint64_t Before = threadSimplexPivots();
+  Solve();
+  return threadSimplexPivots() - Before;
+}
+
+/// The pivots the production tableau makes on exactly the ILPs
+/// referenceSolveLexMin solves: one cold solveIlp per level, each level
+/// pinned at its optimum before the next. (solveLexMin itself runs the
+/// intermediate levels warm, so its pivot count is not the reference's.)
+std::uint64_t coldLevelPivots(IlpProblem P,
+                              const std::vector<LexObjective> &Levels) {
+  return pivotsOf([&] {
+    for (const LexObjective &Level : Levels) {
+      P.Lp.Objective = Level.Coeffs;
+      IlpResult R = solveIlp(P);
+      if (!R.isOptimal())
+        return;
+      IntVector Pinned(P.numVars());
+      for (unsigned V = 0, E = P.numVars(); V != E; ++V)
+        Pinned[V] = checkedMul(R.Value.denominator(), Level.Coeffs[V]);
+      P.Lp.addEq(std::move(Pinned), checkedNeg(R.Value.numerator()));
+    }
+  });
+}
+
 } // namespace
 
 //===----------------------------------------------------------------------===//
@@ -125,8 +156,11 @@ TEST(LpDifferential, RandomLpsMatchReference) {
   for (unsigned Seed = 0; Seed != 100; ++Seed) {
     ProblemGen Gen(Seed);
     LpProblem P = Gen.lp(2 + Seed % 6, 2 + (Seed * 7) % 8);
-    LpResult Ref = referenceSolveLp(P);
-    LpResult Fast = solveLp(P);
+    unsigned RefPivots = 0;
+    LpResult Ref = referenceSolveLp(P, &RefPivots);
+    LpResult Fast;
+    EXPECT_EQ(pivotsOf([&] { Fast = solveLp(P); }), RefPivots)
+        << "seed " << Seed;
     expectSameLp(Ref, Fast, Seed);
     ++Statuses[Ref.Status];
   }
@@ -142,8 +176,11 @@ TEST(LpDifferential, RandomIlpsMatchReference) {
   for (unsigned Seed = 1000; Seed != 1100; ++Seed) {
     ProblemGen Gen(Seed);
     IlpProblem P = Gen.ilp(2 + Seed % 5, 3 + (Seed * 5) % 6);
-    IlpResult Ref = referenceSolveIlp(P);
-    IlpResult Fast = solveIlp(P);
+    unsigned RefPivots = 0;
+    IlpResult Ref = referenceSolveIlp(P, &RefPivots);
+    IlpResult Fast;
+    EXPECT_EQ(pivotsOf([&] { Fast = solveIlp(P); }), RefPivots)
+        << "seed " << Seed;
     expectSameIlp(Ref, Fast, Seed);
     Ref.Status == IlpResult::Optimal ? ++Optimal : ++Infeasible;
   }
@@ -160,12 +197,47 @@ TEST(LpDifferential, RandomLexMinMatchesReference) {
     unsigned NumVars = 3 + Seed % 4;
     IlpProblem P = Gen.ilp(NumVars, 3 + (Seed * 3) % 5);
     std::vector<LexObjective> Levels = Gen.levels(NumVars, 2 + Seed % 2);
-    IlpResult Ref = referenceSolveLexMin(P, Levels);
+    unsigned RefPivots = 0;
+    IlpResult Ref = referenceSolveLexMin(P, Levels, &RefPivots);
     IlpResult Fast = solveLexMin(P, Levels);
     expectSameIlp(Ref, Fast, Seed);
+    EXPECT_EQ(coldLevelPivots(P, Levels), RefPivots) << "seed " << Seed;
     Optimal += Ref.Status == IlpResult::Optimal;
   }
   EXPECT_GT(Optimal, 5u);
+}
+
+TEST(LpDifferential, SchedulerLexMinMatchesReferencePivots) {
+  // bench_lp's scheduler-derived cases: same result as the reference,
+  // and the same pivot count level by level.
+  for (const LexCase &C : schedulerLexCases()) {
+    unsigned RefPivots = 0;
+    IlpResult Ref = referenceSolveLexMin(C.Problem, C.Levels, &RefPivots);
+    expectSameIlp(Ref, solveLexMin(C.Problem, C.Levels), 0);
+    EXPECT_EQ(coldLevelPivots(C.Problem, C.Levels), RefPivots) << C.Name;
+    EXPECT_GT(RefPivots, 0u) << C.Name;
+  }
+}
+
+TEST(LpDifferential, BranchingWarmLevelMatchesReference) {
+  // The first (warm) level's root is fractional (x0 + x1 = 3/2), so its
+  // search branches and both root children start from copies of the
+  // persistent root tableau; the final level's root is integral.
+  IlpProblem P(2);
+  P.Lp.addGe({2, 2}, -3);
+  P.Lp.addUpperBound(0, 4);
+  P.Lp.addUpperBound(1, 4);
+  P.markInteger(0);
+  P.markInteger(1);
+  const std::vector<LexObjective> Levels{LexObjective({1, 1}),
+                                         LexObjective({1, 0})};
+  IlpResult Ref = referenceSolveLexMin(P, Levels);
+  IlpResult Fast = solveLexMin(P, Levels);
+  expectSameIlp(Ref, Fast, 0);
+  ASSERT_TRUE(Fast.isOptimal());
+  EXPECT_EQ(Fast.Value, Rational(0));
+  EXPECT_GE(Fast.MaxDepth, 1u);
+  EXPECT_GT(Fast.NodesExplored, 3u);
 }
 
 //===----------------------------------------------------------------------===//
@@ -221,6 +293,91 @@ TEST(IlpWorklist, SmallDeepChainSolvedExactly) {
   IlpResult Fast = solveIlp(P);
   expectSameIlp(Ref, Fast, 0);
   EXPECT_EQ(Fast.Status, IlpResult::Infeasible);
+}
+
+//===----------------------------------------------------------------------===//
+// Integer-row tableau: normalization and overflow
+//===----------------------------------------------------------------------===//
+
+TEST(IntegerTableau, NormalizedRowsFitWhereRawRowsOverflow) {
+  // Rows scaled by 2^40 next to unit rows: the raw pivot updates
+  // overflow 64 bits, the gcd-normalized rows fit. Status, value, point
+  // and pivot count must match the reference bit for bit.
+  const Int K = Int(1) << 40;
+  LpProblem P(4);
+  P.addGe({2, 0, 3, -1}, 0);
+  P.addLe({K, -2 * K, -K, 0}, 2 * K);
+  P.addGe({-K, 2 * K, -3 * K, -3 * K}, K);
+  P.addLe({-3 * K, 0, -2 * K, -2 * K}, K);
+  for (unsigned V = 0; V != 4; ++V)
+    P.addUpperBound(V, 5);
+  P.Objective = {0, -3, -2, -3};
+  unsigned RefPivots = 0;
+  LpResult Ref = referenceSolveLp(P, &RefPivots);
+  ASSERT_EQ(Ref.Status, LpResult::Optimal);
+  LpResult Fast;
+  EXPECT_EQ(pivotsOf([&] { Fast = solveLp(P); }), RefPivots);
+  expectSameLp(Ref, Fast, 0);
+}
+
+TEST(IntegerTableau, RowsBeyond63BitsRaiseOverflow) {
+  // The optimal vertex of these two rows has a denominator near 2^77:
+  // no row scaling fits it in 64 bits, so the tableau must raise a
+  // recoverable Overflow instead of wrapping. The 128-bit reference
+  // still solves it.
+  const Int K = Int(1) << 40;
+  LpProblem P(2);
+  P.addGe({K + 1, 3}, -K);
+  P.addGe({5, K + 7}, -K);
+  P.Objective = {1, 1};
+  ASSERT_EQ(referenceSolveLp(P).Status, LpResult::Optimal);
+  try {
+    solveLp(P);
+    FAIL() << "expected an overflow";
+  } catch (const RecoverableError &E) {
+    EXPECT_EQ(E.status().code(), StatusCode::Overflow);
+    EXPECT_EQ(E.status().site(), "lp.tableau");
+  }
+}
+
+TEST(IntegerTableau, TightenedRhsPast64BitsIsReducedNotWrapped) {
+  // 2x + 2y == 2^62 leaves the basic row y + x == 2^61 over denominator
+  // 2. After the branch bound y <= 0, tightening it to y <= -2^61 shifts
+  // x's right-hand-side numerator to 2^63: the row must be reduced by its
+  // gcd 2 instead of wrapping, and the dual simplex must then prove the
+  // bounded problem empty.
+  LpProblem P(2);
+  P.addEq({2, 2}, -(Int(1) << 62));
+  SimplexTableau T;
+  T.build(P, {}, 1, 1);
+  ASSERT_EQ(T.solveTwoPhase({0, -1}), SimplexTableau::Outcome::Optimal);
+  unsigned Slack = T.addBoundRow(1, /*Upper=*/true, 0);
+  ASSERT_EQ(T.dualReoptimize(), SimplexTableau::Outcome::Optimal);
+  T.tightenBoundRow(Slack, -(Int(1) << 61));
+  EXPECT_EQ(T.dualReoptimize(), SimplexTableau::Outcome::Infeasible);
+}
+
+TEST(IntegerTableau, PinPivotsCountButAreNotSolves) {
+  // A warm level's pin pivots (at least the artificial driven out of
+  // the basis) go into lp.simplex_pivots and the thread tally, but not
+  // into lp.simplex_solves or the per-solve histogram.
+  IlpProblem P(2);
+  P.Lp.addGe({1, 1}, -2);
+  P.Lp.addUpperBound(0, 3);
+  P.Lp.addUpperBound(1, 3);
+  P.markInteger(0);
+  P.markInteger(1);
+  const std::vector<LexObjective> Levels{LexObjective({1, 1}),
+                                         LexObjective({0, 1})};
+  obs::MetricsSnapshot Before = obs::metrics().snapshot();
+  std::uint64_t Tally = pivotsOf([&] { solveLexMin(P, Levels); });
+  obs::MetricsSnapshot Delta = obs::metrics().snapshot().since(Before);
+  const obs::HistogramSummary *PerSolve =
+      Delta.histogram("lp.pivots_per_solve");
+  ASSERT_NE(PerSolve, nullptr);
+  EXPECT_EQ(PerSolve->Count, Delta.counter("lp.simplex_solves"));
+  EXPECT_EQ(Delta.counter("lp.simplex_pivots"), Tally);
+  EXPECT_GT(Tally, static_cast<std::uint64_t>(PerSolve->Sum));
 }
 
 //===----------------------------------------------------------------------===//
