@@ -9,21 +9,24 @@
 
 #include <algorithm>
 #include <cmath>
-#include <set>
 
 using namespace pinj;
 
 unsigned pinj::countSectors(
     const std::vector<std::pair<Int, unsigned>> &Accesses,
     unsigned SectorBytes) {
-  std::set<Int> Sectors;
+  // One scratch buffer per thread: batch and daemon workers simulate
+  // concurrently, and a warm buffer makes the count allocation-free.
+  thread_local std::vector<Int> Sectors;
+  Sectors.clear();
   for (const auto &[Addr, Size] : Accesses) {
     Int First = floorDiv(Addr, SectorBytes);
     Int Last = floorDiv(Addr + static_cast<Int>(Size) - 1, SectorBytes);
     for (Int S = First; S <= Last; ++S)
-      Sectors.insert(S);
+      Sectors.push_back(S);
   }
-  return Sectors.size();
+  std::sort(Sectors.begin(), Sectors.end());
+  return std::unique(Sectors.begin(), Sectors.end()) - Sectors.begin();
 }
 
 double pinj::SectorTransactionModel::transactionsFor(
@@ -77,6 +80,11 @@ public:
       }
     }
     assert((VectorDim >= 0 || VectorWidth == 0) && "width without dim");
+
+    Kinds.reserve(Strides.size());
+    for (unsigned A = 0; A != Strides.size(); ++A)
+      Kinds.push_back(accessKind(A));
+    Coord.assign(ND, 0);
   }
 
   /// Accumulates this statement's contribution into the totals.
@@ -201,43 +209,51 @@ private:
                     const std::vector<ThreadDim> &ThreadDims,
                     unsigned ElemBytes, double &TxCount, double &Instr,
                     double &Active) {
-    // Base element offset from sequential dims at the sampled position.
-    std::vector<Int> BaseCoord(M.Dims.size(), 0);
-    for (unsigned D = 0, ND = M.Dims.size(); D != ND; ++D)
-      if (M.Dims[D].Role == DimRole::Seq)
-        BaseCoord[D] = std::min<Int>(SeqPos, StmtExtent[D] - 1);
+    // Sequential dims sit at the sampled position; every active lane
+    // below overwrites all thread dims, so Coord is set up once.
+    const unsigned ND = M.Dims.size();
+    for (unsigned D = 0; D != ND; ++D)
+      Coord[D] = M.Dims[D].Role == DimRole::Seq
+                     ? std::min<Int>(SeqPos, StmtExtent[D] - 1)
+                     : 0;
+
+    // Coordinates of the active lanes, ND entries each.
+    LaneCoords.clear();
+    unsigned ActiveLanes = 0;
+    for (unsigned Lane = 0; Lane != LaneCount; ++Lane) {
+      Int Linear = Warp * LaneCount + Lane;
+      // Decompose into thread-dim coordinates, innermost fastest.
+      bool LaneActive = true;
+      Int Remainder = Linear;
+      for (const ThreadDim &T : ThreadDims) {
+        Int C = (Remainder % T.Count) * T.Scale;
+        Remainder /= T.Count;
+        // Statements unbound at this dim (extent 1) execute only at
+        // coordinate 0; bound ones only within their extent.
+        if (C >= StmtExtent[T.Dim]) {
+          LaneActive = false;
+          break;
+        }
+        Coord[T.Dim] = C;
+      }
+      if (Remainder != 0)
+        LaneActive = false; // Beyond the block's thread space.
+      if (!LaneActive)
+        continue;
+      ++ActiveLanes;
+      LaneCoords.insert(LaneCoords.end(), Coord.begin(), Coord.end());
+    }
 
     for (unsigned A = 0, NA = Strides.size(); A != NA; ++A) {
-      LaneAccessKind Kind = accessKind(A);
-      std::vector<std::pair<Int, unsigned>> LaneAccesses;
-      unsigned ActiveLanes = 0;
-      for (unsigned Lane = 0; Lane != LaneCount; ++Lane) {
-        Int Linear = Warp * LaneCount + Lane;
-        // Decompose into thread-dim coordinates, innermost fastest.
-        bool LaneActive = true;
-        Int Remainder = Linear;
-        std::vector<Int> Coord = BaseCoord;
-        for (const ThreadDim &T : ThreadDims) {
-          Int C = (Remainder % T.Count) * T.Scale;
-          Remainder /= T.Count;
-          // Statements unbound at this dim (extent 1) execute only at
-          // coordinate 0; bound ones only within their extent.
-          if (C >= StmtExtent[T.Dim]) {
-            LaneActive = false;
-            break;
-          }
-          Coord[T.Dim] = C;
-        }
-        if (Remainder != 0)
-          LaneActive = false; // Beyond the block's thread space.
-        if (!LaneActive)
-          continue;
-        ++ActiveLanes;
+      const std::vector<Int> &Stride = DimStride[A];
+      LaneAccesses.clear();
+      for (unsigned L = 0; L != ActiveLanes; ++L) {
+        const Int *LaneCoord = LaneCoords.data() + size_t(L) * ND;
         Int Elem = Strides[A].ConstOffset;
-        for (unsigned D = 0, ND = M.Dims.size(); D != ND; ++D)
-          Elem += DimStride[A][D] * Coord[D];
+        for (unsigned D = 0; D != ND; ++D)
+          Elem += Stride[D] * LaneCoord[D];
         Int Addr = Elem * ElemBytes;
-        switch (Kind) {
+        switch (Kinds[A]) {
         case LaneAccessKind::Scalar:
         case LaneAccessKind::Broadcast:
           LaneAccesses.emplace_back(Addr, ElemBytes);
@@ -248,9 +264,9 @@ private:
           Instr += 1;
           break;
         case LaneAccessKind::Replay: {
-          Int Stride = DimStride[A][VectorDim];
+          Int VecStride = Stride[VectorDim];
           for (unsigned E = 0; E != VectorWidth; ++E)
-            LaneAccesses.emplace_back(Addr + Stride * ElemBytes * E,
+            LaneAccesses.emplace_back(Addr + VecStride * ElemBytes * E,
                                       ElemBytes);
           Instr += VectorWidth;
           break;
@@ -274,6 +290,11 @@ private:
   std::vector<Int> StmtExtent;
   int VectorDim = -1;
   unsigned VectorWidth = 0;
+  std::vector<LaneAccessKind> Kinds; ///< Per access, fixed per statement.
+  // Lane-walk buffers, reused across sampled warps.
+  std::vector<Int> Coord;
+  std::vector<Int> LaneCoords;
+  std::vector<std::pair<Int, unsigned>> LaneAccesses;
 };
 
 } // namespace

@@ -10,9 +10,11 @@ using namespace pinj;
 
 namespace {
 
-/// A row whose denominator passes this bound is gcd-normalized. Most
-/// rows never get there, so normalization stays off the pivot path.
-constexpr Int DenBound = Int(1) << 24;
+/// A row whose denominator passes this bound is gcd-normalized. Every
+/// decision compares exact values, so the bound only trades the cost of
+/// normalizing against the cost of the 128-bit path when a row outgrows
+/// 64 bits unreduced.
+constexpr Int DenBound = Int(1) << 40;
 
 std::uint64_t magnitude(Int V) {
   return V < 0 ? 0 - static_cast<std::uint64_t>(V)
@@ -35,6 +37,40 @@ std::uint64_t gcdMag(std::uint64_t A, std::uint64_t B) {
   } while (B != 0);
   return A << Shift;
 }
+
+/// Exact division by a fixed divisor G = 2^Shift * Odd (Granlund and
+/// Montgomery's divexact). Inv is Odd's inverse mod 2^64, so a multiple
+/// V of G divides as (V >> Shift) * Inv, and a magnitude M is a multiple
+/// of G iff its low Shift bits are zero and (M >> Shift) * Inv does not
+/// exceed UINT64_MAX / Odd.
+class ExactDivisor {
+public:
+  explicit ExactDivisor(std::uint64_t G)
+      : Shift(__builtin_ctzll(G)), LowMask((std::uint64_t(1) << Shift) - 1) {
+    const std::uint64_t Odd = G >> Shift;
+    // Odd * Odd == 1 mod 8, so Odd is its own inverse to 3 bits; each
+    // Newton step doubles the correct bits: 3 -> 6 -> 12 -> 24 -> 48 -> 96.
+    Inv = Odd;
+    for (int Step = 0; Step != 5; ++Step)
+      Inv *= 2 - Odd * Inv;
+    Limit = UINT64_MAX / Odd;
+  }
+
+  bool divides(std::uint64_t M) const {
+    return (M & LowMask) == 0 && (M >> Shift) * Inv <= Limit;
+  }
+
+  /// V / G for a multiple V of G; zero stays zero.
+  Int divide(Int V) const {
+    return static_cast<Int>(static_cast<std::uint64_t>(V >> Shift) * Inv);
+  }
+
+private:
+  unsigned Shift;
+  std::uint64_t LowMask;
+  std::uint64_t Inv;
+  std::uint64_t Limit;
+};
 
 using UInt128 = unsigned __int128;
 
@@ -161,19 +197,29 @@ void SimplexTableau::gatherNonZeros(const Int *Source) {
 }
 
 void SimplexTableau::normalizeRow(Int *Row, Int &RowDen) const {
+  // Screen every entry against the current gcd G; only an entry that is
+  // not a multiple of G pays for a gcd (and a new divisor).
   std::uint64_t G = static_cast<std::uint64_t>(RowDen);
-  for (unsigned C = 0; C != Cols && G != 1; ++C)
-    if (Row[C] != 0)
-      G = gcdMag(G, magnitude(Row[C]));
-  if (G != 1 && Row[Stride - 1] != 0)
-    G = gcdMag(G, magnitude(Row[Stride - 1]));
-  if (G == 1)
-    return;
-  const Int D = static_cast<Int>(G);
+  ExactDivisor Div(G);
+  auto fold = [&](Int V) {
+    std::uint64_t M = magnitude(V);
+    if (Div.divides(M))
+      return true;
+    G = gcdMag(G, M);
+    if (G == 1)
+      return false;
+    Div = ExactDivisor(G);
+    return true;
+  };
   for (unsigned C = 0; C != Cols; ++C)
-    Row[C] /= D;
-  Row[Stride - 1] /= D;
-  RowDen /= D;
+    if (!fold(Row[C]))
+      return;
+  if (!fold(Row[Stride - 1]))
+    return;
+  for (unsigned C = 0; C != Cols; ++C)
+    Row[C] = Div.divide(Row[C]);
+  Row[Stride - 1] = Div.divide(Row[Stride - 1]);
+  RowDen = Div.divide(RowDen);
 }
 
 void SimplexTableau::storeWide(Int *Row, Int &RowDen, Int128 D) {

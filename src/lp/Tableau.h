@@ -26,10 +26,18 @@
 /// den / gcd(den, entry), where den is the pivot row's denominator
 /// (skipped when that is 1), and then updated in the pivot row's nonzero
 /// columns only. Rows are gcd-normalized lazily: when the denominator
-/// passes 2^24, or when a checked 64-bit multiply or subtract overflows
+/// passes 2^40, or when a checked 64-bit multiply or subtract overflows
 /// (the row is then recomputed in 128 bits and reduced). A row that does
 /// not fit 64 bits even reduced raises StatusCode::Overflow at
-/// "lp.tableau"; nothing ever wraps.
+/// "lp.tableau"; nothing ever wraps. Normalizing costs multiplies, not
+/// divisions: with the running gcd G = 2^s * odd and inv the inverse of
+/// odd mod 2^64, an entry M is a multiple of G iff its low s bits are
+/// zero and (M >> s) * inv <= UINT64_MAX / odd, so a gcd step runs only
+/// for the rare entry that fails this screen; each quotient is then
+/// (V >> s) * inv (exact division, zeros stay zero). The normalization
+/// schedule changes no decision, since every decision compares exact
+/// values. Nor does it change which rows overflow: the fully reduced row
+/// is unique (short of a -2^63 entry that a negative pivot negates).
 ///
 /// Operations:
 ///

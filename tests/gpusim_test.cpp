@@ -8,6 +8,9 @@
 
 #include <gtest/gtest.h>
 
+#include <random>
+#include <set>
+
 using namespace pinj;
 
 namespace {
@@ -98,6 +101,40 @@ TEST(Sectors, NegativeStrideCoalescesLikePositive) {
   for (Int L = 0; L != 32; ++L)
     Mis.emplace_back(128 - 4 * L, 4);
   EXPECT_EQ(countSectors(Mis), 5u);
+}
+
+TEST(Sectors, MatchesSetReferenceOnRandomAccessLists) {
+  // countSectors sorts and dedups a reused buffer; a std::set of sector
+  // indices is the reference. The lists mix negative addresses, accesses
+  // spanning several sectors and repeated (address, size) pairs, and run
+  // back to back so a stale buffer would show.
+  auto reference = [](const std::vector<std::pair<Int, unsigned>> &Accesses,
+                      unsigned SectorBytes) {
+    std::set<Int> Sectors;
+    for (const auto &[Addr, Size] : Accesses)
+      for (Int S = floorDiv(Addr, SectorBytes),
+               Last = floorDiv(Addr + Int(Size) - 1, SectorBytes);
+           S <= Last; ++S)
+        Sectors.insert(S);
+    return static_cast<unsigned>(Sectors.size());
+  };
+  std::mt19937 Rng(20221017);
+  std::uniform_int_distribution<Int> Addr(-4096, 4096);
+  std::uniform_int_distribution<unsigned> Size(1, 200), Count(0, 48),
+      Dup(0, 3);
+  for (unsigned Trial = 0; Trial != 400; ++Trial) {
+    std::vector<std::pair<Int, unsigned>> Accesses;
+    for (unsigned I = 0, N = Count(Rng); I != N; ++I) {
+      if (!Accesses.empty() && Dup(Rng) == 0)
+        Accesses.push_back(Accesses[Rng() % Accesses.size()]);
+      else
+        Accesses.emplace_back(Addr(Rng), Size(Rng));
+    }
+    for (unsigned SectorBytes : {32u, 64u})
+      EXPECT_EQ(countSectors(Accesses, SectorBytes),
+                reference(Accesses, SectorBytes))
+          << "trial " << Trial << ", " << SectorBytes << "-byte sectors";
+  }
 }
 
 TEST(Sectors, TransactionModelMatchesGranularity) {

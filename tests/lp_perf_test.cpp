@@ -92,6 +92,36 @@ public:
     return Levels;
   }
 
+  /// Multiplies every row (coefficients and constant) by F * M, where
+  /// F = 7 * 2^a * 3^b * 5^c lies between 2^20 and 2^23 (some problems
+  /// get a pure power of two or a pure odd F) and M in +-{1, 2, 3} is
+  /// drawn per row. The slacks of scaled rows are F times the structural
+  /// scale, so rows mixing the two reach denominators past the tableau's
+  /// normalization bound, with a gcd that has both a power-of-two and an
+  /// odd part. A larger F makes some such rows exceed 64 bits even fully
+  /// reduced, which raises Overflow where the reference still solves.
+  void factorRows(LpProblem &P) {
+    const Int Primes[] = {2, 3, 5};
+    const int Kind = std::uniform_int_distribution<int>(0, 3)(Rng);
+    // Kind 0: powers of two only; 1: odd primes only; else all three.
+    std::uniform_int_distribution<int> Prime(Kind == 1 ? 1 : 0,
+                                             Kind == 0 ? 0 : 2);
+    Int F = Kind == 0 ? 1 : 7;
+    while (F <= (Int(1) << 20))
+      F *= Primes[Prime(Rng)];
+    std::uniform_int_distribution<int> Mul(-3, 2);
+    for (LpConstraint &C : P.Constraints) {
+      int M = Mul(Rng);
+      const Int Factor = checkedMul(F, M < 0 ? M : M + 1);
+      for (Int &V : C.Coeffs)
+        V = checkedMul(V, Factor);
+      C.Constant = checkedMul(C.Constant, Factor);
+      if (Factor < 0 && C.Kind != LpConstraint::EQ) // Same half-space.
+        C.Kind = C.Kind == LpConstraint::GE ? LpConstraint::LE
+                                            : LpConstraint::GE;
+    }
+  }
+
 private:
   std::mt19937 Rng;
 };
@@ -205,6 +235,54 @@ TEST(LpDifferential, RandomLexMinMatchesReference) {
     Optimal += Ref.Status == IlpResult::Optimal;
   }
   EXPECT_GT(Optimal, 5u);
+}
+
+TEST(LpDifferential, FactorRichRowsMatchReference) {
+  // Rows carrying large common factors (ProblemGen::factorRows) push row
+  // denominators past the normalization bound, so the solves below run
+  // the exact-division normalization with shifts and odd divisors of
+  // many sizes. Status, point, value and pivot count must still be the
+  // reference's.
+  unsigned LpOptimal = 0, IlpOptimal = 0, LexOptimal = 0;
+  for (unsigned Seed = 3000; Seed != 3080; ++Seed) {
+    ProblemGen Gen(Seed);
+    LpProblem P = Gen.lp(2 + Seed % 6, 2 + (Seed * 7) % 8);
+    Gen.factorRows(P);
+    unsigned RefPivots = 0;
+    LpResult Ref = referenceSolveLp(P, &RefPivots);
+    LpResult Fast;
+    EXPECT_EQ(pivotsOf([&] { Fast = solveLp(P); }), RefPivots)
+        << "seed " << Seed;
+    expectSameLp(Ref, Fast, Seed);
+    LpOptimal += Ref.Status == LpResult::Optimal;
+  }
+  for (unsigned Seed = 3100; Seed != 3160; ++Seed) {
+    ProblemGen Gen(Seed);
+    IlpProblem P = Gen.ilp(2 + Seed % 5, 3 + (Seed * 5) % 6);
+    Gen.factorRows(P.Lp);
+    unsigned RefPivots = 0;
+    IlpResult Ref = referenceSolveIlp(P, &RefPivots);
+    IlpResult Fast;
+    EXPECT_EQ(pivotsOf([&] { Fast = solveIlp(P); }), RefPivots)
+        << "seed " << Seed;
+    expectSameIlp(Ref, Fast, Seed);
+    IlpOptimal += Ref.Status == IlpResult::Optimal;
+  }
+  for (unsigned Seed = 3200; Seed != 3230; ++Seed) {
+    ProblemGen Gen(Seed);
+    unsigned NumVars = 3 + Seed % 4;
+    IlpProblem P = Gen.ilp(NumVars, 3 + (Seed * 3) % 5);
+    Gen.factorRows(P.Lp);
+    std::vector<LexObjective> Levels = Gen.levels(NumVars, 2 + Seed % 2);
+    unsigned RefPivots = 0;
+    IlpResult Ref = referenceSolveLexMin(P, Levels, &RefPivots);
+    expectSameIlp(Ref, solveLexMin(P, Levels), Seed);
+    EXPECT_EQ(coldLevelPivots(P, Levels), RefPivots) << "seed " << Seed;
+    LexOptimal += Ref.Status == IlpResult::Optimal;
+  }
+  EXPECT_GT(LpOptimal, 10u);
+  EXPECT_GT(IlpOptimal, 10u);
+  EXPECT_GT(LexOptimal, 5u);
 }
 
 TEST(LpDifferential, SchedulerLexMinMatchesReferencePivots) {
