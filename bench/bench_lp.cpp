@@ -1,9 +1,9 @@
 //===- bench/bench_lp.cpp - Exact LP core speedup gate --------------------===//
 //
-// Times the rewritten LP core (small-int rational fast path, flat
-// tableau, warm-started lexmin levels) against the retained reference
-// solver (lp/Reference.h: always-128-bit rationals, per-node problem
-// copies, cold solves at every level) on the lexicographic ILPs the
+// Times the rewritten LP core (flat integer-row tableau, warm-started
+// lexmin levels) against the retained reference solver (lp/Reference.h:
+// a rational tableau, per-node problem copies, cold solves at every
+// level) on the lexicographic ILPs the
 // scheduler actually emits, checks the results are identical, and gates
 // on the geometric-mean wall-clock speedup.
 //

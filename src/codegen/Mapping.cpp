@@ -45,22 +45,6 @@ bool pinj::isGeneratableSchedule(const Kernel &K, const Schedule &S) {
   return true;
 }
 
-const char *pinj::dimRoleName(DimRole Role) {
-  switch (Role) {
-  case DimRole::Block:
-    return "block";
-  case DimRole::Thread:
-    return "thread";
-  case DimRole::Seq:
-    return "seq";
-  case DimRole::Vector:
-    return "vector";
-  case DimRole::Scalar:
-    return "scalar";
-  }
-  fatalError("unknown dim role");
-}
-
 Int MappedKernel::threadsPerBlock() const {
   Int Threads = 1;
   for (const DimMapping &D : Dims)

@@ -56,8 +56,6 @@ enum class DimRole {
   Scalar  ///< Statement-ordering dimension (no loop).
 };
 
-const char *dimRoleName(DimRole Role);
-
 /// Mapping decision for one scheduling dimension.
 ///
 /// Vector dimensions are strip-mined: each thread covers VectorWidth

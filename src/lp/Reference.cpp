@@ -361,7 +361,6 @@ IlpResult refSolveLexMinImpl(IlpProblem Problem,
 } // namespace
 
 LpResult pinj::referenceSolveLp(const LpProblem &Problem, unsigned *Pivots) {
-  rational::ScopedForceWide Wide;
   unsigned Tally = 0;
   LpResult Result = refSolveLpImpl(Problem, Tally);
   if (Pivots)
@@ -371,7 +370,6 @@ LpResult pinj::referenceSolveLp(const LpProblem &Problem, unsigned *Pivots) {
 
 IlpResult pinj::referenceSolveIlp(const IlpProblem &Problem,
                                   unsigned *Pivots) {
-  rational::ScopedForceWide Wide;
   unsigned Tally = 0;
   IlpResult Result = refSolveIlpImpl(Problem, Tally);
   if (Pivots)
@@ -383,7 +381,6 @@ IlpResult
 pinj::referenceSolveLexMin(IlpProblem Problem,
                            const std::vector<LexObjective> &Objectives,
                            unsigned *Pivots) {
-  rational::ScopedForceWide Wide;
   unsigned Tally = 0;
   IlpResult Result =
       refSolveLexMinImpl(std::move(Problem), Objectives, Tally);

@@ -7,8 +7,8 @@
 ///
 /// \file
 /// The textbook solver stack preserved verbatim as a differential
-/// oracle: dense vector-of-vectors tableau, always-128-bit rational
-/// arithmetic (ScopedForceWide), full-problem copies at every
+/// oracle: dense vector-of-vectors tableau of 128-bit rationals (not the
+/// production solver's 64-bit integer rows), full-problem copies at every
 /// branch-and-bound node, recursion instead of a worklist, no warm
 /// starts, a from-scratch phase 1 at every lexicographic level. The
 /// production solvers in Simplex/Ilp/LexMin must match it on status,

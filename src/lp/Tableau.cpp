@@ -4,8 +4,6 @@
 
 #include "lp/Budget.h"
 
-#include <utility>
-
 using namespace pinj;
 
 namespace {
@@ -15,28 +13,6 @@ namespace {
 /// normalizing against the cost of the 128-bit path when a row outgrows
 /// 64 bits unreduced.
 constexpr Int DenBound = Int(1) << 40;
-
-std::uint64_t magnitude(Int V) {
-  return V < 0 ? 0 - static_cast<std::uint64_t>(V)
-               : static_cast<std::uint64_t>(V);
-}
-
-/// Binary gcd of two magnitudes; gcd(0, B) == B.
-std::uint64_t gcdMag(std::uint64_t A, std::uint64_t B) {
-  if (A == 0)
-    return B;
-  if (B == 0)
-    return A;
-  int Shift = __builtin_ctzll(A | B);
-  A >>= __builtin_ctzll(A);
-  do {
-    B >>= __builtin_ctzll(B);
-    if (A > B)
-      std::swap(A, B);
-    B -= A;
-  } while (B != 0);
-  return A << Shift;
-}
 
 /// Exact division by a fixed divisor G = 2^Shift * Odd (Granlund and
 /// Montgomery's divexact). Inv is Odd's inverse mod 2^64, so a multiple
@@ -71,17 +47,6 @@ private:
   std::uint64_t Inv;
   std::uint64_t Limit;
 };
-
-using UInt128 = unsigned __int128;
-
-UInt128 gcdWide(UInt128 A, UInt128 B) {
-  while (B != 0) {
-    UInt128 T = A % B;
-    A = B;
-    B = T;
-  }
-  return A;
-}
 
 [[noreturn]] void tableauOverflow() {
   raiseError(StatusCode::Overflow, "lp.tableau",
@@ -223,14 +188,11 @@ void SimplexTableau::normalizeRow(Int *Row, Int &RowDen) const {
 }
 
 void SimplexTableau::storeWide(Int *Row, Int &RowDen, Int128 D) {
-  auto wideMagnitude = [](Int128 V) {
-    return V < 0 ? UInt128(0) - UInt128(V) : UInt128(V);
-  };
   UInt128 G = UInt128(D);
   for (unsigned P = 0; P <= Cols && G != 1; ++P) {
     Int128 V = WideScratch[P == Cols ? Stride - 1 : P];
     if (V != 0)
-      G = gcdWide(G, wideMagnitude(V));
+      G = gcdMag128(G, magnitude(V));
   }
   const Int128 Divisor = static_cast<Int128>(G);
   auto narrow = [&](Int128 V) {

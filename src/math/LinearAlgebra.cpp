@@ -112,145 +112,3 @@ IntMatrix pinj::nullspaceBasis(const IntMatrix &M) {
   }
   return Basis;
 }
-
-HermiteForm pinj::hermiteNormalForm(const IntMatrix &M) {
-  unsigned NumRows = M.numRows();
-  unsigned NumCols = M.numCols();
-  HermiteForm Result;
-  Result.H = M;
-  Result.U = IntMatrix(NumRows, NumRows);
-  for (unsigned I = 0; I != NumRows; ++I)
-    Result.U.at(I, I) = 1;
-
-  IntMatrix &H = Result.H;
-  IntMatrix &U = Result.U;
-
-  auto swapRows = [&](unsigned A, unsigned B) {
-    std::swap(H.row(A), H.row(B));
-    std::swap(U.row(A), U.row(B));
-  };
-  auto negateRow = [&](unsigned A) {
-    for (Int &X : H.row(A))
-      X = checkedNeg(X);
-    for (Int &X : U.row(A))
-      X = checkedNeg(X);
-  };
-  // Row(A) -= Factor * Row(B).
-  auto subtractRow = [&](unsigned A, unsigned B, Int Factor) {
-    for (unsigned C = 0; C != NumCols; ++C)
-      H.at(A, C) = checkedSub(H.at(A, C), checkedMul(Factor, H.at(B, C)));
-    for (unsigned C = 0; C != NumRows; ++C)
-      U.at(A, C) = checkedSub(U.at(A, C), checkedMul(Factor, U.at(B, C)));
-  };
-
-  unsigned PivotRow = 0;
-  for (unsigned Col = 0; Col < NumCols && PivotRow < NumRows; ++Col) {
-    // Reduce all entries below the pivot to zero with Euclidean row ops.
-    bool Progress = true;
-    while (Progress) {
-      Progress = false;
-      // Find the row with the smallest nonzero |entry| in this column.
-      unsigned Best = NumRows;
-      for (unsigned R = PivotRow; R < NumRows; ++R) {
-        if (H.at(R, Col) == 0)
-          continue;
-        if (Best == NumRows ||
-            std::abs(H.at(R, Col)) < std::abs(H.at(Best, Col)))
-          Best = R;
-      }
-      if (Best == NumRows)
-        break;
-      if (Best != PivotRow)
-        swapRows(Best, PivotRow);
-      if (H.at(PivotRow, Col) < 0)
-        negateRow(PivotRow);
-      for (unsigned R = PivotRow + 1; R < NumRows; ++R) {
-        if (H.at(R, Col) == 0)
-          continue;
-        Int Factor = floorDiv(H.at(R, Col), H.at(PivotRow, Col));
-        subtractRow(R, PivotRow, Factor);
-        if (H.at(R, Col) != 0)
-          Progress = true;
-      }
-    }
-    if (H.at(PivotRow, Col) == 0)
-      continue;
-    // Reduce entries above the pivot modulo the pivot.
-    for (unsigned R = 0; R < PivotRow; ++R) {
-      Int Factor = floorDiv(H.at(R, Col), H.at(PivotRow, Col));
-      if (Factor != 0)
-        subtractRow(R, PivotRow, Factor);
-    }
-    ++PivotRow;
-  }
-  return Result;
-}
-
-IntMatrix pinj::plutoOrthogonalProjector(const IntMatrix &H) {
-  unsigned K = H.numRows();
-  unsigned N = H.numCols();
-  assert(matrixRank(H) == K && "projector needs full row rank");
-
-  // G = H * H^T (k x k), then invert over the rationals with
-  // Gauss-Jordan on [G | I].
-  std::vector<std::vector<Rational>> Aug(
-      K, std::vector<Rational>(2 * K, Rational(0)));
-  for (unsigned R = 0; R != K; ++R) {
-    for (unsigned C = 0; C != K; ++C)
-      Aug[R][C] = Rational(dotProduct(H.row(R), H.row(C)));
-    Aug[R][K + R] = Rational(1);
-  }
-  for (unsigned Col = 0; Col != K; ++Col) {
-    unsigned Pivot = Col;
-    while (Pivot < K && Aug[Pivot][Col].isZero())
-      ++Pivot;
-    assert(Pivot < K && "H*H^T must be invertible at full row rank");
-    std::swap(Aug[Col], Aug[Pivot]);
-    Rational Lead = Aug[Col][Col];
-    for (unsigned C = 0; C != 2 * K; ++C)
-      Aug[Col][C] /= Lead;
-    for (unsigned R = 0; R != K; ++R) {
-      if (R == Col || Aug[R][Col].isZero())
-        continue;
-      Rational Factor = Aug[R][Col];
-      for (unsigned C = 0; C != 2 * K; ++C)
-        Aug[R][C] -= Factor * Aug[Col][C];
-    }
-  }
-
-  // P = I - H^T Ginv H, row by row, scaled to integers.
-  IntMatrix Result(0, N);
-  for (unsigned R = 0; R != N; ++R) {
-    // Row R of H^T Ginv: t_j = sum_i H[i][R] * Ginv[i][j].
-    std::vector<Rational> T(K, Rational(0));
-    for (unsigned J = 0; J != K; ++J)
-      for (unsigned I = 0; I != K; ++I)
-        T[J] += Rational(H.at(I, R)) * Aug[I][K + J];
-    std::vector<Rational> Row(N, Rational(0));
-    Row[R] = Rational(1);
-    for (unsigned C = 0; C != N; ++C)
-      for (unsigned J = 0; J != K; ++J)
-        Row[C] -= T[J] * Rational(H.at(J, C));
-    Int Lcm = 1;
-    for (const Rational &X : Row)
-      Lcm = lcmInt(Lcm, X.denominator());
-    IntVector IntRow(N, 0);
-    for (unsigned C = 0; C != N; ++C)
-      IntRow[C] = (Row[C] * Rational(Lcm)).numerator();
-    if (isZeroVector(IntRow))
-      continue;
-    normalizeByGcd(IntRow);
-    Result.appendRow(IntRow);
-  }
-  return Result;
-}
-
-bool pinj::inRowSpace(const IntMatrix &M, const IntVector &V) {
-  assert((M.empty() || M.numCols() == V.size()) &&
-         "vector width mismatch with matrix");
-  if (isZeroVector(V))
-    return true;
-  IntMatrix Extended = M;
-  Extended.appendRow(V);
-  return matrixRank(M) == matrixRank(Extended);
-}

@@ -7,9 +7,9 @@
 ///
 /// \file
 /// Exact integer linear algebra used by the scheduler's progression
-/// constraint builder (paper Section IV-A3): rank, nullspace basis
-/// computation (the orthogonal complement of a schedule's row space) and
-/// Hermite normal form (the decomposition isl's scheduler relies on).
+/// constraint builder (paper Section IV-A3): rank and a nullspace basis
+/// (the orthogonal complement of a schedule's row space, the H-perp of
+/// paper Eq. (4)), both by Gaussian elimination over rationals.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -28,29 +28,6 @@ unsigned matrixRank(const IntMatrix &M);
 /// Since nullspace(M) is the orthogonal complement of rowspace(M), this is
 /// exactly the H-perp construction of paper Eq. (4).
 IntMatrix nullspaceBasis(const IntMatrix &M);
-
-/// Result of a Hermite normal form computation: H = U * M where U is
-/// unimodular and H is lower-triangular column-style HNF of the row space.
-struct HermiteForm {
-  IntMatrix H; ///< Row-style Hermite normal form of M.
-  IntMatrix U; ///< Unimodular transform with H = U * M.
-};
-
-/// Computes the row-style Hermite normal form of \p M: pivots move left to
-/// right, each pivot is positive, and entries below a pivot are zero,
-/// entries above are reduced modulo the pivot.
-HermiteForm hermiteNormalForm(const IntMatrix &M);
-
-/// \returns true if the row vector \p V lies in the row space of \p M
-/// (over the rationals).
-bool inRowSpace(const IntMatrix &M, const IntVector &V);
-
-/// Pluto's orthogonal-subspace construction (paper Section IV-A3):
-/// rows spanning the same space as I - H^T (H H^T)^{-1} H, computed
-/// exactly and scaled to integers. Spans the same subspace as
-/// nullspaceBasis(H) (a property the tests verify); H must have full
-/// row rank (drop zero/dependent rows first).
-IntMatrix plutoOrthogonalProjector(const IntMatrix &H);
 
 } // namespace pinj
 

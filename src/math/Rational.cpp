@@ -2,53 +2,19 @@
 
 #include "math/Rational.h"
 
-#include "obs/Metrics.h"
-
-#include <cstdint>
-
 using namespace pinj;
 
 namespace {
 
-thread_local bool ForceWide = false;
-
-/// Counts how often arithmetic had to leave the 64-bit fast path (wide
-/// operands or a checked 64-bit overflow). ScopedForceWide runs do not
-/// count: they are not genuine escalations.
-obs::Counter &widePathCounter() {
-  static obs::Counter &C = obs::metrics().counter("lp.rational_widepath");
-  return C;
-}
-
 bool fits64(Int128 V) { return V >= INT64_MIN && V <= INT64_MAX; }
 
-/// gcd of |A| and |B| on 64-bit magnitudes (unsigned, so |INT64_MIN| is
-/// representable). \returns a value in [1, 2^63] as uint64.
-std::uint64_t gcdMag64(Int A, Int B) {
-  std::uint64_t X = A < 0 ? 0 - static_cast<std::uint64_t>(A)
-                          : static_cast<std::uint64_t>(A);
-  std::uint64_t Y = B < 0 ? 0 - static_cast<std::uint64_t>(B)
-                          : static_cast<std::uint64_t>(B);
-  while (Y != 0) {
-    std::uint64_t T = X % Y;
-    X = Y;
-    Y = T;
-  }
-  return X;
+Int128 gcd128(Int128 A, Int128 B) {
+  return static_cast<Int128>(gcdMag128(magnitude(A), magnitude(B)));
 }
 
-Int128 gcd128(Int128 A, Int128 B) {
-  if (A < 0)
-    A = -A;
-  if (B < 0)
-    B = -B;
-  while (B != 0) {
-    Int128 T = A % B;
-    A = B;
-    B = T;
-  }
-  return A;
-}
+/// V / G for a divisor G of V. Most gcds are 1, and skipping the 128-bit
+/// division (a library call) for them shows on perfbench `tune`.
+Int128 divideOut(Int128 V, Int128 G) { return G == 1 ? V : V / G; }
 
 Int128 mul128(Int128 A, Int128 B) {
   Int128 R;
@@ -68,41 +34,18 @@ Int128 add128(Int128 A, Int128 B) {
 
 } // namespace
 
-rational::ScopedForceWide::ScopedForceWide() : Prev(ForceWide) {
-  ForceWide = true;
-}
-
-rational::ScopedForceWide::~ScopedForceWide() { ForceWide = Prev; }
-
-Rational pinj::makeRational128(Int128 N, Int128 D) {
+void Rational::assign(Int128 N, Int128 D) {
   assert(D != 0 && "rational with zero denominator");
   if (D < 0) {
     N = -N;
     D = -D;
   }
   Int128 G = gcd128(N, D);
-  if (G > 1) {
-    N /= G;
-    D /= G;
-  }
-  Rational R;
-  R.Num = N;
-  R.Den = D;
-  return R;
+  Num = divideOut(N, G);
+  Den = divideOut(D, G);
 }
 
-Rational::Rational(Int N, Int D) : Num(N), Den(D) {
-  assert(D != 0 && "rational with zero denominator");
-  if (Den < 0) {
-    Num = -Num;
-    Den = -Den;
-  }
-  Int128 G = gcd128(Num, Den);
-  if (G > 1) {
-    Num /= G;
-    Den /= G;
-  }
-}
+Rational::Rational(Int N, Int D) { assign(N, D); }
 
 Int Rational::numerator() const {
   if (Num > INT64_MAX || Num < INT64_MIN)
@@ -128,98 +71,25 @@ Int Rational::floor() const {
   return static_cast<Int>(Q);
 }
 
-Int Rational::ceil() const {
-  Int128 Q = Num / Den;
-  if (Num % Den != 0 && Num > 0)
-    ++Q;
-  if (Q > INT64_MAX || Q < INT64_MIN)
-    raiseError(StatusCode::Overflow, "math.rational",
-               "rational ceil exceeds 64 bits");
-  return static_cast<Int>(Q);
-}
-
-Rational Rational::fractionalPart() const {
-  return *this - Rational(floor());
-}
-
-void Rational::addWide(const Rational &O) {
-  if (Den == 1 && O.Den == 1) {
-    Num = add128(Num, O.Num);
-    return;
-  }
-  // Use the gcd of denominators to keep intermediates small.
-  Int128 G = gcd128(Den, O.Den);
-  Int128 DenA = Den / G;
-  Int128 DenB = O.Den / G;
-  Int128 N = add128(mul128(Num, DenB), mul128(O.Num, DenA));
-  Int128 D = mul128(mul128(DenA, DenB), G);
-  *this = makeRational128(N, D);
-}
-
 Rational &Rational::operator+=(const Rational &O) {
-  // Fast paths for the dominant integer and zero cases.
   if (O.Num == 0)
     return *this;
-  if (Num == 0) {
-    *this = O;
+  if (Num == 0)
+    return *this = O;
+  if (Den == 1 && O.Den == 1) {
+    Num = add128(Num, O.Num);
     return *this;
   }
-  if (!ForceWide && fits64(Num) && fits64(Den) && fits64(O.Num) &&
-      fits64(O.Den)) {
-    Int A = static_cast<Int>(Num), B = static_cast<Int>(Den);
-    Int C = static_cast<Int>(O.Num), D = static_cast<Int>(O.Den);
-    if (B == 1 && D == 1) {
-      Int N;
-      if (!__builtin_add_overflow(A, C, &N)) {
-        Num = N;
-        return *this;
-      }
-    } else {
-      // a/b + c/d with g = gcd(b, d): (a*(d/g) + c*(b/g)) / (b*(d/g)).
-      Int G = static_cast<Int>(gcdMag64(B, D)); // b, d > 0: fits.
-      Int DB = B / G, DD = D / G;
-      Int T1, T2, N, DN;
-      if (!__builtin_mul_overflow(A, DD, &T1) &&
-          !__builtin_mul_overflow(C, DB, &T2) &&
-          !__builtin_add_overflow(T1, T2, &N) &&
-          !__builtin_mul_overflow(B, DD, &DN)) {
-        if (N == 0) {
-          Num = 0;
-          Den = 1;
-          return *this;
-        }
-        std::uint64_t G2 = gcdMag64(N, DN);
-        if (G2 > 1) {
-          N /= static_cast<Int>(G2);
-          DN /= static_cast<Int>(G2);
-        }
-        Num = N;
-        Den = DN;
-        return *this;
-      }
-    }
-    widePathCounter().inc();
-  } else if (!ForceWide) {
-    widePathCounter().inc();
-  }
-  addWide(O);
+  // a/b + c/d with g = gcd(b, d): (a*(d/g) + c*(b/g)) / (b*(d/g)).
+  Int128 G = gcd128(Den, O.Den);
+  Int128 DenA = divideOut(Den, G);
+  Int128 DenB = divideOut(O.Den, G);
+  assign(add128(mul128(Num, DenB), mul128(O.Num, DenA)),
+         mul128(mul128(DenA, DenB), G));
   return *this;
 }
 
 Rational &Rational::operator-=(const Rational &O) { return *this += -O; }
-
-void Rational::mulWide(const Rational &O) {
-  if (Den == 1 && O.Den == 1) {
-    Num = mul128(Num, O.Num);
-    return;
-  }
-  // Cross-reduce before multiplying.
-  Int128 G1 = gcd128(Num, O.Den);
-  Int128 G2 = gcd128(O.Num, Den);
-  Int128 N = mul128(Num / G1, O.Num / G2);
-  Int128 D = mul128(Den / G2, O.Den / G1);
-  *this = makeRational128(N, D);
-}
 
 Rational &Rational::operator*=(const Rational &O) {
   if (Num == 0 || O.Num == 0) {
@@ -227,88 +97,36 @@ Rational &Rational::operator*=(const Rational &O) {
     Den = 1;
     return *this;
   }
-  if (!ForceWide && fits64(Num) && fits64(Den) && fits64(O.Num) &&
-      fits64(O.Den)) {
-    Int A = static_cast<Int>(Num), B = static_cast<Int>(Den);
-    Int C = static_cast<Int>(O.Num), D = static_cast<Int>(O.Den);
-    // Cross-reduce: the product of the reduced factors is already in
-    // lowest terms, no trailing gcd needed.
-    std::uint64_t G1 = gcdMag64(A, D), G2 = gcdMag64(C, B);
-    if (G1 > 1) {
-      A /= static_cast<Int>(G1);
-      D /= static_cast<Int>(G1);
-    }
-    if (G2 > 1) {
-      C /= static_cast<Int>(G2);
-      B /= static_cast<Int>(G2);
-    }
-    Int N, DN;
-    if (!__builtin_mul_overflow(A, C, &N) &&
-        !__builtin_mul_overflow(B, D, &DN)) {
-      Num = N;
-      Den = DN;
-      return *this;
-    }
-    widePathCounter().inc();
-  } else if (!ForceWide) {
-    widePathCounter().inc();
+  if (Den == 1 && O.Den == 1) {
+    Num = mul128(Num, O.Num);
+    return *this;
   }
-  mulWide(O);
+  // Cross-reduce: the product of the reduced factors is already in
+  // lowest terms, no trailing gcd needed.
+  Int128 G1 = gcd128(Num, O.Den);
+  Int128 G2 = gcd128(O.Num, Den);
+  Int128 N = mul128(divideOut(Num, G1), divideOut(O.Num, G2));
+  Den = mul128(divideOut(Den, G2), divideOut(O.Den, G1));
+  Num = N;
   return *this;
-}
-
-void Rational::divWide(const Rational &O) {
-  Int128 G1 = gcd128(Num, O.Num);
-  Int128 G2 = gcd128(Den, O.Den);
-  Int128 N = mul128(Num / G1, O.Den / G2);
-  Int128 D = mul128(Den / G2, O.Num / G1);
-  *this = makeRational128(N, D);
 }
 
 Rational &Rational::operator/=(const Rational &O) {
   assert(!O.isZero() && "rational division by zero");
   if (Num == 0)
     return *this;
-  if (!ForceWide && fits64(Num) && fits64(Den) && fits64(O.Num) &&
-      fits64(O.Den)) {
-    Int A = static_cast<Int>(Num), B = static_cast<Int>(Den);
-    Int C = static_cast<Int>(O.Num), D = static_cast<Int>(O.Den);
-    // (a/b) / (c/d) = (a*d) / (b*c), cross-reduced so the result is
-    // already canonical up to the sign of the denominator.
-    std::uint64_t G1 = gcdMag64(A, C), G2 = gcdMag64(B, D);
-    if (G1 > 1) {
-      A /= static_cast<Int>(G1);
-      C /= static_cast<Int>(G1);
-    }
-    if (G2 > 1) {
-      B /= static_cast<Int>(G2);
-      D /= static_cast<Int>(G2);
-    }
-    Int N, DN;
-    if (!__builtin_mul_overflow(A, D, &N) &&
-        !__builtin_mul_overflow(B, C, &DN)) {
-      if (DN < 0) {
-        // DN = -2^63 cannot occur: |B*C| = 2^63 requires both factors
-        // to be powers of two with |B|*|C| = 2^63, and then |N| over it
-        // would have been reduced; still, guard the negation.
-        Int NN, NDN;
-        if (!__builtin_sub_overflow(Int(0), N, &NN) &&
-            !__builtin_sub_overflow(Int(0), DN, &NDN)) {
-          Num = NN;
-          Den = NDN;
-          return *this;
-        }
-      } else {
-        Num = N;
-        Den = DN;
-        return *this;
-      }
-    }
-    widePathCounter().inc();
-  } else if (!ForceWide) {
-    widePathCounter().inc();
+  // (a/b) / (c/d) = (a*d) / (b*c), cross-reduced so the result is
+  // already canonical up to the sign of the denominator.
+  Int128 G1 = gcd128(Num, O.Num);
+  Int128 G2 = gcd128(Den, O.Den);
+  Int128 N = mul128(divideOut(Num, G1), divideOut(O.Den, G2));
+  Int128 D = mul128(divideOut(Den, G2), divideOut(O.Num, G1));
+  if (D < 0) {
+    N = -N;
+    D = -D;
   }
-  divWide(O);
+  Num = N;
+  Den = D;
   return *this;
 }
 

@@ -11,18 +11,14 @@
 /// this type for solution points, objective values and branching, and the
 /// reference solver (lp/Reference) for its whole tableau. The production
 /// simplex tableau (lp/Tableau) does not: it keeps 64-bit integer rows
-/// over a common row denominator, and on the operator corpus, the tuner
-/// and the test suite their numerators measured at most 34 bits and
-/// their denominators at most 24. Overflow raises a recoverable error
+/// over a common row denominator. Overflow raises a recoverable error
 /// rather than silently wrapping.
 ///
-/// Arithmetic runs a 64-bit fast path whenever both operands fit in 64
-/// bits and every intermediate stays in range (checked with the
-/// compiler's overflow intrinsics); any overflow escalates to the
-/// 128-bit wide path. Canonical form is unique, so both paths produce
-/// bit-identical results — the wide path is a semantic no-op, only
-/// slower. The compound operators update in place instead of copying
-/// through temporaries.
+/// Every operation has one 128-bit path; its gcds finish in 64-bit
+/// binary gcd once the operands fit (support/Support.h). Canonical form
+/// is unique, so the result of an operation does not depend on how it
+/// was reduced. The compound operators update in place instead of
+/// copying through temporaries.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -34,9 +30,6 @@
 #include <string>
 
 namespace pinj {
-
-/// The wide integer backing rationals.
-using Int128 = __int128;
 
 /// An exact rational with a positive denominator, always kept in lowest
 /// terms.
@@ -59,10 +52,6 @@ public:
 
   /// \returns the value rounded toward negative infinity.
   Int floor() const;
-  /// \returns the value rounded toward positive infinity.
-  Int ceil() const;
-  /// \returns the fractional part, in [0, 1).
-  Rational fractionalPart() const;
 
   Rational operator-() const { return fromReduced(-Num, Den); }
   Rational operator+(const Rational &O) const {
@@ -109,40 +98,14 @@ private:
     R.Den = D;
     return R;
   }
-  friend Rational makeRational128(Int128 N, Int128 D);
 
-  /// Slow-path bodies shared by the compound operators.
-  void addWide(const Rational &O);
-  void mulWide(const Rational &O);
-  void divWide(const Rational &O);
+  /// Sets this to N / D (D != 0), reduced to lowest terms.
+  void assign(Int128 N, Int128 D);
 
   Int128 Num;
   Int128 Den;
 };
 
-/// Builds a rational from (possibly wide) parts, reducing to lowest
-/// terms; aborts on 128-bit overflow of the reduction inputs.
-Rational makeRational128(Int128 N, Int128 D);
-
-namespace rational {
-
-/// Test/reference hook: while alive, every arithmetic op on this thread
-/// takes the 128-bit wide path (without bumping the escalation counter).
-/// The reference solver uses it so differential tests genuinely compare
-/// against always-wide arithmetic.
-class ScopedForceWide {
-public:
-  ScopedForceWide();
-  ~ScopedForceWide();
-
-  ScopedForceWide(const ScopedForceWide &) = delete;
-  ScopedForceWide &operator=(const ScopedForceWide &) = delete;
-
-private:
-  bool Prev;
-};
-
-} // namespace rational
 } // namespace pinj
 
 #endif // POLYINJECT_MATH_RATIONAL_H

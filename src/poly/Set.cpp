@@ -52,27 +52,6 @@ bool AffineSet::isEmpty() const {
   return solveLp(Lp).Status == LpResult::Infeasible;
 }
 
-std::optional<Rational> AffineSet::minimize(const IntVector &Expr) const {
-  assert(Expr.size() == Space.width() && "expression width mismatch");
-  LpProblem Lp = toLp(*this);
-  Lp.Objective.assign(Expr.begin(), Expr.end() - 1);
-  Lp.ObjectiveConstant = Expr.back();
-  LpResult R = solveLp(Lp);
-  if (!R.isOptimal())
-    return std::nullopt;
-  return R.Value;
-}
-
-std::optional<Rational> AffineSet::maximize(const IntVector &Expr) const {
-  IntVector Negated(Expr.size());
-  for (size_t I = 0, E = Expr.size(); I != E; ++I)
-    Negated[I] = checkedNeg(Expr[I]);
-  std::optional<Rational> NegMin = minimize(Negated);
-  if (!NegMin)
-    return std::nullopt;
-  return -*NegMin;
-}
-
 bool AffineSet::isAlwaysAtLeast(const IntVector &Expr, Int Bound) const {
   // Expr >= Bound everywhere iff {set and Expr <= Bound - 1} is empty
   // (over the rationals we test Expr < Bound via Expr <= Bound - 1, which

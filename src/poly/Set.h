@@ -23,9 +23,7 @@
 #define POLYINJECT_POLY_SET_H
 
 #include "math/Matrix.h"
-#include "math/Rational.h"
 
-#include <optional>
 #include <string>
 
 namespace pinj {
@@ -71,14 +69,6 @@ public:
   /// \returns true if the set has no rational point (conservative
   /// emptiness; see the file comment).
   bool isEmpty() const;
-
-  /// Minimizes Expr . (dims, params, 1) over the set.
-  /// \returns nullopt if the set is empty or the form is unbounded below.
-  std::optional<Rational> minimize(const IntVector &Expr) const;
-
-  /// Maximizes Expr . (dims, params, 1) over the set; nullopt if empty or
-  /// unbounded above.
-  std::optional<Rational> maximize(const IntVector &Expr) const;
 
   /// \returns true if Expr >= Bound on every point of the set (vacuously
   /// true on an empty set).

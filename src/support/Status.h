@@ -51,8 +51,6 @@ public:
       : Code(Code), TheSite(std::move(Site)),
         TheMessage(std::move(Message)) {}
 
-  static Status okStatus() { return Status(); }
-
   bool ok() const { return Code == StatusCode::Ok; }
   StatusCode code() const { return Code; }
   const std::string &site() const { return TheSite; }

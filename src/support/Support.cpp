@@ -24,19 +24,6 @@ void pinj::overflowError(const char *Message) {
   raiseError(StatusCode::Overflow, "support.checked_arith", Message);
 }
 
-Int pinj::gcdInt(Int A, Int B) {
-  if (A < 0)
-    A = checkedNeg(A);
-  if (B < 0)
-    B = checkedNeg(B);
-  while (B != 0) {
-    Int T = A % B;
-    A = B;
-    B = T;
-  }
-  return A;
-}
-
 Int pinj::lcmInt(Int A, Int B) {
   if (A == 0 || B == 0)
     return 0;
@@ -44,17 +31,6 @@ Int pinj::lcmInt(Int A, Int B) {
   Int AbsA = A < 0 ? checkedNeg(A) : A;
   Int AbsB = B < 0 ? checkedNeg(B) : B;
   return checkedMul(AbsA / G, AbsB);
-}
-
-std::string pinj::joinStrings(const std::vector<std::string> &Parts,
-                              const std::string &Sep) {
-  std::string Result;
-  for (size_t I = 0, E = Parts.size(); I != E; ++I) {
-    if (I != 0)
-      Result += Sep;
-    Result += Parts[I];
-  }
-  return Result;
 }
 
 bool pinj::writeFileAtomically(const std::string &Path,

@@ -6,8 +6,9 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Overflow-checked 64-bit integer arithmetic, gcd/lcm, and tiny string
-/// helpers shared by every other library in the project.
+/// Overflow-checked 64-bit integer arithmetic, the 64- and 128-bit gcd,
+/// lcm, and small file helpers shared by every other library in the
+/// project.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -20,7 +21,7 @@
 #include <cstdint>
 #include <cstdlib>
 #include <string>
-#include <vector>
+#include <utility>
 
 namespace pinj {
 
@@ -69,8 +70,59 @@ inline Int checkedNeg(Int A) {
   return -A;
 }
 
-/// Greatest common divisor; gcd(0, 0) == 0, result is nonnegative.
-Int gcdInt(Int A, Int B);
+/// The wide integers that exact arithmetic escalates to.
+using Int128 = __int128;
+using UInt128 = unsigned __int128;
+
+/// \returns |V| (unsigned, so |INT64_MIN| is representable).
+inline std::uint64_t magnitude(Int V) {
+  return V < 0 ? 0 - static_cast<std::uint64_t>(V)
+               : static_cast<std::uint64_t>(V);
+}
+
+/// \returns |V| (unsigned, so |INT128_MIN| is representable).
+inline UInt128 magnitude(Int128 V) {
+  return V < 0 ? 0 - static_cast<UInt128>(V) : static_cast<UInt128>(V);
+}
+
+/// Binary gcd of two magnitudes; gcd(0, B) == B.
+inline std::uint64_t gcdMag(std::uint64_t A, std::uint64_t B) {
+  if (A == 0)
+    return B;
+  if (B == 0)
+    return A;
+  int Shift = __builtin_ctzll(A | B);
+  A >>= __builtin_ctzll(A);
+  do {
+    B >>= __builtin_ctzll(B);
+    if (A > B)
+      std::swap(A, B);
+    B -= A;
+  } while (B != 0);
+  return A << Shift;
+}
+
+/// gcd of two 128-bit magnitudes: Euclid's remainders until both fit in
+/// 64 bits, then gcdMag.
+inline UInt128 gcdMag128(UInt128 A, UInt128 B) {
+  while ((A | B) >> 64 != 0) {
+    if (B == 0)
+      return A;
+    UInt128 T = A % B;
+    A = B;
+    B = T;
+  }
+  return gcdMag(static_cast<std::uint64_t>(A), static_cast<std::uint64_t>(B));
+}
+
+/// Greatest common divisor; gcd(0, 0) == 0, result is nonnegative. Raises
+/// Overflow only when the result, 2^63, does not fit.
+inline Int gcdInt(Int A, Int B) {
+  std::uint64_t G = gcdMag(magnitude(A), magnitude(B));
+  if (G > static_cast<std::uint64_t>(INT64_MAX))
+    overflowError("integer overflow in gcd");
+  return static_cast<Int>(G);
+}
 
 /// Least common multiple (overflow-checked); lcm(0, x) == 0.
 Int lcmInt(Int A, Int B);
@@ -92,10 +144,6 @@ inline Int ceilDiv(Int A, Int B) {
     ++Q;
   return Q;
 }
-
-/// Joins \p Parts with \p Sep; convenience for printers.
-std::string joinStrings(const std::vector<std::string> &Parts,
-                        const std::string &Sep);
 
 /// Writes \p Contents to \p Path through a per-thread temporary beside
 /// it, renamed over \p Path, so readers (and concurrent writers) only

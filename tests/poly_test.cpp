@@ -29,25 +29,34 @@ TEST(AffineSet, EqualityMakesLine) {
   S.addDimBounds(1, 0, 4);
   S.addEq({1, -1, 0}); // d0 == d1
   EXPECT_FALSE(S.isEmpty());
-  // Minimum of d0 - d1 is 0 and maximum is 0.
-  EXPECT_EQ(S.minimize({1, -1, 0}), Rational(0));
-  EXPECT_EQ(S.maximize({1, -1, 0}), Rational(0));
+  // d0 - d1 is 0 everywhere: >= 0 and <= 0, but neither >= 1 nor <= -1.
+  EXPECT_TRUE(S.isAlwaysAtLeast({1, -1, 0}, 0));
+  EXPECT_TRUE(S.isAlwaysAtLeast({-1, 1, 0}, 0));
+  EXPECT_FALSE(S.isAlwaysAtLeast({1, -1, 0}, 1));
+  EXPECT_FALSE(S.isAlwaysAtLeast({-1, 1, 0}, 1));
 }
 
 TEST(AffineSet, MinMaxOverBox) {
   AffineSet S({2, 0});
   S.addDimBounds(0, 0, 4); // 0..3
   S.addDimBounds(1, 0, 3); // 0..2
-  EXPECT_EQ(S.minimize({1, 1, 0}), Rational(0));
-  EXPECT_EQ(S.maximize({1, 1, 0}), Rational(5));
-  EXPECT_EQ(S.maximize({1, -1, 2}), Rational(5));
+  // 0 <= d0 + d1 <= 5, both bounds tight.
+  EXPECT_TRUE(S.isAlwaysAtLeast({1, 1, 0}, 0));
+  EXPECT_FALSE(S.isAlwaysAtLeast({1, 1, 0}, 1));
+  EXPECT_TRUE(S.isAlwaysAtLeast({-1, -1, 0}, -5));
+  EXPECT_FALSE(S.isAlwaysAtLeast({-1, -1, 0}, -4));
+  // d0 - d1 + 2 <= 5, tight.
+  EXPECT_TRUE(S.isAlwaysAtLeast({-1, 1, -2}, -5));
+  EXPECT_FALSE(S.isAlwaysAtLeast({-1, 1, -2}, -4));
 }
 
 TEST(AffineSet, UnboundedMaximize) {
   AffineSet S({1, 0});
   S.addGe({1, 0}); // d0 >= 0 only
-  EXPECT_EQ(S.maximize({1, 0}), std::nullopt);
-  EXPECT_EQ(S.minimize({1, 0}), Rational(0));
+  // No upper bound holds, however large; the lower bound 0 is tight.
+  EXPECT_FALSE(S.isAlwaysAtLeast({-1, 0}, -1000000000));
+  EXPECT_TRUE(S.isAlwaysAtLeast({1, 0}, 0));
+  EXPECT_FALSE(S.isAlwaysAtLeast({1, 0}, 1));
 }
 
 TEST(AffineSet, AlwaysAtLeast) {
@@ -76,14 +85,13 @@ TEST(AffineSet, AlwaysZero) {
 }
 
 TEST(AffineSet, ParametricMinimum) {
-  // { i | 0 <= i, i <= N - 1 } with parameter N; min of N - i is 1 at
-  // i = N - 1... over all N >= 0 and i, the minimum of N - i is 1? No:
-  // N - i >= 1 from the constraint i <= N - 1, and it is attained.
+  // { i | 0 <= i <= N - 1 } with parameter N: N - i >= 1 follows from
+  // i <= N - 1, and i = N - 1 attains it.
   AffineSet S({1, 1});
   S.addGe({1, 0, 0});   // i >= 0
   S.addGe({-1, 1, -1}); // N - 1 - i >= 0
-  EXPECT_EQ(S.minimize({-1, 1, 0}), Rational(1));
   EXPECT_TRUE(S.isAlwaysAtLeast({-1, 1, 0}, 1));
+  EXPECT_FALSE(S.isAlwaysAtLeast({-1, 1, 0}, 2));
 }
 
 //===----------------------------------------------------------------------===//
