@@ -133,7 +133,9 @@ LpResult refSolveLpImpl(const LpProblem &Problem, unsigned &Pivots) {
   for (unsigned R = 0; R != NumRows; ++R) {
     const LpConstraint &C = Problem.Constraints[R];
     Int Rhs = checkedNeg(C.Constant);
-    if (Rhs < 0)
+    // lp/Tableau's initial basis: a zero-rhs >= row starts slack-basic.
+    // Both builders must agree for their pivot counts to match.
+    if (Rhs < 0 || (Rhs == 0 && C.Kind == LpConstraint::GE))
       RowSign[R] = -1;
     if (C.Kind != LpConstraint::EQ) {
       Int SlackSign =

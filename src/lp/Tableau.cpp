@@ -86,7 +86,9 @@ void SimplexTableau::build(const LpProblem &Base,
   for (unsigned R = 0; R != NumRows; ++R) {
     const LpConstraint &C = constraintAt(R);
     Int Rhs = checkedNeg(C.Constant);
-    if (Rhs < 0)
+    // A >= row with a zero right-hand side is negated too: its slack then
+    // has coefficient +1 and starts basic at zero, with no artificial.
+    if (Rhs < 0 || (Rhs == 0 && C.Kind == LpConstraint::GE))
       RowSign[R] = -1;
     if (C.Kind != LpConstraint::EQ) {
       Int SlackSign =

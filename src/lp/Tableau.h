@@ -39,6 +39,15 @@
 /// values. Nor does it change which rows overflow: the fully reduced row
 /// is unique (short of a -2^63 entry that a negative pivot negates).
 ///
+/// Initial basis. build() negates every row whose right-hand side is
+/// negative, and also every >= row whose right-hand side is zero, so
+/// that the row's slack has coefficient +1 and starts basic. Only
+/// equalities and the rows the origin violates get an artificial, and
+/// phase 1 covers only those. The Farkas blocks of a scheduling dimension
+/// are mostly zero-rhs >= rows (see poly/Farkas.h), so phase 1 there is
+/// short. lp/Reference builds its basis by the same rule, so the pivots
+/// stay the same.
+///
 /// Operations:
 ///
 ///   - solveTwoPhase() runs the two-phase primal simplex (Dantzig with a

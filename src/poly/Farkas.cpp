@@ -89,8 +89,17 @@ private:
     }
   }
 
-  /// Drops trivial rows (nonnegative constants) and duplicates.
+  /// Drops trivial rows (nonnegative constants), duplicates, and the
+  /// equalities elimination reduced to 0 == 0 (their multipliers would
+  /// appear in no row).
   void finalize() {
+    Equalities.erase(std::remove_if(Equalities.begin(), Equalities.end(),
+                                    [](const IntVector &Row) {
+                                      return std::all_of(
+                                          Row.begin(), Row.end(),
+                                          [](Int V) { return V == 0; });
+                                    }),
+                     Equalities.end());
     std::vector<IntVector> Kept;
     for (IntVector &Row : Inequalities) {
       normalizeByGcd(Row);
@@ -123,10 +132,30 @@ void pinj::addFarkasNonNegative(IlpBuilder &B, const AffineSet &P,
   assert(Psi.Cols.size() == Width && "form width mismatch with set");
 
   ReducedSystem System(P, Psi);
+  const std::vector<IntVector> &Ineqs = System.inequalities();
 
-  // One multiplier per inequality; remaining equalities (non-unit
-  // coefficients) get an unrestricted multiplier represented as the
-  // difference of two nonnegative ones.
+  // A dimension or parameter column's substituted row: an inequality
+  // that touches only that column, with a +-1 coefficient (a box bound),
+  // preferably with a zero constant. Its multiplier gets no variable.
+  std::vector<unsigned> SubstRow(Width - 1, ~0u);
+  for (unsigned K = 0; K != Ineqs.size(); ++K) {
+    const IntVector &Row = Ineqs[K];
+    unsigned Col = Width, Touched = 0;
+    for (unsigned C = 0; C + 1 != Width; ++C)
+      if (Row[C] != 0) {
+        Col = C;
+        ++Touched;
+      }
+    if (Touched != 1 || (Row[Col] != 1 && Row[Col] != -1))
+      continue;
+    unsigned &S = SubstRow[Col];
+    if (S == ~0u || (Ineqs[S].back() != 0 && Row.back() == 0))
+      S = K;
+  }
+
+  // One multiplier per other inequality; remaining equalities
+  // (non-unit coefficients) get an unrestricted multiplier represented
+  // as the difference of two nonnegative ones.
   struct Multiplier {
     const IntVector *Row;
     unsigned Pos; ///< lambda+ variable.
@@ -134,9 +163,11 @@ void pinj::addFarkasNonNegative(IlpBuilder &B, const AffineSet &P,
   };
   std::vector<Multiplier> Lambdas;
   unsigned Counter = 0;
-  for (const IntVector &Row : System.inequalities()) {
+  for (unsigned K = 0; K != Ineqs.size(); ++K) {
+    if (std::find(SubstRow.begin(), SubstRow.end(), K) != SubstRow.end())
+      continue;
     Multiplier M;
-    M.Row = &Row;
+    M.Row = &Ineqs[K];
     M.Pos =
         B.addVar(Tag + ".l" + std::to_string(Counter++), /*IsInteger=*/false);
     M.Neg = ~0u;
@@ -155,24 +186,34 @@ void pinj::addFarkasNonNegative(IlpBuilder &B, const AffineSet &P,
 
   // For each column j: Psi[j] - sum_k lambda_k * Row_k[j] (==|>=) 0.
   // Columns over dims and params use equality; the constant column uses
-  // >=, absorbing the nonnegative lambda_0.
+  // >=, absorbing the nonnegative lambda_0. A column with a substituted
+  // row S (coefficient s = +-1) solves its identity for lambda_S =
+  // s * (Psi[j] - sum over the other k), so the equality becomes
+  // lambda_S >= 0, and lambda_S * Row_S's constant is folded into the
+  // constant column.
+  SparseForm Folded;
   for (unsigned Col = 0; Col != Width; ++Col) {
     SparseForm Form = System.psiCols()[Col];
-    bool AnyTerm = !Form.Terms.empty() || Form.Constant != 0;
     for (const Multiplier &M : Lambdas) {
       Int Coeff = (*M.Row)[Col];
-      if (Coeff == 0)
-        continue;
-      AnyTerm = true;
       Form.addTerm(M.Pos, checkedNeg(Coeff));
       if (M.Neg != ~0u)
         Form.addTerm(M.Neg, Coeff);
     }
-    if (!AnyTerm)
-      continue; // Eliminated column: 0 == 0.
     if (Col + 1 == Width)
+      Form.addScaled(Folded, 1);
+    if (Form.Terms.empty() && Form.Constant == 0)
+      continue; // Nothing left, e.g. an eliminated column: 0 == 0.
+    if (Col + 1 == Width) {
       B.addGe(Form);
-    else
+    } else if (SubstRow[Col] == ~0u) {
       B.addEq(Form);
+    } else {
+      const IntVector &Row = Ineqs[SubstRow[Col]];
+      SparseForm Lambda;
+      Lambda.addScaled(Form, Row[Col]);
+      B.addGe(Lambda);
+      Folded.addScaled(Lambda, checkedNeg(Row.back()));
+    }
   }
 }

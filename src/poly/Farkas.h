@@ -14,6 +14,15 @@
 /// constraints tying scheduling coefficients to fresh multiplier
 /// variables. Multipliers stay rational (non-integer) in the MILP.
 ///
+/// Two reductions keep the block small and phase 1 short. Equalities of
+/// P with a unit coefficient are Gauss-eliminated first. Then, for each
+/// dimension or parameter column, one box bound that touches only that
+/// column with a +-1 coefficient (preferably x >= 0) has its multiplier
+/// substituted out through the column's identity: the equality becomes
+/// "that multiplier >= 0", a >= row. For the scheduler's forms its
+/// constant is zero, so the simplex starts it with a basic slack
+/// (lp/Tableau.h).
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef POLYINJECT_POLY_FARKAS_H

@@ -105,6 +105,28 @@ inline Kernel makeRowReduction(Int Rows, Int Cols) {
   return B.build();
 }
 
+/// A gather into a row reduction (fuzz seed 26 at extent 3):
+///   P: T[i] = relu(IN[j][i][j]);  R: OUT[i] = OUT[i] + T[j] * IN[i][j][i]
+/// Its per-dimension ILPs have fractional LP optima, so branch and bound
+/// explores more nodes than there are solves.
+inline Kernel makeGatherReduction(Int N) {
+  KernelBuilder B("gather_reduction");
+  unsigned In = B.tensor("IN", {N, N, N});
+  unsigned T = B.tensor("T", {N});
+  unsigned Out = B.tensor("OUT", {N});
+  B.stmt("P", {{"i", N}, {"j", N}})
+      .write(T, {"i"})
+      .read(In, {"j", "i", "j"})
+      .op(OpKind::Relu);
+  B.stmt("R", {{"i", N}, {"j", N}})
+      .write(Out, {"i"})
+      .read(Out, {"i"})
+      .read(T, {"j"})
+      .read(In, {"i", "j", "i"})
+      .op(OpKind::Fma);
+  return B.build();
+}
+
 } // namespace pinj
 
 #endif // POLYINJECT_TESTS_TESTKERNELS_H

@@ -15,10 +15,16 @@
 #include "influence/TreeBuilder.h"
 #include "ir/Builder.h"
 #include "pipeline/Pipeline.h"
+#include "poly/Farkas.h"
+#include "sched/ConstraintBuilders.h"
 #include "sched/Scheduler.h"
 #include "support/FailPoint.h"
+#include "TestKernels.h"
+#include "../bench/BenchUtil.h"
 
 #include <gtest/gtest.h>
+
+#include <random>
 
 using namespace pinj;
 
@@ -273,3 +279,140 @@ TEST_P(BudgetStress, PipelineAlwaysReturnsValidReport) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, BudgetStress, ::testing::Range(1, 31));
+
+//===----------------------------------------------------------------------===//
+// Farkas blocks: substituted multipliers vs the plain expansion
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// The textbook affine Farkas expansion of "Psi >= 0 over P": one
+/// multiplier per inequality of P, a free pair per equality, an equality
+/// per dimension or parameter column and >= on the constant column. No
+/// elimination, no substitution.
+void addPlainFarkas(IlpBuilder &B, const AffineSet &P, VarAffineForm Psi) {
+  for (const SetConstraint &C : P.constraints()) {
+    unsigned Pos = B.addVar("plain", /*IsInteger=*/false);
+    unsigned Neg = C.IsEquality ? B.addVar("plain.n", false) : ~0u;
+    for (unsigned J = 0, E = Psi.Cols.size(); J != E; ++J) {
+      Psi.Cols[J].addTerm(Pos, checkedNeg(C.Row[J]));
+      if (Neg != ~0u)
+        Psi.Cols[J].addTerm(Neg, C.Row[J]);
+    }
+  }
+  for (unsigned J = 0; J + 1 != Psi.Cols.size(); ++J)
+    B.addEq(Psi.Cols[J]);
+  B.addGe(Psi.constCoeff());
+}
+
+/// Sign * (phi_T - phi_S) over \p D's space, plus u.p + w when
+/// \p Proximity (the forms addValidity and addProximity certify).
+VarAffineForm differenceForm(const DimIlp &Ilp, const Kernel &K,
+                             const DependenceRelation &D, bool Proximity) {
+  const Int Sign = Proximity ? -1 : 1;
+  const DimIlp::StmtVars &Src = Ilp.Stmts[D.SrcStmt];
+  const DimIlp::StmtVars &Dst = Ilp.Stmts[D.DstStmt];
+  const unsigned NumDims = D.Rel.space().NumDims;
+  VarAffineForm Psi(D.Rel.space());
+  for (unsigned I = 0, E = Src.Iter.size(); I != E; ++I)
+    Psi.dimCoeff(I).addTerm(Src.Iter[I], -Sign);
+  for (unsigned I = 0, E = Dst.Iter.size(); I != E; ++I)
+    Psi.dimCoeff(Src.Iter.size() + I).addTerm(Dst.Iter[I], Sign);
+  for (unsigned P = 0, E = K.numParams(); P != E; ++P) {
+    Psi.Cols[NumDims + P].addTerm(Dst.Param[P], Sign);
+    Psi.Cols[NumDims + P].addTerm(Src.Param[P], -Sign);
+    if (Proximity)
+      Psi.Cols[NumDims + P].addTerm(Ilp.U[P], 1);
+  }
+  Psi.constCoeff().addTerm(Dst.Const, Sign);
+  Psi.constCoeff().addTerm(Src.Const, -Sign);
+  if (Proximity)
+    Psi.constCoeff().addTerm(Ilp.W, 1);
+  return Psi;
+}
+
+} // namespace
+
+// The production block of one relation (Gauss elimination, one
+// multiplier substituted out per box-bounded column) against the plain
+// expansion: validity (when the relation constrains it) and proximity
+// over the relation must give the same lexmin point in the scheduling
+// variables, for seeded random objectives. The objectives end with every
+// scheduling variable in turn, so that point is unique. The block is
+// built once and replayed for the later objectives, as FarkasCache does.
+TEST(FarkasDifferential, SubstitutedBlocksMatchPlainExpansion) {
+  std::vector<Kernel> Kernels = {
+      makeRunningExample(8),  makeElementwise(4, 6),
+      makeTranspose(4, 6),    makeProducerConsumer(4, 6),
+      makeBadOrderCopy(4, 6), makeRowReduction(4, 6),
+      makeGatherReduction(4)};
+  for (Kernel &K : tuneBenchCorpus(0))
+    Kernels.push_back(std::move(K));
+  for (unsigned Seed = 1; Seed != 41; ++Seed)
+    Kernels.push_back(makeRandomKernel(Seed));
+
+  DependenceOptions WithInput;
+  WithInput.IncludeInput = true;
+  unsigned Compared = 0;
+  for (unsigned KI = 0; KI != Kernels.size(); ++KI) {
+    const Kernel &K = Kernels[KI];
+    std::mt19937 Rng(KI);
+    for (const DependenceRelation &D : computeDependences(K, WithInput)) {
+      IlpBuilder::ConstraintBlock Block;
+      for (unsigned Trial = 0; Trial != 4; ++Trial) {
+        DimIlp Substituted = makeDimIlp(K, SchedulerOptions());
+        DimIlp Plain = makeDimIlp(K, SchedulerOptions());
+        const unsigned NumSched = Plain.Builder.numVars();
+        if (Trial == 0) {
+          const unsigned RowMark = Substituted.Builder.numConstraints();
+          if (D.constrainsValidity())
+            addValidity(Substituted, K, D);
+          addProximity(Substituted, K, D);
+          Block = Substituted.Builder.captureBlock(NumSched, RowMark);
+        } else {
+          Substituted.Builder.replayBlock(Block);
+        }
+        if (D.constrainsValidity())
+          addPlainFarkas(Plain.Builder, D.Rel,
+                         differenceForm(Plain, K, D, /*Proximity=*/false));
+        addPlainFarkas(Plain.Builder, D.Rel,
+                       differenceForm(Plain, K, D, /*Proximity=*/true));
+
+        // Each statement's iterator coefficients sum to at least 1, and
+        // a random objective (bounded below: u and w get no negative
+        // weight) picks a vertex.
+        std::uniform_int_distribution<int> Weight(-3, 3);
+        const unsigned NumBounded = Plain.Stmts.back().Const + 1;
+        std::vector<SparseForm> Objectives(1);
+        for (unsigned V = 0; V != NumSched; ++V) {
+          int Wt = Weight(Rng);
+          Objectives[0].addTerm(V, V < NumBounded || Wt > 0 ? Wt : -Wt);
+          Objectives.emplace_back();
+          Objectives.back().addTerm(V, 1);
+        }
+        for (DimIlp *Ilp : {&Substituted, &Plain}) {
+          for (const DimIlp::StmtVars &S : Ilp->Stmts) {
+            SparseForm Progress;
+            for (unsigned V : S.Iter)
+              Progress.addTerm(V, 1);
+            Progress.addConstant(-1);
+            Ilp->Builder.addGe(Progress);
+          }
+          for (const SparseForm &O : Objectives)
+            Ilp->Builder.addObjective(O);
+        }
+        IlpResult Got = Substituted.Builder.solve();
+        IlpResult Want = Plain.Builder.solve();
+        ASSERT_EQ(Got.Status, Want.Status) << K.Name << " trial " << Trial;
+        if (!Want.isOptimal())
+          continue;
+        ++Compared;
+        for (unsigned V = 0; V != NumSched; ++V)
+          EXPECT_EQ(Got.Point[V], Want.Point[V])
+              << K.Name << " trial " << Trial << " "
+              << Plain.Builder.varName(V);
+      }
+    }
+  }
+  EXPECT_GT(Compared, 1000u);
+}

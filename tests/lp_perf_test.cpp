@@ -92,6 +92,43 @@ public:
     return Levels;
   }
 
+  /// A problem shaped like one dimension's Farkas blocks: \p NumCoeffs
+  /// bounded integer coefficients, then \p NumMults rational multipliers;
+  /// column identities that are homogeneous equalities or homogeneous >=
+  /// rows (a substituted box multiplier), a constant-column >= row with a
+  /// small constant, and "the coefficients sum to at least 1".
+  IlpProblem farkasShaped(unsigned NumCoeffs, unsigned NumMults) {
+    const unsigned NumVars = NumCoeffs + NumMults;
+    IlpProblem P(NumVars);
+    std::uniform_int_distribution<int> Coeff(-2, 2);
+    std::uniform_int_distribution<int> Mult(-3, 3);
+    std::uniform_int_distribution<int> Pick(0, 2);
+    auto identity = [&] {
+      IntVector Row(NumVars);
+      for (unsigned V = 0; V != NumVars; ++V)
+        Row[V] = Pick(Rng) == 0 ? (V < NumCoeffs ? Coeff(Rng) : Mult(Rng)) : 0;
+      return Row;
+    };
+    for (unsigned R = 0, E = NumCoeffs + NumMults / 2; R != E; ++R) {
+      if (Pick(Rng) == 0)
+        P.Lp.addEq(identity(), 0);
+      else
+        P.Lp.addGe(identity(), 0);
+    }
+    P.Lp.addGe(identity(), std::uniform_int_distribution<int>(0, 3)(Rng));
+    IntVector Progress(NumVars, 0);
+    std::fill_n(Progress.begin(), NumCoeffs, 1);
+    P.Lp.addGe(std::move(Progress), -1);
+    for (unsigned V = 0; V != NumCoeffs; ++V) {
+      P.Lp.addUpperBound(V, 4);
+      P.markInteger(V);
+    }
+    P.Lp.Objective.resize(NumVars);
+    for (Int &C : P.Lp.Objective)
+      C = Coeff(Rng);
+    return P;
+  }
+
   /// Multiplies every row (coefficients and constant) by F * M, where
   /// F = 7 * 2^a * 3^b * 5^c lies between 2^20 and 2^23 (some problems
   /// get a pure power of two or a pure odd F) and M in +-{1, 2, 3} is
@@ -295,6 +332,52 @@ TEST(LpDifferential, SchedulerLexMinMatchesReferencePivots) {
     EXPECT_EQ(coldLevelPivots(C.Problem, C.Levels), RefPivots) << C.Name;
     EXPECT_GT(RefPivots, 0u) << C.Name;
   }
+}
+
+TEST(LpDifferential, HomogeneousRowsMatchReference) {
+  // Farkas-shaped problems: most rows have a zero right-hand side, so
+  // their >= rows start with a basic slack and only the equalities and
+  // the few rows with a constant need phase 1.
+  unsigned Statuses[4] = {}, LexOptimal = 0;
+  for (unsigned Seed = 4000; Seed != 4120; ++Seed) {
+    ProblemGen Gen(Seed);
+    IlpProblem P = Gen.farkasShaped(2 + Seed % 5, 3 + Seed % 9);
+    unsigned RefPivots = 0;
+    LpResult Ref = referenceSolveLp(P.Lp, &RefPivots);
+    LpResult Fast;
+    EXPECT_EQ(pivotsOf([&] { Fast = solveLp(P.Lp); }), RefPivots)
+        << "seed " << Seed;
+    expectSameLp(Ref, Fast, Seed);
+    ++Statuses[Ref.Status];
+
+    std::vector<LexObjective> Levels = Gen.levels(P.numVars(), 2);
+    for (LexObjective &L : Levels)
+      for (Int &C : L.Coeffs)
+        C = C < 0 ? checkedNeg(C) : C; // Bounded below: x >= 0.
+    RefPivots = 0;
+    IlpResult RefLex = referenceSolveLexMin(P, Levels, &RefPivots);
+    expectSameIlp(RefLex, solveLexMin(P, Levels), Seed);
+    EXPECT_EQ(coldLevelPivots(P, Levels), RefPivots) << "seed " << Seed;
+    LexOptimal += RefLex.Status == IlpResult::Optimal;
+  }
+  EXPECT_GT(Statuses[LpResult::Optimal], 10u);
+  EXPECT_GT(Statuses[LpResult::Infeasible], 0u);
+  EXPECT_GT(Statuses[LpResult::Unbounded], 0u);
+  EXPECT_GT(LexOptimal, 10u);
+
+  // Only homogeneous >= rows and a nonnegative objective: the slack
+  // basis is already optimal, so neither solver pivots.
+  LpProblem Homogeneous(4);
+  Homogeneous.addGe({1, -2, 0, 3}, 0);
+  Homogeneous.addGe({-1, 0, 1, 1}, 0);
+  Homogeneous.addGe({0, 1, -1, 0}, 0);
+  Homogeneous.Objective = {1, 0, 2, 1};
+  unsigned RefPivots = 0;
+  LpResult Ref = referenceSolveLp(Homogeneous, &RefPivots);
+  EXPECT_EQ(RefPivots, 0u);
+  EXPECT_EQ(pivotsOf([&] { solveLp(Homogeneous); }), 0u);
+  ASSERT_TRUE(Ref.isOptimal());
+  EXPECT_EQ(Ref.Value, Rational(0));
 }
 
 TEST(LpDifferential, BranchingWarmLevelMatchesReference) {

@@ -6,7 +6,6 @@
 #include "obs/Metrics.h"
 #include "obs/Report.h"
 #include "obs/Trace.h"
-#include "ops/OpFactory.h"
 #include "pipeline/Pipeline.h"
 #include "TestKernels.h"
 
@@ -677,7 +676,7 @@ TEST(Journal, StageEndPerPipelineStageMatchesReport) {
   // a configuration stage reports its own metrics delta's solver effort.
   // This operator's ILPs branch, so nodes and solves differ.
   JournalGuard Guard;
-  Kernel K = makeSoftmaxLike("softmax", 48, 96);
+  Kernel K = makeGatherReduction(8);
   PipelineOptions Options;
   Options.Validate = true;
   OperatorReport R = runOperator(K, Options);
