@@ -7,6 +7,8 @@
 #include "codegen/Mapping.h"
 #include "poly/Dependence.h"
 
+#include <algorithm>
+
 using namespace pinj;
 
 namespace {
@@ -23,41 +25,11 @@ bool isInnermostLoopOf(const Kernel &K, const Schedule &S, unsigned Stmt,
   return true;
 }
 
-/// True if \p Dim carries no uncarried dependence between statements of
-/// \p InLoop: the lanes (and the VL consecutive iterations each lane
-/// covers) are independent, so loads and stores may be issued as vector
-/// operations across concurrently mapped lane groups.
-bool isVectorSafe(const Kernel &K, const Schedule &S,
-                  const std::vector<DependenceRelation> &Deps,
-                  const std::vector<unsigned> &InLoop, unsigned Dim) {
-  auto InSet = [&InLoop](unsigned Stmt) {
-    for (unsigned S : InLoop)
-      if (S == Stmt)
-        return true;
-    return false;
-  };
-  for (const DependenceRelation &D : Deps) {
-    if (!D.constrainsValidity() || !InSet(D.SrcStmt) || !InSet(D.DstStmt))
-      continue;
-    bool CarriedEarlier = false;
-    for (unsigned Earlier = 0; Earlier != Dim && !CarriedEarlier; ++Earlier)
-      CarriedEarlier = S.stronglySatisfiedAt(K, D, Earlier);
-    if (CarriedEarlier)
-      continue;
-    if (!D.Rel.isAlwaysZero(S.differenceExpr(K, D, Dim)))
-      return false;
-  }
-  return true;
-}
-
 /// The widest width in {Preferred, 2} at which every statement in
 /// \p InLoop can step \p Dim by whole vectors; 0 when none works.
 unsigned resolveWidth(const Kernel &K, const Schedule &S,
-                      const std::vector<DependenceRelation> &Deps,
                       const std::vector<unsigned> &InLoop, unsigned Dim,
                       unsigned Preferred) {
-  if (!isVectorSafe(K, S, Deps, InLoop, Dim))
-    return 0;
   for (unsigned Width : {Preferred, 2u}) {
     if (Width < 2)
       break;
@@ -78,20 +50,31 @@ unsigned resolveWidth(const Kernel &K, const Schedule &S,
 
 } // namespace
 
-unsigned pinj::finalizeVectorMarks(const Kernel &K, Schedule &S,
-                                   bool DisableVectorization) {
+void pinj::stripVectorMarks(Schedule &S) {
+  for (DimInfo &D : S.Dims) {
+    D.VectorStmts.clear();
+    D.VectorWidth = 0;
+  }
+}
+
+unsigned
+pinj::finalizeVectorMarks(const Kernel &K, Schedule &S,
+                          bool DisableVectorization,
+                          const std::vector<DependenceRelation> *Relations) {
+  if (DisableVectorization) {
+    stripVectorMarks(S);
+    return 0;
+  }
   failpoint::hit("codegen.vectorize");
+  std::vector<DependenceRelation> Own;
+  const std::vector<DependenceRelation> &Deps =
+      Relations ? *Relations : (Own = computeDependences(K));
   unsigned Surviving = 0;
-  std::vector<DependenceRelation> Deps = computeDependences(K);
   for (unsigned D = 0, ND = S.numDims(); D != ND; ++D) {
     DimInfo &Info = S.Dims[D];
     if (Info.VectorStmts.empty() && Info.VectorWidth == 0)
       continue;
     Info.VectorStmts.clear();
-    if (DisableVectorization) {
-      Info.VectorWidth = 0;
-      continue;
-    }
     // Every statement looping at this dimension sits inside the vector
     // loop and must step by whole vectors; the dimension must also be
     // each one's innermost loop.
@@ -105,9 +88,20 @@ unsigned pinj::finalizeVectorMarks(const Kernel &K, Schedule &S,
       AllInnermost &= isInnermostLoopOf(K, S, Stmt, D);
     }
     unsigned Width = 0;
-    if (!InLoop.empty() && AllInnermost)
-      Width = resolveWidth(K, S, Deps, InLoop, D,
-                           Info.VectorWidth ? Info.VectorWidth : 4);
+    if (!InLoop.empty() && AllInnermost) {
+      // The lanes (and the iterations each covers) must be independent.
+      // Only relations between statements of the loop constrain them, so
+      // the walk starts with every other relation settled.
+      auto Outside = [&](unsigned X) { return !std::ranges::count(InLoop, X); };
+      std::vector<bool> Settled(Deps.size());
+      for (unsigned I = 0, E = Deps.size(); I != E; ++I)
+        Settled[I] = Outside(Deps[I].SrcStmt) || Outside(Deps[I].DstStmt);
+      for (unsigned Earlier = 0; Earlier != D; ++Earlier)
+        markCarried(K, S, Deps, Earlier, Settled);
+      if (dimParallelism(K, S, Deps, Settled, D).first)
+        Width = resolveWidth(K, S, InLoop, D,
+                             Info.VectorWidth ? Info.VectorWidth : 4);
+    }
     if (Width == 0) {
       Info.VectorWidth = 0;
       continue;

@@ -40,12 +40,13 @@ bool pinj::isSimulatableSchedule(const Kernel &K, const Schedule &S) {
 
 namespace {
 
-SchedulerResult scheduleUnderTree(const Kernel &K,
-                                  const SchedulerOptions &Options,
-                                  const InfluenceTree &Tree) {
+SchedulerResult
+scheduleUnderTree(const Kernel &K, const SchedulerOptions &Options,
+                  const InfluenceTree &Tree,
+                  const std::vector<DependenceRelation> *Deps = nullptr) {
   SchedulerOptions Sched = Options;
   Sched.SerializeSccs = false; // Let fusion constraints take effect.
-  return scheduleKernel(K, Sched, &Tree);
+  return scheduleKernel(K, Sched, &Tree, Deps);
 }
 
 } // namespace
@@ -64,25 +65,6 @@ std::string pinj::renderCuda(const Kernel &K, const Schedule &S,
 
 namespace {
 
-bool sameTransforms(const Schedule &A, const Schedule &B) {
-  if (A.Transforms.size() != B.Transforms.size())
-    return false;
-  for (unsigned S = 0, E = A.Transforms.size(); S != E; ++S)
-    if (!(A.Transforms[S] == B.Transforms[S]))
-      return false;
-  return true;
-}
-
-/// Strips explicit vector marks by hand; the degradation-path
-/// equivalent of finalizeVectorMarks(..., DisableVectorization=true)
-/// when the vectorizer itself is what failed.
-void stripVectorMarks(Schedule &S) {
-  for (DimInfo &D : S.Dims) {
-    D.VectorStmts.clear();
-    D.VectorWidth = 0;
-  }
-}
-
 /// Nesting depth of runOperator on this thread. Exactly one
 /// request_start/request_end pair is journaled per operator compilation:
 /// the outermost call owns them, so the tuner-dispatch recursion and any
@@ -99,7 +81,9 @@ struct RequestDepthGuard {
 /// configuration per stage, scheduleInflConfig asks for infl alone. The
 /// isl and influenced runs happen once, on first use, so infl()
 /// schedules isl only when the influenced schedule is unusable. novec
-/// and infl are Skipped once the operator deadline has expired.
+/// and infl are Skipped once the operator deadline has expired. The
+/// kernel's dependence relations are computed once, on first use, and
+/// read by both scheduler runs and the infl vector pass.
 class ScheduleLadder {
 public:
   /// Sees each degradation (configuration, cause) as the ladder takes it.
@@ -118,7 +102,7 @@ public:
     if (Replay)
       return ConfigResult(Replay->Isl);
     ConfigResult C = islRun();
-    clearVectorMarks("isl", C.Sched);
+    stripVectorMarks(C.Sched);
     return C;
   }
 
@@ -126,8 +110,7 @@ public:
     if (Replay)
       return ConfigResult(Replay->Novec);
     ConfigResult C = influencedRun();
-    if (!C.Skipped)
-      clearVectorMarks("novec", C.Sched);
+    stripVectorMarks(C.Sched);
     return C;
   }
 
@@ -138,8 +121,7 @@ public:
     if (skipOnDeadline("infl", C))
       return C;
     try {
-      VecEligible = finalizeVectorMarks(K, C.Sched,
-                                        /*DisableVectorization=*/false) > 0;
+      VecEligible = finalizeVectorMarks(K, C.Sched, false, deps()) > 0;
     } catch (const RecoverableError &E) {
       // Degrade to the novec schedule: the influenced schedule with its
       // vector marks cleared.
@@ -155,7 +137,8 @@ public:
   /// The influenced schedule differs from isl's.
   bool influenced() {
     return Replay ? Replay->Influenced
-                  : !sameTransforms(influencedRun().Sched, islRun().Sched);
+                  : influencedRun().Sched.Transforms !=
+                        islRun().Sched.Transforms;
   }
   /// infl() left at least one dimension vector-marked.
   bool vecEligible() const {
@@ -185,9 +168,12 @@ public:
       return C;
     }
     try {
+      const std::vector<DependenceRelation> *Deps = deps();
       SchedulerResult Run = metered([&] {
-        return Tree ? scheduleUnderTree(K, Options.Sched, *Tree)
-                    : scheduleInfluenced(K, Options);
+        if (Tree)
+          return scheduleUnderTree(K, Options.Sched, *Tree, Deps);
+        return scheduleUnderTree(
+            K, Options.Sched, buildInfluenceTree(K, Options.Influence), Deps);
       });
       C.Sched = std::move(Run.Sched);
       C.Stats = Run.Stats;
@@ -224,8 +210,9 @@ private:
     // original program order; the ladder only needs to record why.
     SchedulerOptions IslOptions = Options.Sched;
     IslOptions.SerializeSccs = true;
+    const std::vector<DependenceRelation> *Deps = deps();
     SchedulerResult Run =
-        metered([&] { return scheduleKernel(K, IslOptions); });
+        metered([&] { return scheduleKernel(K, IslOptions, nullptr, Deps); });
     C.Sched = std::move(Run.Sched);
     C.Stats = Run.Stats;
     if (!Run.Outcome.ok()) {
@@ -254,13 +241,20 @@ private:
     return Result;
   }
 
-  void clearVectorMarks(const char *Config, Schedule &S) {
-    try {
-      finalizeVectorMarks(K, S, /*DisableVectorization=*/true);
-    } catch (const RecoverableError &E) {
-      stripVectorMarks(S);
-      OnDegrade(Config, E.status());
+  /// K's relations, computed at most once, under the operator's budget
+  /// scope but outside every scheduler run's. Null when the analysis
+  /// raised: each consumer then computes its own inside its own recovery
+  /// boundary, which records the degradation.
+  const std::vector<DependenceRelation> *deps() {
+    if (!Relations && !DepsFailed) {
+      try {
+        Relations =
+            computeDependences(K, {Options.Sched.ProximityIncludesInput});
+      } catch (const RecoverableError &) {
+        DepsFailed = true;
+      }
     }
+    return Relations ? &*Relations : nullptr;
   }
 
   bool skipOnDeadline(const char *Config, ConfigResult &C) {
@@ -277,6 +271,8 @@ private:
   const CachedCompilation *Replay;
   const InfluenceTree *Tree;
   std::optional<ConfigResult> IslResult, InfluencedResult;
+  std::optional<std::vector<DependenceRelation>> Relations;
+  bool DepsFailed = false;
   bool VecEligible = false;
   SolverWork MaxRun;
 };
@@ -586,10 +582,6 @@ std::string pinj::printStatsTable(const OperatorReport &R) {
                 "ilp_nodes", "pivots", "fallbacks");
   Out += Buf;
   auto Row = [&](const char *Name, const ConfigResult &C) {
-    const SchedulerStats &S = C.Stats;
-    unsigned long long Fallbacks = S.ProgressionDrops + S.SiblingMoves +
-                                   S.BandBreaks + S.AncestorBacktracks +
-                                   S.SccCuts;
     std::snprintf(Buf, sizeof(Buf),
                   "%-6s %10.2f %13.0f %10llu %10llu %10llu %9llu\n", Name,
                   C.TimeUs, C.Sim.Transactions,
@@ -599,7 +591,7 @@ std::string pinj::printStatsTable(const OperatorReport &R) {
                       C.Metrics.counter("lp.ilp_nodes")),
                   static_cast<unsigned long long>(
                       C.Metrics.counter("lp.simplex_pivots")),
-                  Fallbacks);
+                  static_cast<unsigned long long>(C.Stats.fallbacks()));
     Out += Buf;
   };
   Row("isl", R.Isl);

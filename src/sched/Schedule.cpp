@@ -63,26 +63,39 @@ bool Schedule::stronglySatisfiedAt(const Kernel &K,
   return D.Rel.isAlwaysAtLeast(differenceExpr(K, D, Dim), 1);
 }
 
+std::pair<bool, bool>
+pinj::dimParallelism(const Kernel &K, const Schedule &S,
+                     const std::vector<DependenceRelation> &Deps,
+                     const std::vector<bool> &Carried, unsigned D) {
+  bool Parallel = true, ThreadParallel = true;
+  for (unsigned I = 0, E = Deps.size(); I != E && ThreadParallel; ++I) {
+    if (!Deps[I].constrainsValidity() || Carried[I] ||
+        Deps[I].Rel.isAlwaysZero(S.differenceExpr(K, Deps[I], D)))
+      continue;
+    Parallel = false;
+    if (Deps[I].SrcStmt == Deps[I].DstStmt)
+      ThreadParallel = false;
+  }
+  return {Parallel, ThreadParallel};
+}
+
+void pinj::markCarried(const Kernel &K, const Schedule &S,
+                       const std::vector<DependenceRelation> &Deps,
+                       unsigned D, std::vector<bool> &Carried) {
+  for (unsigned I = 0, E = Deps.size(); I != E; ++I)
+    if (!Carried[I] && Deps[I].constrainsValidity() &&
+        S.stronglySatisfiedAt(K, Deps[I], D))
+      Carried[I] = true;
+}
+
 void pinj::annotateParallelism(const Kernel &K, Schedule &S) {
   std::vector<DependenceRelation> Deps = computeDependences(K);
   std::vector<bool> Carried(Deps.size(), false);
   for (unsigned D = 0, ND = S.numDims(); D != ND; ++D) {
-    bool Parallel = true, ThreadParallel = true;
-    for (unsigned I = 0, E = Deps.size(); I != E; ++I) {
-      if (!Deps[I].constrainsValidity() || Carried[I])
-        continue;
-      if (Deps[I].Rel.isAlwaysZero(S.differenceExpr(K, Deps[I], D)))
-        continue;
-      Parallel = false;
-      if (Deps[I].SrcStmt == Deps[I].DstStmt)
-        ThreadParallel = false;
-    }
+    auto [Parallel, ThreadParallel] = dimParallelism(K, S, Deps, Carried, D);
     S.Dims[D].IsParallel = Parallel && !S.Dims[D].IsScalar;
     S.Dims[D].ThreadParallel = ThreadParallel && !S.Dims[D].IsScalar;
-    for (unsigned I = 0, E = Deps.size(); I != E; ++I)
-      if (!Carried[I] && Deps[I].constrainsValidity() &&
-          S.stronglySatisfiedAt(K, Deps[I], D))
-        Carried[I] = true;
+    markCarried(K, S, Deps, D, Carried);
   }
 }
 

@@ -22,6 +22,7 @@
 
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace pinj {
@@ -115,10 +116,23 @@ std::string serializeSchedule(const Schedule &S);
 std::optional<Schedule> deserializeSchedule(const std::string &Text,
                                             std::string &Error);
 
-/// Recomputes DimInfo::IsParallel for a schedule built outside the
-/// scheduler (e.g. the TVM-proxy manual schedules): a dimension is
-/// parallel when every validity relation not already carried by an
-/// earlier dimension has a zero schedule difference on it.
+/// The carried-relation walk of the scheduler, annotateParallelism and the
+/// vectorizer visits dimensions outermost first; \p Carried flags each
+/// relation of \p Deps an earlier dimension strongly satisfies.
+/// \returns {IsParallel, ThreadParallel} of dimension \p D (see DimInfo)
+/// over the validity relations not yet carried.
+std::pair<bool, bool>
+dimParallelism(const Kernel &K, const Schedule &S,
+               const std::vector<DependenceRelation> &Deps,
+               const std::vector<bool> &Carried, unsigned D);
+
+/// Advances the walk past dimension \p D.
+void markCarried(const Kernel &K, const Schedule &S,
+                 const std::vector<DependenceRelation> &Deps, unsigned D,
+                 std::vector<bool> &Carried);
+
+/// Runs the walk over a schedule built outside the scheduler (the
+/// TVM-proxy manual schedules, the original program order).
 void annotateParallelism(const Kernel &K, Schedule &S);
 
 /// The schedule encoding the original program order (the classic 2d+1

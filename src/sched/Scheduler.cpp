@@ -9,8 +9,6 @@
 #include "support/FailPoint.h"
 
 #include <algorithm>
-#include <map>
-#include <optional>
 #include <tuple>
 
 using namespace pinj;
@@ -45,9 +43,7 @@ void recordSchedulerStats(const SchedulerStats &S, unsigned FarkasHits,
         .field("ilp_failures", S.IlpFailures)
         .field("ilp_nodes", S.IlpNodes)
         .field("farkas_cache_hits", FarkasHits)
-        .field("fallbacks", S.ProgressionDrops + S.SiblingMoves +
-                                S.BandBreaks + S.AncestorBacktracks +
-                                S.SccCuts + S.FeautrierDims)
+        .field("fallbacks", S.fallbacks())
         .field("tree_abandoned", S.TreeAbandoned);
 }
 
@@ -119,20 +115,19 @@ private:
   int SccCount = 0;
 };
 
-/// One full scheduling construction (Algorithm 1). A fresh instance is
-/// used for the no-influence rerun when a tree is abandoned.
+/// One full scheduling construction (Algorithm 1) over \p AllDeps. A
+/// fresh instance, over the same relations, is used for the
+/// no-influence rerun when a tree is abandoned.
 class Construction {
 public:
   Construction(const Kernel &K, const SchedulerOptions &Options,
-               const InfluenceTree *Tree)
-      : K(K), Options(Options), Tree(Tree) {
-    DependenceOptions DepOptions;
-    DepOptions.IncludeInput = Options.ProximityIncludesInput;
-    AllDeps = computeDependences(K, DepOptions);
+               const InfluenceTree *Tree,
+               const std::vector<DependenceRelation> &AllDeps)
+      : K(K), Options(Options), Tree(Tree), AllDeps(AllDeps) {
     for (unsigned I = 0, E = AllDeps.size(); I != E; ++I)
       if (AllDeps[I].constrainsValidity())
         Active.push_back(I);
-    Carried.assign(AllDeps.size(), std::nullopt);
+    Carried.assign(AllDeps.size(), false);
     Partial.Transforms.assign(K.Stmts.size(), IntMatrix());
     for (unsigned S = 0, E = K.Stmts.size(); S != E; ++S)
       Partial.Transforms[S] = IntMatrix(0, K.rowWidth(K.Stmts[S]));
@@ -340,7 +335,8 @@ private:
     appendSolution(LastIlp, Solution, K, Partial);
     DimInfo Info;
     Info.BandStart = NextStartsBand;
-    std::tie(Info.IsParallel, Info.ThreadParallel) = dimParallelism(D);
+    std::tie(Info.IsParallel, Info.ThreadParallel) =
+        dimParallelism(K, Partial, AllDeps, Carried, D);
     if (Node && Node->RequireParallel && !Info.IsParallel) {
       // Meta-constraint failure: treat exactly like an infeasible ILP.
       for (IntMatrix &T : Partial.Transforms)
@@ -369,7 +365,7 @@ private:
           .field("node", Node ? Node->Label.c_str() : "-");
     Partial.Dims.push_back(std::move(Info));
     NextStartsBand = false;
-    updateCarried(D);
+    markCarried(K, Partial, AllDeps, D, Carried);
     if (Node) {
       if (Node->isLeaf()) {
         ReachedLeaf = Node;
@@ -406,54 +402,18 @@ private:
     unsigned D = Partial.Dims.size();
     appendSolution(LastIlp, R, K, Partial);
     DimInfo Info;
-    std::tie(Info.IsParallel, Info.ThreadParallel) = dimParallelism(D);
+    std::tie(Info.IsParallel, Info.ThreadParallel) =
+        dimParallelism(K, Partial, AllDeps, Carried, D);
     Partial.Dims.push_back(std::move(Info));
-    updateCarried(D);
+    markCarried(K, Partial, AllDeps, D, Carried);
     dropCarriedDeps();
     return true;
-  }
-
-  /// \returns {fully parallel, parallel up to intra-block sync}.
-  std::pair<bool, bool> dimParallelism(unsigned D) const {
-    bool Parallel = true, ThreadParallel = true;
-    for (unsigned I = 0, E = AllDeps.size(); I != E; ++I) {
-      const DependenceRelation &Dep = AllDeps[I];
-      if (!Dep.constrainsValidity() || Carried[I])
-        continue;
-      if (Dep.Rel.isAlwaysZero(Partial.differenceExpr(K, Dep, D)))
-        continue;
-      Parallel = false;
-      // Inter-statement differences are resolvable with guards plus
-      // __syncthreads inside a block; loop-carried self-dependences
-      // are not.
-      if (Dep.SrcStmt == Dep.DstStmt)
-        ThreadParallel = false;
-    }
-    return {Parallel, ThreadParallel};
-  }
-
-  void updateCarried(unsigned D) {
-    for (unsigned I = 0, E = AllDeps.size(); I != E; ++I) {
-      if (Carried[I] || !AllDeps[I].constrainsValidity())
-        continue;
-      if (Partial.stronglySatisfiedAt(K, AllDeps[I], D))
-        Carried[I] = D;
-    }
-  }
-
-  /// Recomputes Carried from scratch (after withdrawing dimensions).
-  void recomputeCarried() {
-    Carried.assign(AllDeps.size(), std::nullopt);
-    for (unsigned D = 0, ND = Partial.Dims.size(); D != ND; ++D)
-      updateCarried(D);
   }
 
   bool dropCarriedDeps() {
     unsigned Before = Active.size();
     Active.erase(std::remove_if(Active.begin(), Active.end(),
-                                [this](unsigned Dep) {
-                                  return Carried[Dep].has_value();
-                                }),
+                                [this](unsigned Dep) { return Carried[Dep]; }),
                  Active.end());
     return Active.size() != Before;
   }
@@ -484,7 +444,9 @@ private:
       for (IntMatrix &T : Partial.Transforms)
         T.truncateRows(NewDepth);
       Partial.Dims.resize(NewDepth);
-      recomputeCarried();
+      Carried.assign(AllDeps.size(), false);
+      for (unsigned D = 0; D != NewDepth; ++D)
+        markCarried(K, Partial, AllDeps, D, Carried);
       assert(Backups.size() > NewDepth && Backups[NewDepth].Recorded &&
              "missing backup for backtracked depth");
       Active = Backups[NewDepth].Active;
@@ -509,7 +471,7 @@ private:
     Info.IsScalar = true;
     Partial.Dims.push_back(Info);
     NextStartsBand = true; // Whatever follows opens a new band.
-    updateCarried(D);
+    markCarried(K, Partial, AllDeps, D, Carried);
     dropCarriedDeps();
   }
 
@@ -583,9 +545,9 @@ private:
   const SchedulerOptions &Options;
   const InfluenceTree *Tree;
 
-  std::vector<DependenceRelation> AllDeps;
+  const std::vector<DependenceRelation> &AllDeps;
   std::vector<unsigned> Active; ///< Indices of live validity relations.
-  std::vector<std::optional<unsigned>> Carried;
+  std::vector<bool> Carried;    ///< Relations an installed dim carries.
   Schedule Partial;
   std::vector<Backup> Backups;
   InfluenceNode *Node = nullptr;
@@ -601,9 +563,10 @@ private:
 
 } // namespace
 
-SchedulerResult pinj::scheduleKernel(const Kernel &K,
-                                     const SchedulerOptions &Options,
-                                     const InfluenceTree *Tree) {
+SchedulerResult
+pinj::scheduleKernel(const Kernel &K, const SchedulerOptions &Options,
+                     const InfluenceTree *Tree,
+                     const std::vector<DependenceRelation> *Deps) {
   obs::Span S("sched.schedule");
   if (S.active())
     S.arg("kernel", K.Name).arg("influenced", Tree != nullptr);
@@ -614,8 +577,12 @@ SchedulerResult pinj::scheduleKernel(const Kernel &K,
   budget::BudgetScope Budget(Options.Budget);
   try {
     failpoint::hit("sched.schedule");
+    std::vector<DependenceRelation> OwnDeps;
+    if (!Deps)
+      Deps = &(OwnDeps =
+                   computeDependences(K, {Options.ProximityIncludesInput}));
     {
-      Construction C(K, Options, Tree);
+      Construction C(K, Options, Tree, *Deps);
       SchedulerResult Result;
       if (C.run(Result))
         return Result;
@@ -627,7 +594,7 @@ SchedulerResult pinj::scheduleKernel(const Kernel &K,
     // solver budget or overflow; those raise and are handled below.
     SchedulerOptions Plain = Options;
     Plain.SerializeSccs = true;
-    Construction C(K, Plain, nullptr);
+    Construction C(K, Plain, nullptr, *Deps);
     SchedulerResult Result;
     if (!C.run(Result))
       raiseError(StatusCode::Stuck, "sched.plain",

@@ -42,6 +42,12 @@ struct SchedulerStats {
   unsigned FeautrierDims = 0;     ///< Feautrier-style dimensions taken.
   bool TreeAbandoned = false;
   unsigned IlpNodes = 0;          ///< Total branch-and-bound nodes.
+
+  /// Fallback activations of every kind, Feautrier dimensions included.
+  unsigned fallbacks() const {
+    return ProgressionDrops + SiblingMoves + BandBreaks + AncestorBacktracks +
+           SccCuts + FeautrierDims;
+  }
 };
 
 /// The scheduling outcome. Sched always holds a valid schedule: on any
@@ -65,10 +71,14 @@ struct SchedulerResult {
 
 /// Runs the influenced scheduling construction on \p K. \p Tree may be
 /// null (plain polyhedral scheduling, the paper's "isl" reference
-/// configuration when Options.SerializeSccs is set).
-SchedulerResult scheduleKernel(const Kernel &K,
-                               const SchedulerOptions &Options,
-                               const InfluenceTree *Tree = nullptr);
+/// configuration when Options.SerializeSccs is set). The construction and
+/// the plain rerun after an abandoned tree read \p Deps, K's relations with
+/// IncludeInput = Options.ProximityIncludesInput; when null, the run
+/// computes them inside its budget scope and recovery boundary.
+SchedulerResult
+scheduleKernel(const Kernel &K, const SchedulerOptions &Options,
+               const InfluenceTree *Tree = nullptr,
+               const std::vector<DependenceRelation> *Deps = nullptr);
 
 } // namespace pinj
 

@@ -4,6 +4,9 @@
 // asserts the fault-tolerance contract: runOperator never crashes, every
 // configuration still carries a dependence-respecting schedule, and the
 // degradation is recorded on the report (and in the sidecar record).
+// Each site is swept over the running example and over a softmax-shaped
+// kernel whose influence tree is abandoned, so faults also land in the
+// plain rerun that shares the operator's dependence analysis.
 // The service.* sites fire at the compilation daemon's own boundaries
 // rather than inside the pipeline, so they get their own sweep: each
 // must surface as exactly one attributed terminal response.
@@ -13,6 +16,7 @@
 #include "exec/Interpreter.h"
 #include "ir/Printer.h"
 #include "obs/Json.h"
+#include "ops/OpFactory.h"
 #include "pipeline/Pipeline.h"
 #include "service/Daemon.h"
 #include "support/FailPoint.h"
@@ -72,6 +76,11 @@ bool isValidSchedule(const Kernel &K, const Schedule &S) {
   return true;
 }
 
+/// The kernels every pipeline site is swept over.
+std::vector<Kernel> sweepKernels() {
+  return {makeRunningExample(8), makeSoftmaxLike("softmax_like", 48, 96)};
+}
+
 } // namespace
 
 class FailPointSweep : public ::testing::TestWithParam<const char *> {
@@ -81,40 +90,49 @@ protected:
 
 TEST_P(FailPointSweep, PipelineSurvivesAndRecordsDegradation) {
   const char *Site = GetParam();
-  Kernel K = makeRunningExample(8);
+  for (const Kernel &K : sweepKernels()) {
+    SCOPED_TRACE(K.Name);
+    PipelineOptions Options;
+    Options.Validate = true;
+    obs::ReportSink Sink;
+    Options.Sink = &Sink;
 
-  PipelineOptions Options;
-  Options.Validate = true;
-  obs::ReportSink Sink;
-  Options.Sink = &Sink;
+    failpoint::activate(Site);
+    ASSERT_TRUE(failpoint::isActive(Site));
+    OperatorReport R = runOperator(K, Options);
+    failpoint::clearAll();
 
-  failpoint::activate(Site);
-  ASSERT_TRUE(failpoint::isActive(Site));
-  OperatorReport R = runOperator(K, Options);
-  failpoint::clearAll();
+    // The fault must surface as a recorded degradation attributed to the
+    // injected site, never as a crash or a silent wrong answer.
+    ASSERT_TRUE(R.degraded()) << Site;
+    bool Attributed = false;
+    for (const DegradationEvent &E : R.Degradations) {
+      EXPECT_FALSE(E.Config.empty());
+      if (E.Site == Site && E.Code == StatusCode::InjectedFault)
+        Attributed = true;
+    }
+    EXPECT_TRUE(Attributed) << "no degradation attributed to " << Site;
 
-  // The fault must surface as a recorded degradation attributed to the
-  // injected site, never as a crash or a silent wrong answer.
-  ASSERT_TRUE(R.degraded()) << Site;
-  bool Attributed = false;
-  for (const DegradationEvent &E : R.Degradations) {
-    EXPECT_FALSE(E.Config.empty());
-    if (E.Site == Site && E.Code == StatusCode::InjectedFault)
-      Attributed = true;
+    // Whatever the ladder substituted, the schedules must still respect
+    // every dependence (checked with the fault cleared, so the oracle
+    // itself cannot trip it).
+    EXPECT_TRUE(isValidSchedule(K, R.Isl.Sched)) << Site;
+    EXPECT_TRUE(isValidSchedule(K, R.Novec.Sched)) << Site;
+    EXPECT_TRUE(isValidSchedule(K, R.Infl.Sched)) << Site;
+    EXPECT_TRUE(scheduleIsSemanticallyEqual(K, R.Infl.Sched)) << Site;
+
+    // The sidecar record carries the same degradations.
+    ASSERT_EQ(Sink.operators().size(), 1u);
+    EXPECT_EQ(Sink.operators()[0].Degradations.size(), R.Degradations.size());
   }
-  EXPECT_TRUE(Attributed) << "no degradation attributed to " << Site;
+}
 
-  // Whatever the ladder substituted, the schedules must still respect
-  // every dependence (checked with the fault cleared, so the oracle
-  // itself cannot trip it).
-  EXPECT_TRUE(isValidSchedule(K, R.Isl.Sched)) << Site;
-  EXPECT_TRUE(isValidSchedule(K, R.Novec.Sched)) << Site;
-  EXPECT_TRUE(isValidSchedule(K, R.Infl.Sched)) << Site;
-  EXPECT_TRUE(scheduleIsSemanticallyEqual(K, R.Infl.Sched)) << Site;
-
-  // The sidecar record carries the same degradations.
-  ASSERT_EQ(Sink.operators().size(), 1u);
-  EXPECT_EQ(Sink.operators()[0].Degradations.size(), R.Degradations.size());
+// The sweep's second kernel must reach the plain rerun when healthy.
+TEST(FailPoint, SweepKernelAbandonsItsTree) {
+  Kernel K = sweepKernels().back();
+  OperatorReport R = runOperator(K, PipelineOptions());
+  EXPECT_FALSE(R.degraded());
+  EXPECT_TRUE(R.Novec.Stats.TreeAbandoned);
 }
 
 INSTANTIATE_TEST_SUITE_P(PipelineSites, FailPointSweep,

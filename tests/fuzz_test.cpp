@@ -242,6 +242,45 @@ TEST_P(KernelFuzz, ExecutorBitIdenticalToOracle) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, KernelFuzz, ::testing::Range(1, 41));
 
+// The construction runs the carried-relation walk while it installs
+// dimensions (withdrawing and re-attempting some on the way);
+// annotateParallelism runs it over the finished schedule. Both must
+// flag the same dimensions parallel, on every schedule the construction
+// builds for the test kernels, the corpus and fuzz seeds 1-40.
+TEST(CarriedRelationWalk, ConstructionFlagsMatchAnnotateParallelism) {
+  std::vector<Kernel> Kernels = tuneBenchCorpus(0);
+  for (const Kernel &K : {makeRunningExample(8), makeElementwise(8, 8),
+                          makeTranspose(8, 8), makeProducerConsumer(8, 8),
+                          makeBadOrderCopy(8, 8), makeRowReduction(8, 8),
+                          makeGatherReduction(8)})
+    Kernels.push_back(K);
+  for (unsigned Seed = 1; Seed <= 40; ++Seed)
+    Kernels.push_back(makeRandomKernel(Seed));
+  SchedulerOptions Isl, Feautrier;
+  Isl.SerializeSccs = true;
+  Feautrier.UseFeautrierFallback = true;
+  unsigned Compared = 0;
+  for (const Kernel &K : Kernels) {
+    InfluenceTree Tree = buildInfluenceTree(K, InfluenceOptions());
+    for (const SchedulerResult &R :
+         {scheduleKernel(K, Isl), scheduleKernel(K, Feautrier),
+          scheduleKernel(K, SchedulerOptions(), &Tree)}) {
+      if (R.FellBackToOriginal)
+        continue;
+      Schedule Annotated = R.Sched;
+      annotateParallelism(K, Annotated);
+      for (unsigned D = 0, ND = R.Sched.numDims(); D != ND; ++D, ++Compared) {
+        EXPECT_EQ(Annotated.Dims[D].IsParallel, R.Sched.Dims[D].IsParallel)
+            << K.Name << " dim " << D;
+        EXPECT_EQ(Annotated.Dims[D].ThreadParallel,
+                  R.Sched.Dims[D].ThreadParallel)
+            << K.Name << " dim " << D;
+      }
+    }
+  }
+  EXPECT_GT(Compared, 500u);
+}
+
 /// Budget-stress mode: random kernels under solver budgets far too small
 /// for any real scheduling run, with a fail-point (cycled by seed) armed
 /// on top. The pipeline must still return a report whose schedules

@@ -1,9 +1,14 @@
 //===- tests/pipeline_test.cpp - end-to-end pipeline tests ----------------===//
 
+#include "obs/Metrics.h"
 #include "pipeline/Pipeline.h"
 #include "TestKernels.h"
 
 #include <gtest/gtest.h>
+
+#include <iterator>
+#include <map>
+#include <sstream>
 
 using namespace pinj;
 
@@ -135,3 +140,120 @@ TEST_P(PipelineProperty, InfluenceNeverFarWorse) {
 INSTANTIATE_TEST_SUITE_P(Families, PipelineProperty,
                          ::testing::Combine(::testing::Range(0, 5),
                                             ::testing::Values(16, 64)));
+
+// The stats table's fallbacks column and the sched_end journal record
+// count the same thing, SchedulerStats::fallbacks(), Feautrier dimensions
+// included.
+TEST(Pipeline, StatsTableCountsFeautrierDims) {
+  Kernel K = makeProducerConsumer(8, 8);
+  PipelineOptions Options;
+  Options.Sched.UseFeautrierFallback = true;
+  OperatorReport R = runOperator(K, Options);
+  ASSERT_GE(R.Isl.Stats.FeautrierDims, 1u);
+  std::istringstream Table(printStatsTable(R));
+  std::map<std::string, unsigned long long> Column;
+  for (std::string Line; std::getline(Table, Line);) {
+    std::istringstream Row(Line);
+    std::vector<std::string> Cells{std::istream_iterator<std::string>(Row),
+                                   std::istream_iterator<std::string>()};
+    if (Cells.size() == 7 && Cells[0] != "config")
+      Column[Cells[0]] = std::stoull(Cells[6]);
+  }
+  for (auto [Name, C] : {std::pair<const char *, const ConfigResult *>(
+                             "isl", &R.Isl),
+                         {"novec", &R.Novec},
+                         {"infl", &R.Infl}}) {
+    ASSERT_EQ(Column.count(Name), 1u) << Name;
+    EXPECT_EQ(Column[Name], C->Stats.fallbacks()) << Name;
+    EXPECT_GE(Column[Name], C->Stats.FeautrierDims) << Name;
+  }
+}
+
+namespace {
+
+/// An in-memory compilation cache keyed by operator name.
+class MapCache : public CompilationCacheHook {
+public:
+  bool lookup(const Kernel &K, const PipelineOptions &,
+              CachedCompilation &Out) override {
+    auto It = Entries.find(K.Name);
+    if (It == Entries.end())
+      return false;
+    Out = It->second;
+    return true;
+  }
+  void store(const Kernel &K, const PipelineOptions &,
+             const CachedCompilation &C) override {
+    Entries[K.Name] = C;
+  }
+
+private:
+  std::map<std::string, CachedCompilation> Entries;
+};
+
+std::uint64_t dependenceRuns() {
+  return obs::metrics().counter("poly.dependence_runs").value();
+}
+
+} // namespace
+
+// The isl and influenced scheduler runs and the infl vector pass share
+// one analysis; the tvm proxy still analyses each statement on its own.
+TEST(Pipeline, OneDependenceAnalysisPerCompilation) {
+  Kernel K = makeRunningExample(64);
+  MapCache Cache;
+  PipelineOptions Options;
+  Options.Cache = &Cache;
+
+  std::uint64_t Before = dependenceRuns();
+  OperatorReport Miss = runOperator(K, Options);
+  ASSERT_FALSE(Miss.CacheHit);
+  ASSERT_FALSE(Miss.degraded());
+  EXPECT_EQ(dependenceRuns() - Before, 1 + K.Stmts.size());
+
+  Before = dependenceRuns();
+  OperatorReport Hit = runOperator(K, Options);
+  ASSERT_TRUE(Hit.CacheHit);
+  EXPECT_EQ(dependenceRuns() - Before, K.Stmts.size());
+
+  Before = dependenceRuns();
+  Schedule Infl;
+  EXPECT_TRUE(scheduleInflConfig(K, PipelineOptions(), Infl));
+  EXPECT_EQ(dependenceRuns() - Before, 1u);
+  EXPECT_EQ(Infl, Miss.Infl.Sched);
+}
+
+// An Overflow raised inside the shared analysis (here: access
+// coefficients near 2^61) still ends as one attributed degradation per
+// scheduled configuration, each on the original program order.
+TEST(Pipeline, OverflowInSharedAnalysisDegradesEveryConfig) {
+  KernelBuilder B("overflow");
+  unsigned A = B.tensor("A", {64});
+  unsigned O = B.tensor("O", {64});
+  B.stmt("S", {{"i", 64}}).write(O, {"i"}).read(A, {"i"}).op(OpKind::Assign);
+  B.stmt("T", {{"i", 64}}).write(A, {"i"}).read(O, {"i"}).op(OpKind::Assign);
+  Kernel K = B.build();
+  for (Statement &S : K.Stmts) {
+    S.Write.Indices[0][0] = Int(1) << 61;
+    S.Reads[0].Indices[0][0] = (Int(1) << 61) - 1;
+  }
+  try {
+    computeDependences(K);
+    FAIL() << "the analysis did not overflow";
+  } catch (const RecoverableError &E) {
+    ASSERT_EQ(E.status().code(), StatusCode::Overflow);
+  }
+  OperatorReport R = runOperator(K, PipelineOptions());
+  const Schedule Original = originalSchedule(K);
+  for (auto [Name, C] : {std::pair<const char *, const ConfigResult *>(
+                             "isl", &R.Isl),
+                         {"novec", &R.Novec},
+                         {"infl", &R.Infl}}) {
+    EXPECT_EQ(C->Outcome.code(), StatusCode::Overflow) << Name;
+    EXPECT_EQ(C->Sched.Transforms, Original.Transforms) << Name;
+    unsigned Records = 0;
+    for (const DegradationEvent &E : R.Degradations)
+      Records += E.Config == Name && E.Code == StatusCode::Overflow;
+    EXPECT_EQ(Records, 1u) << Name;
+  }
+}

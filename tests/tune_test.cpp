@@ -443,7 +443,7 @@ TEST(EvaluatorMemo, TrippedEntryNeverAnswersAnotherTier) {
   // run trips; tiers 1 and 2 cap far above what the run needs.
   Kernel K = corpusKernel("hostile_permute_a");
   PipelineOptions Base;
-  Base.Sched.Budget.MaxPivots = 40; // The influenced run needs 45.
+  Base.Sched.Budget.MaxPivots = 40; // The influenced run needs 42.
   SearchSpace Space = defaultSearchSpace();
   // sched.budget_tier is the last, fastest-varying dimension.
   const Candidate T0 = Space.candidateAt(0), T1 = Space.candidateAt(1),
