@@ -6,10 +6,12 @@
 #include "pipeline/Pipeline.h"
 #include "sched/Scheduler.h"
 #include "support/Status.h"
+#include "DateWalkCheck.h"
 #include "TestKernels.h"
 #include "../bench/BenchUtil.h"
 
 #include <algorithm>
+#include <limits>
 
 #include <gtest/gtest.h>
 
@@ -267,6 +269,32 @@ void expectMatchesOracle(const Kernel &K, const Schedule &S,
   EXPECT_TRUE(Fast.Tensors == Slow.Tensors) << What;
 }
 
+/// A schedule from explicit rows: Rows[Stmt][Dim] holds the iterator
+/// coefficients, then the constant (the kernels have no parameters).
+Schedule makeRowSchedule(const std::vector<std::vector<IntVector>> &Rows) {
+  Schedule S;
+  S.Dims.resize(Rows.front().size());
+  for (const std::vector<IntVector> &StmtRows : Rows) {
+    IntMatrix T(0, StmtRows.front().size());
+    for (const IntVector &Row : StmtRows)
+      T.appendRow(Row);
+    S.Transforms.push_back(std::move(T));
+  }
+  return S;
+}
+
+DateOrder planOf(const Kernel &K, const Schedule &S) {
+  CompiledKernel Code(K);
+  return DateOrderExecutor().plan(Code, S);
+}
+
+/// The walk runs \p S, and in the oracle's order.
+void expectWalkMatchesOracle(const Kernel &K, const Schedule &S,
+                             const std::string &What) {
+  EXPECT_EQ(planOf(K, S), DateOrder::Walk) << What;
+  expectMatchesOracle(K, S, What);
+}
+
 } // namespace
 
 TEST(ExecutorDifferential, TestKernelsBitIdenticalToOracle) {
@@ -338,18 +366,32 @@ TEST(ExecutorDifferential, RandomSchedulesBitIdenticalToOracle) {
 
 TEST(ExecutorDifferential, DateOverflowRaisesLikeOracle) {
   Kernel K = makeElementwise(4, 4);
-  Schedule S = scheduleKernel(K, baseline()).Sched;
-  S.Transforms[0].at(0, 0) = Int(1) << 62; // Dates reach 3 * 2^62.
+  Schedule Wide = scheduleKernel(K, baseline()).Sched;
+  Wide.Transforms[0].at(0, 0) = Int(1) << 62; // Dates reach 3 * 2^62.
+  // A unit row shifted to the top of the 64-bit range: it would walk.
+  Schedule Shifted = makeRowSchedule({{{1, 0, 0}, {0, 1, 0}}});
+  Shifted.Transforms[0].at(0, 2) = std::numeric_limits<Int>::max() - 2;
   ExecBuffers Buffers = makeInputs(K, 1);
-  for (bool Oracle : {false, true}) {
+  for (const Schedule &S : {Wide, Shifted}) {
+    for (bool Oracle : {false, true}) {
+      try {
+        Oracle ? referenceRunScheduled(K, S, Buffers)
+               : runScheduled(K, S, Buffers);
+        ADD_FAILURE() << "no overflow raised, oracle=" << Oracle;
+      } catch (const RecoverableError &E) {
+        EXPECT_EQ(E.status().code(), StatusCode::Overflow) << Oracle;
+      }
+    }
     try {
-      Oracle ? referenceRunScheduled(K, S, Buffers)
-             : runScheduled(K, S, Buffers);
-      ADD_FAILURE() << "no overflow raised, oracle=" << Oracle;
+      scheduleIsSemanticallyEqual(K, S);
+      ADD_FAILURE() << "no overflow raised by the validator";
     } catch (const RecoverableError &E) {
-      EXPECT_EQ(E.status().code(), StatusCode::Overflow) << Oracle;
+      EXPECT_EQ(E.status().code(), StatusCode::Overflow);
     }
   }
+  // One step lower the shifted dates fit, and the schedule walks.
+  Shifted.Transforms[0].at(0, 2) -= 1;
+  EXPECT_EQ(planOf(K, Shifted), DateOrder::Enumeration);
 }
 
 class CorpusOracle : public ::testing::TestWithParam<int> {};
@@ -363,6 +405,138 @@ TEST_P(CorpusOracle, IslAndInflBitIdenticalToOracle) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Corpus, CorpusOracle, ::testing::Range(0, 22));
+
+//===----------------------------------------------------------------------===//
+// The date-order walk against the sorted fallback and the oracle.
+//===----------------------------------------------------------------------===//
+
+// Every schedule the pipeline builds for the corpus and the seven Table
+// II suites is a loop permutation, shift or fusion: it walks. The corpus
+// runs both paths here; the Table II suites (~257M instances per
+// configuration) only plan here and run in tests/exec_table2_test.cpp.
+TEST(DateWalk, PipelineSchedulesWalk) {
+  std::vector<Kernel> Corpus = tuneBenchCorpus(0);
+  std::vector<Kernel> Kernels = Corpus;
+  for (const std::string &Name : allNetworkNames())
+    for (Kernel &K : makeNetworkSuite(Name).Operators)
+      Kernels.push_back(std::move(K));
+  unsigned Identity = 0;
+  for (unsigned I = 0, E = Kernels.size(); I != E; ++I) {
+    const Kernel &K = Kernels[I];
+    OperatorReport R = runOperator(K, PipelineOptions());
+    ASSERT_FALSE(R.degraded()) << K.Name;
+    CompiledKernel Code(K);
+    DateOrderExecutor Executor;
+    for (const auto &[Config, S] :
+         {std::pair{"isl", &R.Isl.Sched}, std::pair{"novec", &R.Novec.Sched},
+          std::pair{"infl", &R.Infl.Sched}}) {
+      std::string What = K.Name + "/" + Config;
+      DateOrder Kind = I < Corpus.size()
+                           ? expectWalkMatchesSort(K, *S, What)
+                           : Executor.plan(Code, *S);
+      EXPECT_NE(Kind, DateOrder::Sorted) << What;
+      Identity += Kind == DateOrder::Enumeration;
+    }
+  }
+  EXPECT_EQ(Kernels.size(), 239u);
+  EXPECT_GT(Identity, 0u);
+  EXPECT_LT(Identity, 3 * Kernels.size());
+}
+
+
+// A row with a negative coefficient walks its loop downwards: here the
+// recurrence along j runs from the last column to the first, outermost.
+TEST(DateWalk, ReversedRow) {
+  KernelBuilder B("reversed_recurrence");
+  unsigned X = B.tensor("X", {5, 4});
+  unsigned Y = B.tensor("Y", {5, 4});
+  unsigned Acc = B.tensor("ACC", {5, 5});
+  B.stmt("S", {{"i", 5}, {"j", 4}})
+      .write(Acc, {"i", IndexExpr("j") + 1})
+      .read(Acc, {"i", "j"})
+      .read(X, {"i", "j"})
+      .read(Y, {"i", "j"})
+      .op(OpKind::Fma);
+  Kernel K = B.build();
+  expectWalkMatchesOracle(K, makeRowSchedule({{{0, -1, 3}, {1, 0, 0}}}),
+                          "(3 - j, i)");
+  expectWalkMatchesOracle(K, makeRowSchedule({{{-1, 0, 0}, {0, -1, 0}}}),
+                          "(-i, -j)");
+}
+
+// An iterator in no date row is a tie loop: it runs innermost, in its
+// original order, for every date, and the statement is merged with the
+// one it is fused with rather than stepped in lockstep.
+TEST(DateWalk, IteratorAbsentFromEveryRow) {
+  KernelBuilder B("row_sum_then_scale");
+  unsigned X = B.tensor("X", {6, 7});
+  unsigned Sum = B.tensor("SUM", {6});
+  unsigned Out = B.tensor("OUT", {6});
+  B.stmt("R", {{"i", 6}, {"j", 7}})
+      .write(Sum, {"i"})
+      .read(Sum, {"i"})
+      .read(X, {"i", "j"})
+      .op(OpKind::Add);
+  B.stmt("S", {{"i", 6}}).write(Out, {"i"}).read(Sum, {"i"}).op(OpKind::Neg);
+  Kernel K = B.build();
+  expectWalkMatchesOracle(
+      K, makeRowSchedule({{{1, 0, 0}, {0, 0, 0}}, {{1, 0}, {0, 1}}}),
+      "fused (i, 0) / (i, 1)");
+  expectWalkMatchesOracle(
+      K, makeRowSchedule({{{-1, 0, 5}, {0, 0, 1}}, {{1, 0}, {0, 0}}}),
+      "fused, reversed (5 - i, 1) / (i, 0)");
+}
+
+// Equal dates run in statement order: S0 must read Z before S1 writes
+// it, both when the statements step in lockstep (the same walk) and when
+// their walks are merged (different extents; S1's walk starts first).
+TEST(DateWalk, EqualKeysRunLowerStatementFirst) {
+  auto Make = [](Int ReadExtent, Int Shift) {
+    KernelBuilder B("read_before_write");
+    unsigned X = B.tensor("X", {8});
+    unsigned Y = B.tensor("Y", {8});
+    unsigned Z = B.tensor("Z", {8});
+    B.stmt("S0", {{"i", ReadExtent}})
+        .write(Y, {"i"})
+        .read(Z, {IndexExpr("i") + Shift})
+        .op(OpKind::Assign);
+    B.stmt("S1", {{"i", 8}}).write(Z, {"i"}).read(X, {"i"}).op(OpKind::Neg);
+    return B.build();
+  };
+  expectWalkMatchesOracle(Make(8, 0),
+                          makeRowSchedule({{{1, 0}}, {{1, 0}}}),
+                          "lockstep (i) / (i)");
+  expectWalkMatchesOracle(Make(4, 2),
+                          makeRowSchedule({{{1, 2}}, {{1, 0}}}),
+                          "merged (i + 2) / (i)");
+}
+
+// Fused statements with the same walk step in lockstep only while their
+// smallest keys differ by less than the walk's key step: at (i) / (i + 1)
+// and (i) / (i + 3), S1(i) must wait for S0(i + 1), which writes what it
+// reads. At (i, j, 0) / (i, j, 1) the offsets fit inside one step.
+TEST(DateWalk, LockstepNeedsOffsetsInsideOneKeyStep) {
+  KernelBuilder B("shifted_consumer");
+  unsigned X = B.tensor("X", {9});
+  unsigned A = B.tensor("A", {9});
+  unsigned Y = B.tensor("Y", {8});
+  B.stmt("S0", {{"i", 8}}).write(A, {"i"}).read(X, {"i"}).op(OpKind::Neg);
+  B.stmt("S1", {{"i", 8}})
+      .write(Y, {"i"})
+      .read(A, {IndexExpr("i") + 1})
+      .op(OpKind::Assign);
+  Kernel K = B.build();
+  for (Int Shift : {1, 3})
+    expectWalkMatchesOracle(K, makeRowSchedule({{{1, 0}}, {{1, Shift}}}),
+                            "(i) / (i + " + std::to_string(Shift) + ")");
+
+  Kernel Fused = makeProducerConsumer(5, 6);
+  expectWalkMatchesOracle(
+      Fused,
+      makeRowSchedule({{{1, 0, 0}, {0, 1, 0}, {0, 0, 0}},
+                       {{1, 0, 0}, {0, 1, 0}, {0, 0, 1}}}),
+      "(i, j, 0) / (i, j, 1)");
+}
 
 //===----------------------------------------------------------------------===//
 // Out-of-bounds accesses: OUT[i] = IN[i + 1] with i < N leaves IN only at
@@ -422,4 +596,40 @@ TEST(Interpreter, OutOfBoundsAccessDegradesValidation) {
   EXPECT_EQ(R.Degradations[0].Config, "validate");
   EXPECT_EQ(R.Degradations[0].Site, "exec.interpret");
   EXPECT_EQ(R.Degradations[0].Code, StatusCode::Internal);
+
+  // Both schedules are in the enumeration order, which the validator
+  // accepts without running: the kernel's bounds check still runs.
+  Kernel InBounds = makeShiftedRead(8);
+  InBounds.Tensors[0].Shape[0] = 9;
+  EXPECT_EQ(planOf(InBounds, R.Isl.Sched), DateOrder::Enumeration);
+  EXPECT_EQ(planOf(InBounds, R.Infl.Sched), DateOrder::Enumeration);
+}
+
+// The walk raises what the sorted order raises for a schedule it cannot
+// run, before anything runs.
+TEST(Interpreter, UnrunnableScheduleRaises) {
+  Kernel K = makeElementwise(4, 4);
+  Schedule Mismatched = scheduleKernel(K, baseline()).Sched;
+  Mismatched.Transforms.pop_back();
+  ExecBuffers Buffers = makeInputs(K, 1);
+  expectInterpretError([&] { runScheduled(K, Mismatched, Buffers); },
+                       "mismatched runScheduled");
+  expectInterpretError([&] { scheduleIsSemanticallyEqual(K, Mismatched); },
+                       "mismatched scheduleIsSemanticallyEqual");
+
+  // 2^32 + 2^16 instances of T[0] = T[0]: nothing is allocated per
+  // instance, and the plan refuses before any run.
+  KernelBuilder B("too_many_instances");
+  unsigned T = B.tensor("T", {1});
+  B.stmt("S", {{"i", Int(1) << 16}, {"j", (Int(1) << 16) + 1}})
+      .write(T, {Int(0)})
+      .read(T, {Int(0)})
+      .op(OpKind::Assign);
+  Kernel Huge = B.build();
+  Schedule S = makeRowSchedule({{{1, 0, 0}, {0, 1, 0}}});
+  ExecBuffers Small = makeInputs(Huge, 1);
+  expectInterpretError([&] { runScheduled(Huge, S, Small); },
+                       "too many runScheduled");
+  expectInterpretError([&] { scheduleIsSemanticallyEqual(Huge, S); },
+                       "too many scheduleIsSemanticallyEqual");
 }

@@ -208,30 +208,36 @@ TEST_P(KernelFuzz, FeautrierModeValidAndSemanticsPreserved) {
   EXPECT_TRUE(scheduleIsSemanticallyEqual(K, R.Sched)) << K.Name;
 }
 
-// The flat-key executor against the date-sorting oracle on the schedules
-// of all four modes above: the same instance order, so bit-identical
-// buffers.
-TEST_P(KernelFuzz, ExecutorBitIdenticalToOracle) {
-  unsigned Seed = static_cast<unsigned>(GetParam());
-  Kernel K = makeRandomKernel(Seed);
+namespace {
+
+/// The schedules of the four modes above.
+std::vector<std::pair<const char *, Schedule>>
+fuzzModeSchedules(const Kernel &K, unsigned Seed) {
   SchedulerOptions Serial;
   Serial.SerializeSccs = true;
   SchedulerOptions Feautrier;
   Feautrier.UseFeautrierFallback = true;
   InfluenceTree Auto = buildInfluenceTree(K, InfluenceOptions());
   InfluenceTree Random = makeRandomTree(K, Seed);
-  const std::pair<const char *, Schedule> Modes[] = {
-      {"baseline", scheduleKernel(K, Serial).Sched},
-      {"auto", scheduleKernel(K, SchedulerOptions(), &Auto).Sched},
-      {"random", scheduleKernel(K, SchedulerOptions(), &Random).Sched},
-      {"feautrier", scheduleKernel(K, Feautrier).Sched}};
+  return {{"baseline", scheduleKernel(K, Serial).Sched},
+          {"auto", scheduleKernel(K, SchedulerOptions(), &Auto).Sched},
+          {"random", scheduleKernel(K, SchedulerOptions(), &Random).Sched},
+          {"feautrier", scheduleKernel(K, Feautrier).Sched}};
+}
 
+} // namespace
+
+// The executor against the date-sorting oracle on the schedules of all
+// four modes above: the same instance order, so bit-identical buffers.
+TEST_P(KernelFuzz, ExecutorBitIdenticalToOracle) {
+  unsigned Seed = static_cast<unsigned>(GetParam());
+  Kernel K = makeRandomKernel(Seed);
   ExecBuffers Inputs = makeInputs(K, Seed);
   ExecBuffers Fast = Inputs, Slow = Inputs;
   runOriginal(K, Fast);
   referenceRunOriginal(K, Slow);
   EXPECT_TRUE(Fast.Tensors == Slow.Tensors) << K.Name << " original";
-  for (const auto &[Mode, S] : Modes) {
+  for (const auto &[Mode, S] : fuzzModeSchedules(K, Seed)) {
     Fast = Inputs;
     Slow = Inputs;
     runScheduled(K, S, Fast);
@@ -241,6 +247,25 @@ TEST_P(KernelFuzz, ExecutorBitIdenticalToOracle) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, KernelFuzz, ::testing::Range(1, 41));
+
+// Seeds 4 and 35 build a skewed schedule, which the executor cannot walk:
+// it sorts the dates instead, and still runs the oracle's order.
+TEST(DateWalk, SkewedFuzzSchedulesFallBackToSort) {
+  for (unsigned Seed : {4u, 35u}) {
+    Kernel K = makeRandomKernel(Seed);
+    CompiledKernel Code(K);
+    unsigned Sorted = 0;
+    for (const auto &[Mode, S] : fuzzModeSchedules(K, Seed)) {
+      DateOrderExecutor Executor;
+      Sorted += Executor.plan(Code, S) == DateOrder::Sorted;
+      ExecBuffers Fast = makeInputs(K, Seed), Slow = Fast;
+      Executor.run(Fast);
+      referenceRunScheduled(K, S, Slow);
+      EXPECT_TRUE(Fast.Tensors == Slow.Tensors) << K.Name << " " << Mode;
+    }
+    EXPECT_GT(Sorted, 0u) << K.Name;
+  }
+}
 
 // The construction runs the carried-relation walk while it installs
 // dimensions (withdrawing and re-attempting some on the way);
