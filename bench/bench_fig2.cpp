@@ -54,8 +54,8 @@ int main() {
   // Semantics check and simulated comparison.
   bool IslOk = scheduleIsSemanticallyEqual(K, IslRun.Sched);
   bool InflOk = scheduleIsSemanticallyEqual(K, InflRun.Sched);
-  KernelSim IslSim = simulateKernel(IslMapped, Options.Gpu);
-  KernelSim InflSim = simulateKernel(InflMapped, Options.Gpu);
+  KernelSim IslSim = Options.Target->simulate(IslMapped);
+  KernelSim InflSim = Options.Target->simulate(InflMapped);
   std::printf("semantics preserved: isl=%s infl=%s\n", IslOk ? "yes" : "NO",
               InflOk ? "yes" : "NO");
   std::printf("simulated time: isl=%.2fus infl=%.2fus (speedup %.2fx)\n",

@@ -22,13 +22,13 @@
 
 #include "codegen/Mapping.h"
 
-#include <optional>
-#include <string>
 #include <vector>
 
 namespace pinj {
 
-/// Machine parameters; defaults approximate a Tesla V100 (PCIe).
+/// Machine parameters; defaults approximate a Tesla V100 (PCIe). The
+/// named presets (v100, a100, p100) are built-in targets: see
+/// target/Target.h.
 struct GpuModel {
   unsigned WarpSize = 32;
   unsigned SectorBytes = 32;
@@ -83,17 +83,6 @@ struct KernelSim {
     return TransactionBytes > 0 ? UsefulBytes / TransactionBytes : 1.0;
   }
 };
-
-/// The machine model for a named preset ("v100" is the default-constructed
-/// model; "a100" and "p100" rescale bandwidth/issue/latency-hiding), or
-/// nothing for an unknown name. Every preset field participates in the
-/// options fingerprint (service/Fingerprint.h), so cache and tuning-db
-/// keys distinguish targets.
-std::optional<GpuModel> gpuModelPreset(const std::string &Name);
-
-/// Every name gpuModelPreset accepts, in a stable order (for --gpu=
-/// diagnostics).
-std::vector<std::string> gpuModelPresetNames();
 
 /// The transaction-model half of a backend target (see src/target/): how
 /// many lanes issue memory accesses together, the machine's transaction

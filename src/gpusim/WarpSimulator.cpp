@@ -12,6 +12,8 @@
 
 using namespace pinj;
 
+using U64 = std::uint64_t;
+
 unsigned pinj::countSectors(
     const std::vector<std::pair<Int, unsigned>> &Accesses,
     unsigned SectorBytes) {
@@ -19,11 +21,17 @@ unsigned pinj::countSectors(
   // concurrently, and a warm buffer makes the count allocation-free.
   thread_local std::vector<Int> Sectors;
   Sectors.clear();
+  const Int Bytes = SectorBytes;
   for (const auto &[Addr, Size] : Accesses) {
-    Int First = floorDiv(Addr, SectorBytes);
-    Int Last = floorDiv(Addr + static_cast<Int>(Size) - 1, SectorBytes);
-    for (Int S = First; S <= Last; ++S)
-      Sectors.push_back(S);
+    // Counted from Addr's own sector, so that no sum overflows even for
+    // the wrapped address of an out-of-bounds access.
+    Int First = floorDiv(Addr, Bytes);
+    Int InSector = Addr % Bytes;
+    if (InSector < 0)
+      InSector += Bytes;
+    Int Span = floorDiv(InSector + static_cast<Int>(Size) - 1, Bytes);
+    for (Int S = 0; S <= Span; ++S)
+      Sectors.push_back(Int(U64(First) + U64(S)));
   }
   std::sort(Sectors.begin(), Sectors.end());
   return std::unique(Sectors.begin(), Sectors.end()) - Sectors.begin();
@@ -249,24 +257,27 @@ private:
       LaneAccesses.clear();
       for (unsigned L = 0; L != ActiveLanes; ++L) {
         const Int *LaneCoord = LaneCoords.data() + size_t(L) * ND;
-        Int Elem = Strides[A].ConstOffset;
+        // Byte addresses in wrapping unsigned arithmetic, like exec's
+        // flat offsets: exact for every in-bounds access, and defined
+        // for an out-of-bounds one.
+        U64 Elem = U64(Strides[A].ConstOffset);
         for (unsigned D = 0; D != ND; ++D)
-          Elem += Stride[D] * LaneCoord[D];
-        Int Addr = Elem * ElemBytes;
+          Elem += U64(Stride[D]) * U64(LaneCoord[D]);
+        U64 Addr = Elem * ElemBytes;
         switch (Kinds[A]) {
         case LaneAccessKind::Scalar:
         case LaneAccessKind::Broadcast:
-          LaneAccesses.emplace_back(Addr, ElemBytes);
+          LaneAccesses.emplace_back(Int(Addr), ElemBytes);
           Instr += 1;
           break;
         case LaneAccessKind::Vector:
-          LaneAccesses.emplace_back(Addr, ElemBytes * VectorWidth);
+          LaneAccesses.emplace_back(Int(Addr), ElemBytes * VectorWidth);
           Instr += 1;
           break;
         case LaneAccessKind::Replay: {
-          Int VecStride = Stride[VectorDim];
+          U64 VecStride = U64(Stride[VectorDim]);
           for (unsigned E = 0; E != VectorWidth; ++E)
-            LaneAccesses.emplace_back(Addr + VecStride * ElemBytes * E,
+            LaneAccesses.emplace_back(Int(Addr + VecStride * ElemBytes * E),
                                       ElemBytes);
           Instr += VectorWidth;
           break;

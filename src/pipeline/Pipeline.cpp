@@ -434,8 +434,8 @@ OperatorReport pinj::runOperator(const Kernel &K,
       return;
     }
     try {
-      Out.Sim = target::simulateForOptions(
-          mapToGpu(K, Out.Sched, Options.Mapping), Options);
+      Out.Sim =
+          Options.Target->simulate(mapToGpu(K, Out.Sched, Options.Mapping));
       Out.TimeUs = Out.Sim.TimeUs;
     } catch (const RecoverableError &E) {
       Out.Outcome = E.status();
@@ -485,10 +485,7 @@ OperatorReport pinj::runOperator(const Kernel &K,
     obs::Stage S("tvm", "pipeline.config.tvm");
     if (!Ladder.deadlineExpired("tvm")) {
       try {
-        Report.Tvm = Options.Target
-                         ? simulateTvmProxy(K, *Options.Target,
-                                            Options.Mapping)
-                         : simulateTvmProxy(K, Options.Gpu, Options.Mapping);
+        Report.Tvm = simulateTvmProxy(K, *Options.Target, Options.Mapping);
       } catch (const RecoverableError &E) {
         recordDegradation("tvm", E.status());
       }

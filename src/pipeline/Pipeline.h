@@ -24,16 +24,13 @@
 #include "influence/TreeBuilder.h"
 #include "obs/Report.h"
 #include "sched/Scheduler.h"
+#include "target/Target.h"
 
 #include <memory>
 
 namespace pinj {
 
 struct PipelineOptions;
-
-namespace target {
-class TargetModel;
-}
 
 /// The scheduling artifacts one operator compile produces, in the form
 /// the compilation cache stores and replays: the three per-configuration
@@ -110,18 +107,19 @@ struct PipelineOptions {
   SchedulerOptions Sched;
   InfluenceOptions Influence;
   GpuMappingOptions Mapping;
-  GpuModel Gpu;
-  /// The backend target that scores every configuration (src/target/).
-  /// Null means the built-in GPU analytic backend over `Gpu` — the
-  /// default, and bit-identical to the pre-target-subsystem path; code
-  /// that mutates `Gpu` directly keeps working unchanged. When set,
+  /// The backend target that scores every configuration (src/target/):
   /// simulation, the tvm proxy, the tuner's evaluator and the options
-  /// fingerprint all follow it (and `Gpu` is ignored unless the target
-  /// is itself GPU-analytic). Shared const: safe across the batch
-  /// compiler's and daemon's worker pools.
-  std::shared_ptr<const target::TargetModel> Target;
+  /// fingerprint all follow it. Never null; defaults to the shared
+  /// built-in v100 (target::defaultTarget()). Shared const: safe across
+  /// the batch compiler's and daemon's worker pools.
+  std::shared_ptr<const target::TargetModel> Target = target::defaultTarget();
+  /// Read-only V100 constants, never consulted by the pipeline: machine
+  /// constants live in Target. Kept for perfbench/src/Trace.cpp, which
+  /// still names it.
+  static constexpr GpuModel Gpu{};
   /// Execute original vs scheduled order on real buffers and compare
-  /// (slow; meant for tests and small shapes).
+  /// (reference interpreter; the 22-operator corpus validates in well
+  /// under a second).
   bool Validate = false;
   /// Whole-operator resource limits, installed around everything
   /// runOperator does (all four configurations plus validation). WallMs

@@ -3,7 +3,7 @@
 #include "service/Fingerprint.h"
 
 #include "pipeline/Pipeline.h"
-#include "target/GpuAnalyticTarget.h"
+#include "target/Target.h"
 
 #include <cstring>
 
@@ -185,10 +185,9 @@ Fingerprint service::fingerprintInfluenceTree(const InfluenceTree &T) {
 std::uint64_t service::fingerprintOptions(const PipelineOptions &O) {
   FingerprintBuilder H;
   // v3: the GPU machine-model fields were replaced by the canonical
-  // target section (kind + every named constant) — a null Target hashes
-  // as the gpu-analytic backend over O.Gpu, so `--gpu=v100`,
-  // `--target=v100` and the defaults all share cache entries, while any
-  // other backend or calibrated constant set never aliases them.
+  // target section (kind + every named constant), so the default options
+  // and `--target=v100` share cache entries, while any other backend or
+  // calibrated constant set never aliases them.
   H.str("pinj-options-v3");
   hashSchedulerOptions(H, O.Sched);
   hashBudget(H, O.Sched.Budget);
@@ -209,10 +208,8 @@ std::uint64_t service::fingerprintOptions(const PipelineOptions &O) {
   // form covers the kind and every named constant; the display name is
   // deliberately absent (identity is what the target computes).
   H.i64(O.Mapping.MaxThreadsPerBlock);
-  H.str(O.Target ? O.Target->kind()
-                 : std::string(target::GpuAnalyticKind));
-  std::vector<target::TargetParam> Params =
-      O.Target ? O.Target->params() : target::gpuAnalyticParams(O.Gpu);
+  H.str(O.Target->kind());
+  std::vector<target::TargetParam> Params = O.Target->params();
   H.u64(Params.size());
   for (const target::TargetParam &P : Params) {
     H.str(P.Name);

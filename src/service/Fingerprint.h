@@ -103,12 +103,11 @@ void hashBudget(FingerprintBuilder &H, const SolverBudget &B);
 
 /// A 64-bit hash of every PipelineOptions field that can change the
 /// compilation result: scheduler tunables, influence cost weights, GPU
-/// mapping limits, the backend target (kind plus every model constant;
-/// a null Target hashes as the gpu-analytic backend over the Gpu field,
-/// so the default, `--gpu=PRESET` and `--target=PRESET` forms share
-/// entries), validation, and the solver budgets (an exhausted budget
-/// changes the schedule, so budgeted and unbudgeted runs must not share
-/// entries). Sink/Cache/Tuner pointers are excluded.
+/// mapping limits, the backend target (kind plus every model constant,
+/// not its display name), validation, and the solver budgets (an
+/// exhausted budget changes the schedule, so budgeted and unbudgeted
+/// runs must not share entries). Sink/Cache/Tuner pointers are
+/// excluded.
 std::uint64_t fingerprintOptions(const PipelineOptions &Options);
 
 /// The cache key: fingerprintKernel(K) folded with

@@ -7,7 +7,7 @@
 using namespace pinj;
 using namespace pinj::target;
 
-std::vector<TargetParam> target::gpuAnalyticParams(const GpuModel &M) {
+std::vector<TargetParam> GpuAnalyticTarget::params() const {
   return {
       {"WarpSize", static_cast<double>(M.WarpSize)},
       {"SectorBytes", static_cast<double>(M.SectorBytes)},
@@ -32,8 +32,8 @@ KernelSim GpuAnalyticTarget::finishTime(KernelSim Counters) const {
 
 KernelSim GpuAnalyticTarget::simulate(const MappedKernel &Mk) const {
   // Delegate to the gpusim entry point — span, fail-point and metrics
-  // included — so this target is indistinguishable from the legacy
-  // simulateKernel(M, Gpu) path, bit for bit.
+  // included — so this target is indistinguishable from
+  // simulateKernel(Mk, M), bit for bit.
   return simulateKernel(Mk, M);
 }
 

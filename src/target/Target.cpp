@@ -29,20 +29,69 @@ TargetModel::paramRange(const std::string &) const {
 // Registry
 //===----------------------------------------------------------------------===//
 
+namespace {
+
+std::shared_ptr<TargetModel> gpuAnalytic(const GpuModel &M) {
+  return std::make_shared<GpuAnalyticTarget>(M);
+}
+
+/// NVIDIA Tesla P100 (PCIe): HBM2 at ~732 GB/s, lower issue throughput
+/// and a slightly higher launch cost than V100; narrow accesses pay a
+/// little more.
+GpuModel p100Model() {
+  GpuModel M;
+  M.PeakBandwidthGBs = 732.0;
+  M.IssueRateGops = 3000.0;
+  M.LaunchOverheadUs = 5.0;
+  M.OutstandingRequestsPerWarp = 5.0;
+  M.HalfSaturationBytes = 80.0 * 1024.0;
+  M.NarrowAccessEfficiency = 0.8;
+  return M;
+}
+
+/// NVIDIA A100 (SXM): HBM2e at ~1555 GB/s, more outstanding requests
+/// per warp (larger latency-hiding window), cheaper launches, and a
+/// narrower gap between scalar and 128-bit access efficiency.
+GpuModel a100Model() {
+  GpuModel M;
+  M.PeakBandwidthGBs = 1555.0;
+  M.IssueRateGops = 6900.0;
+  M.LaunchOverheadUs = 3.0;
+  M.OutstandingRequestsPerWarp = 8.0;
+  M.HalfSaturationBytes = 160.0 * 1024.0;
+  M.NarrowAccessEfficiency = 0.88;
+  return M;
+}
+
+/// Every built-in target, in builtinTargetNames order. The default
+/// GpuModel approximates a V100 (PCIe).
+const struct {
+  const char *Name;
+  std::shared_ptr<TargetModel> (*Make)();
+} Builtins[] = {
+    {"v100", [] { return gpuAnalytic(GpuModel()); }},
+    {"a100", [] { return gpuAnalytic(a100Model()); }},
+    {"p100", [] { return gpuAnalytic(p100Model()); }},
+    {CpuSimdKind,
+     []() -> std::shared_ptr<TargetModel> {
+       return std::make_shared<CpuSimdTarget>();
+     }},
+};
+
+} // namespace
+
 std::vector<std::string> target::builtinTargetNames() {
-  std::vector<std::string> Names = gpuModelPresetNames();
-  Names.push_back(CpuSimdKind);
+  std::vector<std::string> Names;
+  for (const auto &B : Builtins)
+    Names.push_back(B.Name);
   return Names;
 }
 
 std::shared_ptr<TargetModel> target::makeBuiltinTarget(const std::string &N) {
-  if (std::optional<GpuModel> Preset = gpuModelPreset(N)) {
-    auto T = std::make_shared<GpuAnalyticTarget>(*Preset);
-    T->rename(N);
-    return T;
-  }
-  if (N == CpuSimdKind) {
-    auto T = std::make_shared<CpuSimdTarget>();
+  for (const auto &B : Builtins) {
+    if (N != B.Name)
+      continue;
+    std::shared_ptr<TargetModel> T = B.Make();
     T->rename(N);
     return T;
   }
@@ -242,9 +291,15 @@ std::shared_ptr<TargetModel> target::loadTargetFile(const std::string &Path,
 // Options integration
 //===----------------------------------------------------------------------===//
 
+std::shared_ptr<const TargetModel> target::defaultTarget() {
+  static const std::shared_ptr<const TargetModel> Default =
+      makeBuiltinTarget("v100");
+  return Default;
+}
+
 KernelSim target::simulateForOptions(const MappedKernel &M,
                                      const PipelineOptions &O) {
-  return O.Target ? O.Target->simulate(M) : simulateKernel(M, O.Gpu);
+  return O.Target->simulate(M);
 }
 
 std::string target::targetIdForOptions(const PipelineOptions &O) {
@@ -257,12 +312,9 @@ std::string target::targetIdForOptions(const PipelineOptions &O) {
       Byte(static_cast<std::uint8_t>(C));
     Byte(0);
   };
-  std::string Kind =
-      O.Target ? O.Target->kind() : std::string(GpuAnalyticKind);
-  std::vector<TargetParam> Params =
-      O.Target ? O.Target->params() : gpuAnalyticParams(O.Gpu);
+  std::string Kind = O.Target->kind();
   Str(Kind);
-  for (const TargetParam &P : Params) {
+  for (const TargetParam &P : O.Target->params()) {
     Str(P.Name);
     std::uint64_t Bits;
     static_assert(sizeof(Bits) == sizeof(P.Value), "double must be 64-bit");

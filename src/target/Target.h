@@ -112,7 +112,7 @@ private:
 //===----------------------------------------------------------------------===//
 
 /// Built-in target names, stable order: the three GPU presets then
-/// "cpu-simd". For --target/--gpu diagnostics.
+/// "cpu-simd". For --target diagnostics.
 std::vector<std::string> builtinTargetNames();
 
 /// A fresh instance of a built-in target, or null for an unknown name.
@@ -127,7 +127,7 @@ std::shared_ptr<TargetModel> makeTargetOfKind(const std::string &Kind);
 /// "v100, a100, p100, cpu-simd, or a .ptgt file path".
 std::string availableTargetsHint();
 
-/// Resolves a --target/--gpu spec: a built-in name, else a path to a
+/// Resolves a --target spec: a built-in name, else a path to a
 /// `.ptgt` file. On failure returns null and fills \p Err with a
 /// diagnostic that names the spec and lists the available targets.
 std::shared_ptr<TargetModel> resolveTarget(const std::string &Spec,
@@ -160,15 +160,17 @@ std::shared_ptr<TargetModel> loadTargetFile(const std::string &Path,
 // Options integration
 //===----------------------------------------------------------------------===//
 
-/// Simulates \p M under the options' effective target:
-/// Options.Target when set, else the built-in GPU analytic path over
-/// Options.Gpu (the legacy default — bit-identical to
-/// simulateKernel(M, Options.Gpu)). Every simulation the pipeline, the
-/// tuner's evaluator and the tvm proxy perform goes through here.
+/// The target a default-constructed PipelineOptions names: the built-in
+/// "v100" (gpu-analytic over GpuModel()), one instance shared const by
+/// every caller.
+std::shared_ptr<const TargetModel> defaultTarget();
+
+/// O.Target->simulate(M). Only the repository benchmark (perfbench/)
+/// still calls it; the product calls the target directly.
 KernelSim simulateForOptions(const MappedKernel &M,
                              const PipelineOptions &O);
 
-/// A short stable identity token for the options' effective target:
+/// A short stable identity token for the options' target:
 /// "<kind>-<16 hex>" where the hash covers the kind and every constant
 /// (not the display name). Stamps surrogate datasets (model/Dataset.h)
 /// so training samples never mix targets.

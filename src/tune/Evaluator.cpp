@@ -31,7 +31,7 @@ double tune::predictInflTimeUs(const Kernel &K, const PipelineOptions &O) {
   MappedKernel M;
   if (!buildInflMappedKernel(K, O, M))
     return failedScore();
-  return target::simulateForOptions(M, O).TimeUs;
+  return O.Target->simulate(M).TimeUs;
 }
 
 Evaluator::Evaluator(const Kernel &K, const PipelineOptions &Base,
@@ -123,7 +123,7 @@ double Evaluator::scoreOne(const PipelineOptions &O, const InfluenceTree *Tree,
     return failedScore();
   }
   ++W.Simulations;
-  Score->second = target::simulateForOptions(M, O).TimeUs;
+  Score->second = O.Target->simulate(M).TimeUs;
   return Score->second;
 }
 

@@ -146,7 +146,9 @@ TEST(FingerprintTest, OptionsChangeRequestHash) {
   EXPECT_NE(FP, fingerprintRequest(K, Budget));
 
   PipelineOptions Gpu = Base;
-  Gpu.Gpu.WarpSize = 64;
+  std::shared_ptr<target::TargetModel> Wide = Base.Target->clone();
+  ASSERT_TRUE(Wide->setParam("WarpSize", 64));
+  Gpu.Target = Wide;
   EXPECT_NE(FP, fingerprintRequest(K, Gpu));
 
   // The sink and cache hooks are plumbing, not compilation inputs.
@@ -170,7 +172,6 @@ struct PipelineOptionsMirror {
   SchedulerOptions Sched;
   InfluenceOptions Influence;
   GpuMappingOptions Mapping;
-  GpuModel Gpu;
   std::shared_ptr<const target::TargetModel> Target;
   bool Validate;
   SolverBudget Budget;
@@ -221,26 +222,28 @@ TEST(FingerprintTest, EveryPipelineOptionFieldIsHashed) {
   Sensitive([](PipelineOptions &O) { O.Influence.MaxVectorWidth = 2; });
   // GpuMappingOptions.
   Sensitive([](PipelineOptions &O) { O.Mapping.MaxThreadsPerBlock = 256; });
-  // GpuModel: with a null Target every machine constant reaches the
-  // hash through the canonical gpu-analytic target section.
-  Sensitive([](PipelineOptions &O) { O.Gpu.WarpSize = 64; });
-  Sensitive([](PipelineOptions &O) { O.Gpu.SectorBytes = 64; });
-  Sensitive([](PipelineOptions &O) { O.Gpu.PeakBandwidthGBs += 1.0; });
-  Sensitive([](PipelineOptions &O) { O.Gpu.IssueRateGops += 1.0; });
-  Sensitive([](PipelineOptions &O) { O.Gpu.LaunchOverheadUs += 1.0; });
-  Sensitive(
-      [](PipelineOptions &O) { O.Gpu.OutstandingRequestsPerWarp += 1.0; });
-  Sensitive([](PipelineOptions &O) { O.Gpu.HalfSaturationBytes += 1.0; });
-  Sensitive([](PipelineOptions &O) { O.Gpu.MinEfficiency += 0.01; });
-  Sensitive([](PipelineOptions &O) { O.Gpu.NarrowAccessEfficiency += 0.01; });
-  // Target: a different backend, and a same-backend constant change.
+  // Target: every constant of the default gpu-analytic target, each set
+  // on a clone of it, reaches the hash...
+  auto SensitiveParam = [&](const char *Name, double Value) {
+    Sensitive([&](PipelineOptions &O) {
+      std::shared_ptr<target::TargetModel> T = O.Target->clone();
+      ASSERT_TRUE(T->setParam(Name, Value)) << Name;
+      O.Target = T;
+    });
+  };
+  ASSERT_EQ(PipelineOptions().Target->params().size(), 9u);
+  SensitiveParam("WarpSize", 64);
+  SensitiveParam("SectorBytes", 64);
+  SensitiveParam("PeakBandwidthGBs", 901.0);
+  SensitiveParam("IssueRateGops", 4001.0);
+  SensitiveParam("LaunchOverheadUs", 5.0);
+  SensitiveParam("OutstandingRequestsPerWarp", 7.0);
+  SensitiveParam("HalfSaturationBytes", 96.0 * 1024.0 + 1.0);
+  SensitiveParam("MinEfficiency", 0.03);
+  SensitiveParam("NarrowAccessEfficiency", 0.86);
+  // ...and so does a different backend.
   Sensitive([](PipelineOptions &O) {
     O.Target = target::makeBuiltinTarget("cpu-simd");
-  });
-  Sensitive([](PipelineOptions &O) {
-    auto T = std::make_shared<target::GpuAnalyticTarget>(O.Gpu);
-    T->setParam("PeakBandwidthGBs", 901.0);
-    O.Target = T;
   });
   // Validate + whole-operator budget.
   Sensitive([](PipelineOptions &O) { O.Validate = true; });
@@ -248,12 +251,10 @@ TEST(FingerprintTest, EveryPipelineOptionFieldIsHashed) {
   Sensitive([](PipelineOptions &O) { O.Budget.MaxIlpNodes = 9; });
   Sensitive([](PipelineOptions &O) { O.Budget.WallMs = 9.0; });
 
-  // Null-Target canonicalization: an explicit gpu-analytic target over
-  // the same machine model hashes identically to the default, so
-  // `--gpu=v100`, `--target=v100` and the defaults share cache entries.
+  // A fresh v100 target hashes like the shared default, so
+  // `--target=v100` and the defaults share cache entries.
   PipelineOptions Canonical;
-  Canonical.Target =
-      std::make_shared<target::GpuAnalyticTarget>(Canonical.Gpu);
+  Canonical.Target = target::makeBuiltinTarget("v100");
   EXPECT_EQ(Base, fingerprintOptions(Canonical));
   // The display name is not identity.
   auto Named = std::make_shared<target::GpuAnalyticTarget>(GpuModel());

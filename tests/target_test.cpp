@@ -12,6 +12,7 @@
 #include "obs/Metrics.h"
 #include "pipeline/Pipeline.h"
 #include "sched/Scheduler.h"
+#include "service/Fingerprint.h"
 #include "TestKernels.h"
 #include "../bench/BenchUtil.h"
 
@@ -97,7 +98,7 @@ TEST(TargetRegistry, UnknownTargetDiagnosticListsAvailable) {
   std::string Err;
   EXPECT_FALSE(resolveTarget("no-such-target", &Err));
   EXPECT_NE(Err.find("no-such-target"), std::string::npos) << Err;
-  // The diagnostic must enumerate what --target/--gpu accept.
+  // The diagnostic must enumerate what --target accepts.
   for (const std::string &N : builtinTargetNames())
     EXPECT_NE(Err.find(N), std::string::npos) << Err;
   EXPECT_NE(Err.find(".ptgt"), std::string::npos) << Err;
@@ -107,21 +108,34 @@ TEST(TargetRegistry, UnknownTargetDiagnosticListsAvailable) {
 // GPU differential: the refactor must be bit-identical
 //===----------------------------------------------------------------------===//
 
-// The tentpole's behavior-preservation gate: over the full tuning bench
-// corpus and every GPU preset, GpuAnalyticTarget must reproduce the
-// pre-subsystem simulateKernel result bit for bit, on both the baseline
-// and the influenced+vectorized mapping.
+namespace {
+
+// The built-in GPU presets, by name, with their machine models.
+std::vector<std::pair<std::string, GpuModel>> gpuPresets() {
+  std::vector<std::pair<std::string, GpuModel>> Out;
+  for (const std::string &N : builtinTargetNames())
+    if (auto T = std::dynamic_pointer_cast<GpuAnalyticTarget>(
+            makeBuiltinTarget(N)))
+      Out.emplace_back(N, T->model());
+  return Out;
+}
+
+} // namespace
+
+// Over the full tuning bench corpus and every built-in GPU target,
+// GpuAnalyticTarget must reproduce simulateKernel over its machine model
+// bit for bit, on both the baseline and the influenced+vectorized
+// mapping.
 TEST(TargetDifferential, GpuAnalyticMatchesSimulateKernelBitExactly) {
   std::vector<Kernel> Corpus = tuneBenchCorpus(0);
   ASSERT_GE(Corpus.size(), 20u);
-  std::vector<std::string> Presets = gpuModelPresetNames();
+  std::vector<std::pair<std::string, GpuModel>> Presets = gpuPresets();
   ASSERT_EQ(Presets.size(), 3u);
 
   for (const Kernel &K : Corpus) {
     MappedKernel Base = mapBaseline(K);
     MappedKernel Infl = mapInfluenced(K);
-    for (const std::string &P : Presets) {
-      GpuModel Model = *gpuModelPreset(P);
+    for (const auto &[P, Model] : Presets) {
       GpuAnalyticTarget T(Model);
       expectSimBitIdentical(T.simulate(Base), simulateKernel(Base, Model),
                             K.Name + "/" + P + "/baseline");
@@ -132,7 +146,7 @@ TEST(TargetDifferential, GpuAnalyticMatchesSimulateKernelBitExactly) {
 }
 
 // Both simulateTvmProxy overloads must score the same launches: over
-// the corpus and every GPU preset, the GpuModel form and the
+// the corpus and every built-in GPU target, the GpuModel form and the
 // GpuAnalyticTarget form agree bit for bit. The corpus reads share their
 // write's layout, so the transpose OUT[i][j] = IN[j][i] is added to
 // cover the shared-memory tile rewrite.
@@ -149,8 +163,7 @@ TEST(TargetDifferential, TvmProxyOverloadsAgreeBitExactly) {
   Kernels.push_back(B.build());
 
   for (const Kernel &K : Kernels) {
-    for (const std::string &P : gpuModelPresetNames()) {
-      GpuModel Model = *gpuModelPreset(P);
+    for (const auto &[P, Model] : gpuPresets()) {
       TvmProxyResult ViaTarget =
           simulateTvmProxy(K, GpuAnalyticTarget(Model), GpuMappingOptions());
       TvmProxyResult ViaModel =
@@ -317,32 +330,53 @@ TEST(PtgtFile, SaveLoadRoundTripsAndNamesFromFile) {
 
 TEST(TargetIdentity, IdCoversKindAndConstantsNotName) {
   PipelineOptions Default;
-  std::string NullId = targetIdForOptions(Default);
-  EXPECT_EQ(NullId.find("gpu-analytic-"), 0u) << NullId;
-
-  // Null Target canonicalizes to the GPU analytic backend over O.Gpu.
-  PipelineOptions Explicit;
-  Explicit.Target = std::make_shared<GpuAnalyticTarget>(Explicit.Gpu);
-  EXPECT_EQ(targetIdForOptions(Explicit), NullId);
+  std::string DefaultId = targetIdForOptions(Default);
+  EXPECT_EQ(DefaultId.find("gpu-analytic-"), 0u) << DefaultId;
 
   // The display name is not identity.
-  auto Renamed = std::make_shared<GpuAnalyticTarget>(Default.Gpu);
+  auto Renamed = std::make_shared<GpuAnalyticTarget>(GpuModel());
   Renamed->rename("my-v100");
   PipelineOptions WithName;
   WithName.Target = Renamed;
-  EXPECT_EQ(targetIdForOptions(WithName), NullId);
+  EXPECT_EQ(targetIdForOptions(WithName), DefaultId);
 
   // Kind and constants are.
   PipelineOptions Cpu;
   Cpu.Target = makeBuiltinTarget("cpu-simd");
-  EXPECT_NE(targetIdForOptions(Cpu), NullId);
+  EXPECT_NE(targetIdForOptions(Cpu), DefaultId);
   EXPECT_EQ(targetIdForOptions(Cpu).find("cpu-simd-"), 0u);
 
   PipelineOptions Tweaked;
   std::shared_ptr<TargetModel> T = makeBuiltinTarget("v100")->clone();
   ASSERT_TRUE(T->setParam("PeakBandwidthGBs", 901.0));
   Tweaked.Target = std::move(T);
-  EXPECT_NE(targetIdForOptions(Tweaked), NullId);
+  EXPECT_NE(targetIdForOptions(Tweaked), DefaultId);
+}
+
+// Every default-constructed PipelineOptions names one shared v100
+// target, and its identity is pinned: a drift in either value silently
+// invalidates every on-disk cache entry, TuningDb record and dataset
+// stamp.
+TEST(TargetIdentity, DefaultTargetIsSharedAndPinned) {
+  PipelineOptions A, B;
+  ASSERT_TRUE(A.Target);
+  EXPECT_EQ(A.Target.get(), B.Target.get());
+  EXPECT_EQ(A.Target.get(), defaultTarget().get());
+  EXPECT_EQ(A.Target->kind(), GpuAnalyticKind);
+  EXPECT_EQ(A.Target->name(), "v100");
+
+  std::vector<TargetParam> Want = GpuAnalyticTarget(GpuModel()).params();
+  std::vector<TargetParam> Got = A.Target->params();
+  ASSERT_EQ(Got.size(), Want.size());
+  for (std::size_t I = 0; I != Want.size(); ++I) {
+    EXPECT_EQ(Got[I].Name, Want[I].Name);
+    EXPECT_EQ(Got[I].Value, Want[I].Value) << Want[I].Name;
+  }
+
+  EXPECT_EQ(service::fingerprintOptions(PipelineOptions()),
+            0xeb429b6211b2c041ull);
+  EXPECT_EQ(targetIdForOptions(PipelineOptions()),
+            "gpu-analytic-d14abd1704d448f1");
 }
 
 //===----------------------------------------------------------------------===//

@@ -947,36 +947,46 @@ TEST(Autotuner, ConcurrentTuningOnSharedDatabase) {
 }
 
 //===----------------------------------------------------------------------===//
-// GPU model presets (satellite of the tuning work: the preset is part
-// of the options fingerprint, so tuned entries are per-GPU).
+// Built-in targets (the target is part of the options fingerprint, so
+// tuned entries are per-target).
 //===----------------------------------------------------------------------===//
 
 TEST(GpuPresets, KnownNamesResolveAndDiffer) {
-  for (const std::string &Name : gpuModelPresetNames())
-    EXPECT_TRUE(gpuModelPreset(Name).has_value()) << Name;
-  EXPECT_FALSE(gpuModelPreset("h100").has_value());
-  EXPECT_FALSE(gpuModelPreset("").has_value());
+  for (const std::string &Name : target::builtinTargetNames())
+    EXPECT_TRUE(target::makeBuiltinTarget(Name)) << Name;
+  EXPECT_FALSE(target::makeBuiltinTarget("h100"));
+  EXPECT_FALSE(target::makeBuiltinTarget(""));
 
-  // v100 is the default model.
-  GpuModel Default;
-  std::optional<GpuModel> V100 = gpuModelPreset("v100");
-  ASSERT_TRUE(V100);
-  EXPECT_DOUBLE_EQ(V100->PeakBandwidthGBs, Default.PeakBandwidthGBs);
+  // v100 is the default target.
+  PipelineOptions Default, V100;
+  V100.Target = target::makeBuiltinTarget("v100");
+  EXPECT_EQ(service::fingerprintOptions(V100),
+            service::fingerprintOptions(Default));
 
+  // Every built-in target keys its own tuned entries.
   Kernel K = makeRunningExample(8);
-  PipelineOptions A, B;
-  A.Gpu = *gpuModelPreset("v100");
-  B.Gpu = *gpuModelPreset("a100");
-  EXPECT_NE(service::fingerprintOptions(A), service::fingerprintOptions(B));
-  EXPECT_NE(service::fingerprintRequest(K, A),
-            service::fingerprintRequest(K, B));
+  std::vector<std::string> Names = target::builtinTargetNames();
+  for (std::size_t I = 0; I != Names.size(); ++I) {
+    for (std::size_t J = I + 1; J != Names.size(); ++J) {
+      PipelineOptions A, B;
+      A.Target = target::makeBuiltinTarget(Names[I]);
+      B.Target = target::makeBuiltinTarget(Names[J]);
+      std::string What = Names[I] + " vs " + Names[J];
+      EXPECT_NE(service::fingerprintOptions(A),
+                service::fingerprintOptions(B))
+          << What;
+      EXPECT_NE(service::fingerprintRequest(K, A),
+                service::fingerprintRequest(K, B))
+          << What;
+    }
+  }
 }
 
 TEST(GpuPresets, FasterGpuSimulatesFaster) {
   Kernel K = makeElementwise(64, 256);
   PipelineOptions V100, A100;
-  V100.Gpu = *gpuModelPreset("v100");
-  A100.Gpu = *gpuModelPreset("a100");
+  V100.Target = target::makeBuiltinTarget("v100");
+  A100.Target = target::makeBuiltinTarget("a100");
   double TimeV100 = predictInflTimeUs(K, V100);
   double TimeA100 = predictInflTimeUs(K, A100);
   ASSERT_TRUE(std::isfinite(TimeV100));
@@ -996,8 +1006,7 @@ TEST(TargetScoring, EvaluatorFollowsOptionsTarget) {
   PipelineOptions Cpu;
   Cpu.Target = target::makeBuiltinTarget("cpu-simd");
 
-  // An explicit gpu-analytic target over the default machine model is
-  // the legacy path, bit for bit.
+  // A fresh v100 target scores exactly like the shared default.
   double Base = predictInflTimeUs(K, Default);
   ASSERT_TRUE(std::isfinite(Base));
   EXPECT_EQ(predictInflTimeUs(K, Explicit), Base);

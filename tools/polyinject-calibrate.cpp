@@ -7,7 +7,7 @@
 //
 // Fits a backend target's time-model constants (src/target/) to a
 // measured (kernel, config, time) table and emits a versioned `.ptgt`
-// file loadable with `--target=FILE` everywhere `--gpu=PRESET` works.
+// file loadable with `--target=FILE` by every tool that takes a target.
 //
 // Two modes:
 //

@@ -27,13 +27,10 @@
 //                                       every N ms while running
 //                                       (requires --metrics-exposition)
 //     --stats                           print the process metrics table
-//     --gpu=PRESET                      GPU model preset (v100, a100,
-//                                       p100; default v100)
 //     --target=NAME|FILE.ptgt           backend target: a built-in name
-//                                       (v100, a100, p100, cpu-simd) or
-//                                       a calibrated .ptgt file
-//                                       (polyinject-calibrate); for GPU
-//                                       presets identical to --gpu
+//                                       (v100, a100, p100, cpu-simd;
+//                                       default v100) or a calibrated
+//                                       .ptgt file (polyinject-calibrate)
 //
 // Autotuning (tune/Autotuner.h — search pipeline knobs against the
 // simulated cost model; never selects a config the model scores worse
@@ -92,7 +89,6 @@
 #include "service/BatchCompiler.h"
 #include "service/Cache.h"
 #include "support/Status.h"
-#include "target/GpuAnalyticTarget.h"
 #include "target/Target.h"
 #include "tune/Autotuner.h"
 
@@ -119,7 +115,7 @@ void printUsage(const char *Argv0) {
       "[--feautrier] [--max-pivots=N] [--max-nodes=N] [--deadline-ms=X] "
       "[--trace-json=FILE] [--metrics-json=FILE] [--journal=FILE] "
       "[--metrics-exposition=FILE] [--metrics-interval-ms=N] [--stats] "
-      "[--gpu=PRESET] [--target=NAME|FILE.ptgt] "
+      "[--target=NAME|FILE.ptgt] "
       "[--autotune=exhaustive|greedy|anneal|surrogate] [--tune-budget=N] "
       "[--tune-seed=N] [--tune-space=default|tiny] [--tuning-db=FILE] "
       "[--tune-model=FILE] [--tune-topk=N] "
@@ -385,7 +381,6 @@ int main(int Argc, char **Argv) {
   unsigned MetricsIntervalMs = 0;
   std::string CacheDir;
   std::string OpsFilePath;
-  std::string GpuPreset;
   std::string TargetSpec;
   std::string AutotuneStrategy;
   std::string TuneSpaceName = "default";
@@ -433,8 +428,6 @@ int main(int Argc, char **Argv) {
         std::fprintf(stderr, "error: --ops-file needs a file name\n");
         return 2;
       }
-    } else if (std::strncmp(Arg, "--gpu=", 6) == 0) {
-      GpuPreset = Arg + 6;
     } else if (std::strncmp(Arg, "--target=", 9) == 0) {
       TargetSpec = Arg + 9;
     } else if (std::strncmp(Arg, "--autotune=", 11) == 0) {
@@ -550,32 +543,13 @@ int main(int Argc, char **Argv) {
     Cache = std::make_unique<service::ScheduleCache>(CacheCfg);
   }
 
-  if (!GpuPreset.empty() && !TargetSpec.empty()) {
-    std::fprintf(stderr, "error: --gpu and --target are mutually "
-                         "exclusive (use --target=%s)\n",
-                 TargetSpec.c_str());
-    return 2;
-  }
-  // Both flags resolve through the target registry; --gpu=PRESET is the
-  // historical spelling of --target=PRESET.
-  GpuModel Gpu;
-  std::shared_ptr<const target::TargetModel> Target;
-  {
-    const bool FromTarget = !TargetSpec.empty();
-    const std::string &Spec = FromTarget ? TargetSpec : GpuPreset;
-    if (!Spec.empty()) {
-      std::string Err;
-      std::shared_ptr<target::TargetModel> T =
-          target::resolveTarget(Spec, &Err);
-      if (!T) {
-        std::fprintf(stderr, "error: %s: %s\n",
-                     FromTarget ? "--target" : "--gpu", Err.c_str());
-        return 2;
-      }
-      if (const auto *G =
-              dynamic_cast<const target::GpuAnalyticTarget *>(T.get()))
-        Gpu = G->model();
-      Target = std::move(T);
+  std::shared_ptr<const target::TargetModel> Target = target::defaultTarget();
+  if (!TargetSpec.empty()) {
+    std::string Err;
+    Target = target::resolveTarget(TargetSpec, &Err);
+    if (!Target) {
+      std::fprintf(stderr, "error: --target: %s\n", Err.c_str());
+      return 2;
     }
   }
 
@@ -645,7 +619,6 @@ int main(int Argc, char **Argv) {
     Options.Validate = Validate;
     Options.Sched.UseFeautrierFallback = Feautrier;
     Options.Budget = Budget;
-    Options.Gpu = Gpu;
     Options.Target = Target;
     Options.Cache = Cache.get();
     Options.Tuner = Tuner.get();
@@ -686,7 +659,6 @@ int main(int Argc, char **Argv) {
   Options.Validate = Validate;
   Options.Sched.UseFeautrierFallback = Feautrier;
   Options.Budget = Budget;
-  Options.Gpu = Gpu;
   Options.Target = Target;
   Options.Cache = Cache.get();
   Options.Tuner = Tuner.get();

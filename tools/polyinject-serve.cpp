@@ -23,11 +23,9 @@
 //                              (deterministic responses; protocol test)
 //     --timing                 include wall_us in ok responses
 //     --journal=FILE           structured event journal (JSONL)
-//     --gpu=PRESET             GPU model preset (v100, a100, p100)
 //     --target=NAME|FILE.ptgt  backend target: built-in name (v100,
-//                              a100, p100, cpu-simd) or a calibrated
-//                              .ptgt file; for GPU presets identical
-//                              to --gpu
+//                              a100, p100, cpu-simd; default v100) or
+//                              a calibrated .ptgt file
 //     --chaos=SEED             run the chaos harness instead of serving
 //     --chaos-requests=N       chaos request count (default 200)
 //
@@ -42,10 +40,8 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "gpusim/GpuModel.h"
 #include "obs/Journal.h"
 #include "service/Daemon.h"
-#include "target/GpuAnalyticTarget.h"
 #include "target/Target.h"
 
 #include <csignal>
@@ -66,7 +62,7 @@ void printUsage(const char *Argv0) {
       "[--cache-dir=PATH] [--cache-capacity=N] [--cache-stripes=N] "
       "[--memory-cap-mb=X] [--tuning-db=FILE] [--drain-deadline-ms=X] "
       "[--max-pivots=N] [--max-nodes=N] [--deadline-ms=X] [--sync] "
-      "[--timing] [--journal=FILE] [--gpu=PRESET] "
+      "[--timing] [--journal=FILE] "
       "[--target=NAME|FILE.ptgt] [--chaos=SEED] "
       "[--chaos-requests=N]\n",
       Argv0);
@@ -119,24 +115,13 @@ int main(int Argc, char **Argv) {
       Cfg.TimingInResponses = true;
     } else if (std::strncmp(Arg, "--journal=", 10) == 0) {
       JournalPath = Arg + 10;
-    } else if (std::strncmp(Arg, "--gpu=", 6) == 0 ||
-               std::strncmp(Arg, "--target=", 9) == 0) {
-      // Both spellings resolve through the target registry; --gpu is
-      // the historical name for GPU presets.
-      bool FromTarget = Arg[2] == 't';
-      const char *Spec = Arg + (FromTarget ? 9 : 6);
+    } else if (std::strncmp(Arg, "--target=", 9) == 0) {
       std::string Err;
-      std::shared_ptr<target::TargetModel> T =
-          target::resolveTarget(Spec, &Err);
-      if (!T) {
-        std::fprintf(stderr, "error: %s: %s\n",
-                     FromTarget ? "--target" : "--gpu", Err.c_str());
+      Cfg.Pipeline.Target = target::resolveTarget(Arg + 9, &Err);
+      if (!Cfg.Pipeline.Target) {
+        std::fprintf(stderr, "error: --target: %s\n", Err.c_str());
         return 1;
       }
-      if (const auto *G =
-              dynamic_cast<const target::GpuAnalyticTarget *>(T.get()))
-        Cfg.Pipeline.Gpu = G->model();
-      Cfg.Pipeline.Target = std::move(T);
     } else if (std::strncmp(Arg, "--chaos=", 8) == 0) {
       Chaos = true;
       ChaosSeed = std::strtoull(Arg + 8, nullptr, 10);
