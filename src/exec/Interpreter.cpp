@@ -262,7 +262,9 @@ void DateSorter::sortBy(U64 MaxKey) {
 ///
 /// The walk keeps every member's flat access offsets rather than its
 /// iterators: a loop step adds one precomputed move per access, which
-/// also rewinds the loops inside it.
+/// also rewinds the loops inside it. A group of one statement runs its
+/// innermost loop as rows (CompiledKernel::executeRow); in the merge, a
+/// row runs up to the next group's head.
 class DateWalker {
 public:
   /// Plans the walk of \p S over \p Code. \returns false when the
@@ -322,6 +324,14 @@ private:
   static bool sameWalk(const StmtWalk &A, const StmtWalk &B);
   void addGroup(const CompiledKernel &Code, const std::vector<unsigned> &Stmts);
   bool advance(Cursor &C);
+  /// True when the cursor's group runs rows: one member, some loop.
+  bool rows(const Cursor &C) const {
+    const Group &G = Groups[C.Group];
+    return G.NumMembers == 1 && G.NumLoops;
+  }
+  U64 stretch(const Cursor &C, std::pair<U128, unsigned> Limit) const;
+  void runRow(Cursor &C, U64 N, const CompiledKernel &Code,
+              double *const *Data);
   void drain(Cursor &C, const CompiledKernel &Code, double *const *Data);
 
   std::vector<StmtWalk> Walks;
@@ -552,10 +562,50 @@ bool DateWalker::advance(Cursor &C) {
   return false;
 }
 
+/// The number of points, from the cursor's on, of its group's innermost
+/// row whose (key, statement) stays below \p Limit, which the cursor's
+/// head is below: the keys grow by the loop's carry from point to point,
+/// and a tie loop's points share one key.
+U64 DateWalker::stretch(const Cursor &C,
+                        std::pair<U128, unsigned> Limit) const {
+  const Group &G = Groups[C.Group];
+  unsigned P = G.FirstLoop + G.NumLoops - 1;
+  const Loop &L = Loops[P];
+  U64 Rest = L.Extent - Counts[P];
+  if (L.Carry == 0)
+    return Rest;
+  U128 Room = Limit.first - C.Key;
+  U128 N = Room / L.Carry + (Room % L.Carry != 0);
+  if (Room % L.Carry == 0 && Members[G.FirstMember].Stmt < Limit.second)
+    ++N;
+  return N < Rest ? static_cast<U64>(N) : Rest;
+}
+
+/// Runs \p N points of the cursor's group's innermost row, from its
+/// point on, and leaves the cursor at the last one.
+void DateWalker::runRow(Cursor &C, U64 N, const CompiledKernel &Code,
+                        double *const *Data) {
+  const Group &G = Groups[C.Group];
+  unsigned P = G.NumLoops - 1;
+  Code.executeRow(Members[G.FirstMember].Stmt,
+                  Offsets.data() + std::size_t(G.FirstMember) * Slots,
+                  Moves.data() + G.FirstMove + std::size_t(P) * Slots, N,
+                  Data);
+  Counts[G.FirstLoop + P] += N - 1;
+  C.Key += Loops[G.FirstLoop + P].Carry * (N - 1);
+}
+
 /// Runs the rest of the cursor's walk.
 void DateWalker::drain(Cursor &C, const CompiledKernel &Code,
                        double *const *Data) {
   const Group &G = Groups[C.Group];
+  if (rows(C)) {
+    unsigned P = G.FirstLoop + G.NumLoops - 1;
+    do
+      runRow(C, Loops[P].Extent - Counts[P], Code, Data);
+    while (advance(C));
+    return;
+  }
   const Member *Ms = Members.data() + G.FirstMember;
   const U64 *Off = Offsets.data() + std::size_t(G.FirstMember) * Slots;
   do {
@@ -598,15 +648,20 @@ void DateWalker::run(const CompiledKernel &Code, double *const *Data) {
     const Group &G = Groups[C.Group];
     const U64 *Off = Offsets.data() + std::size_t(G.FirstMember) * Slots;
     std::pair<U128, unsigned> Limit = Head(Live[Next]);
+    bool Rows = rows(C);
     do {
-      Code.executeAt(Members[G.FirstMember + C.Next].Stmt,
-                     Off + C.Next * Slots, Data);
-      if (++C.Next == G.NumMembers) {
+      if (Rows) {
+        runRow(C, stretch(C, Limit), Code, Data);
+      } else {
+        Code.executeAt(Members[G.FirstMember + C.Next].Stmt,
+                       Off + C.Next * Slots, Data);
+        if (++C.Next != G.NumMembers)
+          continue;
         C.Next = 0;
-        if (!advance(C)) {
-          Live.erase(Live.begin() + Min);
-          break;
-        }
+      }
+      if (!advance(C)) {
+        Live.erase(Live.begin() + Min);
+        break;
       }
     } while (Head(C) < Limit);
   }
@@ -614,18 +669,69 @@ void DateWalker::run(const CompiledKernel &Code, double *const *Data) {
     drain(Live[0], Code, Data);
 }
 
-/// Fills \p Buffers with makeInputs' pattern, reusing their storage.
-void fillInputs(const Kernel &K, unsigned Seed, ExecBuffers &Buffers) {
+/// makeInputs' generator: fills \p Data from \p State and \returns the
+/// state after its last element.
+unsigned fillTensor(unsigned State, std::vector<double> &Data) {
+  for (double &V : Data) {
+    State = State * 1664525u + 1013904223u;
+    V = static_cast<double>((State >> 8) % 2048) / 256.0 - 4.0;
+  }
+  return State;
+}
+
+/// Fills \p Buffers with makeInputs' pattern, reusing their storage, and
+/// \returns the generator state each tensor starts from.
+std::vector<unsigned> fillInputs(const Kernel &K, unsigned Seed,
+                                 ExecBuffers &Buffers) {
   unsigned State = Seed * 2654435761u + 12345u;
+  std::vector<unsigned> Starts;
   Buffers.Tensors.resize(K.Tensors.size());
   for (unsigned T = 0, E = K.Tensors.size(); T != E; ++T) {
     std::vector<double> &Data = Buffers.Tensors[T];
     Data.resize(K.Tensors[T].numElements());
-    for (double &V : Data) {
-      State = State * 1664525u + 1013904223u;
-      V = static_cast<double>((State >> 8) % 2048) / 256.0 - 4.0;
-    }
+    Starts.push_back(State);
+    State = fillTensor(State, Data);
   }
+  return Starts;
+}
+
+/// Runs \p N >= 1 points of a statement of kind \p Kind: its write goes to
+/// \p Write, its reads come from \p Read, at the offsets \p Off (write
+/// first), which move by \p Step between points and end at the last one.
+template <OpKind Kind>
+void runRow(double *Write, const double *const *Read, U64 *Off,
+            const U64 *Step, U64 N) {
+  constexpr unsigned NumReads = numOperands(Kind);
+  const double *In[NumReads];
+  U64 At[NumReads + 1], By[NumReads + 1];
+  std::copy_n(Read, NumReads, In);
+  std::copy_n(Off, NumReads + 1, At);
+  std::copy_n(Step, NumReads + 1, By);
+  for (;;) {
+    double Reads[3] = {0, 0, 0};
+    for (unsigned R = 0; R != NumReads; ++R)
+      Reads[R] = In[R][At[R + 1]];
+    Write[At[0]] = evaluateOp(Kind, Reads);
+    if (--N == 0)
+      break;
+    for (unsigned A = 0; A != NumReads + 1; ++A)
+      At[A] += By[A];
+  }
+  std::copy_n(At, NumReads + 1, Off);
+}
+
+/// Compares two tensors elementwise with relative/absolute tolerance.
+bool tensorsAlmostEqual(const std::vector<double> &A,
+                        const std::vector<double> &B, double Tolerance) {
+  if (A.size() != B.size())
+    return false;
+  for (std::size_t I = 0, N = A.size(); I != N; ++I) {
+    double X = A[I], Y = B[I];
+    double Scale = std::max({1.0, std::abs(X), std::abs(Y)});
+    if (std::abs(X - Y) > Tolerance * Scale)
+      return false;
+  }
+  return true;
 }
 
 } // namespace
@@ -636,45 +742,13 @@ ExecBuffers pinj::makeInputs(const Kernel &K, unsigned Seed) {
   return Buffers;
 }
 
-double pinj::evaluateOp(OpKind Kind, const double *R) {
-  switch (Kind) {
-  case OpKind::Assign:
-    return R[0];
-  case OpKind::Add:
-    return R[0] + R[1];
-  case OpKind::Sub:
-    return R[0] - R[1];
-  case OpKind::Mul:
-    return R[0] * R[1];
-  case OpKind::Div:
-    return R[0] / R[1];
-  case OpKind::Max:
-    return std::max(R[0], R[1]);
-  case OpKind::Min:
-    return std::min(R[0], R[1]);
-  case OpKind::Relu:
-    return std::max(R[0], 0.0);
-  case OpKind::Exp:
-    return std::exp(R[0]);
-  case OpKind::Rsqrt:
-    return 1.0 / std::sqrt(std::abs(R[0]) + 1.0);
-  case OpKind::Neg:
-    return -R[0];
-  case OpKind::Fma:
-    return R[0] + R[1] * R[2];
-  case OpKind::MulSub:
-    return (R[0] - R[1]) * R[2];
-  }
-  fatalError("unknown op kind");
-}
-
 CompiledKernel::CompiledKernel(const Kernel &K) : K(&K) {
   Begin.push_back(0);
   for (const Statement &St : K.Stmts) {
     unsigned NumIters = St.numIters();
     MaxIters = std::max(MaxIters, NumIters);
-    if (St.Reads.size() > 3)
-      interpretError("statement has more than three operands");
+    if (St.Reads.size() != numOperands(St.Kind))
+      interpretError("operand count does not match op kind");
     U64 Count = 1;
     for (Int E : St.Extents)
       if (__builtin_mul_overflow(Count, static_cast<U64>(std::max<Int>(E, 0)),
@@ -734,6 +808,46 @@ void CompiledKernel::executeAt(unsigned Stmt, const std::uint64_t *Offsets,
   Data[A[0].Tensor][Offsets[0]] = evaluateOp(S.Kind, Reads);
 }
 
+void CompiledKernel::executeRow(unsigned Stmt, std::uint64_t *Offsets,
+                                const std::uint64_t *Step, std::uint64_t N,
+                                double *const *Data) const {
+  const FlatStmt &S = Stmts[Stmt];
+  const FlatAccess *A = Accesses.data() + S.FirstAccess;
+  double *Write = Data[A[0].Tensor];
+  const double *Read[3] = {nullptr, nullptr, nullptr};
+  for (unsigned R = 0; R != S.NumReads; ++R)
+    Read[R] = Data[A[R + 1].Tensor];
+  switch (S.Kind) {
+  case OpKind::Assign:
+    return runRow<OpKind::Assign>(Write, Read, Offsets, Step, N);
+  case OpKind::Add:
+    return runRow<OpKind::Add>(Write, Read, Offsets, Step, N);
+  case OpKind::Sub:
+    return runRow<OpKind::Sub>(Write, Read, Offsets, Step, N);
+  case OpKind::Mul:
+    return runRow<OpKind::Mul>(Write, Read, Offsets, Step, N);
+  case OpKind::Div:
+    return runRow<OpKind::Div>(Write, Read, Offsets, Step, N);
+  case OpKind::Max:
+    return runRow<OpKind::Max>(Write, Read, Offsets, Step, N);
+  case OpKind::Min:
+    return runRow<OpKind::Min>(Write, Read, Offsets, Step, N);
+  case OpKind::Relu:
+    return runRow<OpKind::Relu>(Write, Read, Offsets, Step, N);
+  case OpKind::Exp:
+    return runRow<OpKind::Exp>(Write, Read, Offsets, Step, N);
+  case OpKind::Rsqrt:
+    return runRow<OpKind::Rsqrt>(Write, Read, Offsets, Step, N);
+  case OpKind::Neg:
+    return runRow<OpKind::Neg>(Write, Read, Offsets, Step, N);
+  case OpKind::Fma:
+    return runRow<OpKind::Fma>(Write, Read, Offsets, Step, N);
+  case OpKind::MulSub:
+    return runRow<OpKind::MulSub>(Write, Read, Offsets, Step, N);
+  }
+  fatalError("unknown op kind");
+}
+
 void CompiledKernel::execute(unsigned Stmt, const Int *Iters,
                              double *const *Data) const {
   U64 Offsets[4];
@@ -743,12 +857,11 @@ void CompiledKernel::execute(unsigned Stmt, const Int *Iters,
 }
 
 void CompiledKernel::run(const std::uint32_t *Order,
-                         ExecBuffers &Buffers) const {
-  std::vector<double *> Data = tensorData(Buffers);
+                         double *const *Data) const {
   if (!Order) {
     DateWalker Walker;
     Walker.planEnumeration(*this);
-    Walker.run(*this, Data.data());
+    Walker.run(*this, Data);
     return;
   }
   std::vector<Int> Iters(MaxIters, 0);
@@ -768,7 +881,7 @@ void CompiledKernel::run(const std::uint32_t *Order,
       Iters[D] = Local % Extent;
       Local /= Extent;
     }
-    execute(Stmt, Iters.data(), Data.data());
+    execute(Stmt, Iters.data(), Data);
   }
 }
 
@@ -806,15 +919,15 @@ DateOrder DateOrderExecutor::plan(const CompiledKernel &Code,
   return P->Kind = P->Order ? DateOrder::Sorted : DateOrder::Enumeration;
 }
 
-void DateOrderExecutor::run(ExecBuffers &Buffers) {
+void DateOrderExecutor::run(double *const *Data) {
   const CompiledKernel &Code = *P->Code;
   switch (P->Kind) {
   case DateOrder::Enumeration:
-    return Code.run(nullptr, Buffers);
+    return Code.run(nullptr, Data);
   case DateOrder::Walk:
-    return P->Walker.run(Code, CompiledKernel::tensorData(Buffers).data());
+    return P->Walker.run(Code, Data);
   case DateOrder::Sorted:
-    return Code.run(P->Order, Buffers);
+    return Code.run(P->Order, Data);
   }
 }
 
@@ -830,16 +943,9 @@ bool pinj::buffersAlmostEqual(const ExecBuffers &A, const ExecBuffers &B,
                               double Tolerance) {
   if (A.Tensors.size() != B.Tensors.size())
     return false;
-  for (unsigned T = 0, E = A.Tensors.size(); T != E; ++T) {
-    if (A.Tensors[T].size() != B.Tensors[T].size())
+  for (std::size_t T = 0, E = A.Tensors.size(); T != E; ++T)
+    if (!tensorsAlmostEqual(A.Tensors[T], B.Tensors[T], Tolerance))
       return false;
-    for (unsigned I = 0, N = A.Tensors[T].size(); I != N; ++I) {
-      double X = A.Tensors[T][I], Y = B.Tensors[T][I];
-      double Scale = std::max({1.0, std::abs(X), std::abs(Y)});
-      if (std::abs(X - Y) > Tolerance * Scale)
-        return false;
-    }
-  }
   return true;
 }
 
@@ -848,10 +954,37 @@ struct ScheduleValidator::State {
   /// The original-order run, made by the first check whose schedule is
   /// not in that order.
   std::optional<ExecBuffers> Reference;
+  /// The generator state each tensor's inputs start from.
+  std::vector<unsigned> Starts;
+  /// The tensors some statement writes, which a transformed run owns.
+  std::vector<unsigned> Written;
+  /// A transformed run's buffers: only the written tensors are filled.
   ExecBuffers Transformed;
+  /// A transformed run's tensor base pointers: its own written tensors,
+  /// and the reference's read-only ones.
+  std::vector<double *> Data;
   DateOrderExecutor Executor;
 
   explicit State(const Kernel &K) : Code(K) {}
+
+  /// Makes the original-order run and points the transformed run at it.
+  void makeReference(const Kernel &K, unsigned Seed) {
+    Reference.emplace();
+    Starts = fillInputs(K, Seed, *Reference);
+    Code.run(nullptr, *Reference);
+    Data = CompiledKernel::tensorData(*Reference);
+    std::vector<bool> IsWritten(K.Tensors.size(), false);
+    for (const Statement &Stmt : K.Stmts)
+      IsWritten[Stmt.Write.TensorId] = true;
+    Transformed.Tensors.resize(K.Tensors.size());
+    for (unsigned T = 0, E = K.Tensors.size(); T != E; ++T) {
+      if (!IsWritten[T])
+        continue;
+      Written.push_back(T);
+      Transformed.Tensors[T].resize(Reference->Tensors[T].size());
+      Data[T] = Transformed.Tensors[T].data();
+    }
+  }
 };
 
 ScheduleValidator::ScheduleValidator(const Kernel &K, unsigned Seed)
@@ -867,14 +1000,20 @@ bool ScheduleValidator::check(const Schedule &S) {
   // bit-identical buffers.
   if (St->Executor.plan(St->Code, S) == DateOrder::Enumeration)
     return true;
-  if (!St->Reference) {
-    St->Reference.emplace();
-    fillInputs(K, Seed, *St->Reference);
-    St->Code.run(nullptr, *St->Reference);
-  }
-  fillInputs(K, Seed, St->Transformed);
-  St->Executor.run(St->Transformed);
-  return buffersAlmostEqual(*St->Reference, St->Transformed);
+  if (!St->Reference)
+    St->makeReference(K, Seed);
+  for (unsigned T : St->Written)
+    fillTensor(St->Starts[T], St->Transformed.Tensors[T]);
+  St->Executor.run(St->Data.data());
+  for (unsigned T : St->Written)
+    if (!tensorsAlmostEqual(St->Reference->Tensors[T],
+                            St->Transformed.Tensors[T], 1e-9))
+      return false;
+  return true;
+}
+
+const ExecBuffers *ScheduleValidator::reference() const {
+  return St && St->Reference ? &*St->Reference : nullptr;
 }
 
 bool pinj::scheduleIsSemanticallyEqual(const Kernel &K, const Schedule &S,

@@ -21,14 +21,23 @@
 /// the executor walks each statement's loops in date order, steps
 /// same-shaped fused statements in lockstep, and merges the walks by
 /// (key, statement): the (date, statement, iterators) order with no keys
-/// in memory, no sort and no instance decode. A schedule whose order is
-/// the enumeration order (statement major, then row-major iterators)
-/// runs as the original program, and ScheduleValidator accepts it
-/// without running it. Other schedules (skewed rows, or dates wider than
-/// 128 bits) fall back to 64-bit date keys ordered by a stable
-/// counting/radix sort over the enumeration order. The date-sorting
-/// interpreter these replace is kept as a test oracle
-/// (exec/Reference.h).
+/// in memory, no sort and no instance decode. A walk of one statement
+/// runs its innermost loop a row at a time: one op-kind dispatch per row
+/// and one offset move per access and point; the merge runs the longest
+/// stretch of such a row whose keys stay below the next walk's. A
+/// schedule whose order is the enumeration order (statement major, then
+/// row-major iterators) runs as the original program, and
+/// ScheduleValidator accepts it without running it. Other schedules
+/// (skewed rows, or dates wider than 128 bits) fall back to 64-bit date
+/// keys ordered by a stable counting/radix sort over the enumeration
+/// order. The date-sorting interpreter these replace is kept as a test
+/// oracle (exec/Reference.h).
+///
+/// ScheduleValidator fills the inputs once, into the original-order
+/// run. A transformed run owns only the tensors some statement writes,
+/// refills them from the generator states recorded for them, and reads
+/// the read-only tensors from the reference run in place: no statement
+/// writes them, so they still hold the inputs.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -38,6 +47,8 @@
 #include "ir/Kernel.h"
 #include "sched/Schedule.h"
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <memory>
 
@@ -53,15 +64,47 @@ struct ExecBuffers {
 ExecBuffers makeInputs(const Kernel &K, unsigned Seed);
 
 /// The value a statement of kind \p Kind computes from its read operands
-/// \p Reads (numOperands(Kind) of them): the one definition of the op
-/// semantics.
-double evaluateOp(OpKind Kind, const double *Reads);
+/// \p R (numOperands(Kind) of them): the one definition of the op
+/// semantics. Inline, so a caller with a constant kind compiles to that
+/// kind's operation alone.
+inline double evaluateOp(OpKind Kind, const double *R) {
+  switch (Kind) {
+  case OpKind::Assign:
+    return R[0];
+  case OpKind::Add:
+    return R[0] + R[1];
+  case OpKind::Sub:
+    return R[0] - R[1];
+  case OpKind::Mul:
+    return R[0] * R[1];
+  case OpKind::Div:
+    return R[0] / R[1];
+  case OpKind::Max:
+    return std::max(R[0], R[1]);
+  case OpKind::Min:
+    return std::min(R[0], R[1]);
+  case OpKind::Relu:
+    return std::max(R[0], 0.0);
+  case OpKind::Exp:
+    return std::exp(R[0]);
+  case OpKind::Rsqrt:
+    return 1.0 / std::sqrt(std::abs(R[0]) + 1.0);
+  case OpKind::Neg:
+    return -R[0];
+  case OpKind::Fma:
+    return R[0] + R[1] * R[2];
+  case OpKind::MulSub:
+    return (R[0] - R[1]) * R[2];
+  }
+  fatalError("unknown op kind");
+}
 
 /// A kernel lowered for execution. Each access is a flat element offset
 /// affine in its statement's iterators; construction checks every
 /// access once over its statement's iteration box (an affine index takes
 /// its extremes at the box corners) and raises RecoverableError
-/// (exec.interpret) if one leaves its tensor anywhere in the box.
+/// (exec.interpret) if one leaves its tensor anywhere in the box, or if a
+/// statement's operand count does not match its op kind.
 /// Statement instances are numbered in enumeration order: statement
 /// major, then row-major iterators.
 class CompiledKernel {
@@ -92,12 +135,23 @@ public:
   /// tensorData).
   void executeAt(unsigned Stmt, const std::uint64_t *Offsets,
                  double *const *Data) const;
+  /// Executes \p N >= 1 consecutive points of \p Stmt along one loop on
+  /// \p Data: its accesses start at \p Offsets (write first) and move by
+  /// \p Step (wrapping) from one point to the next, and \p Offsets is
+  /// left at the last point. The op kind is dispatched once per row.
+  void executeRow(unsigned Stmt, std::uint64_t *Offsets,
+                  const std::uint64_t *Step, std::uint64_t N,
+                  double *const *Data) const;
   /// Executes iteration \p Iters of statement \p Stmt on \p Data.
   void execute(unsigned Stmt, const Int *Iters, double *const *Data) const;
 
-  /// Executes every instance on \p Buffers: in the order of the instance
-  /// numbers \p Order when given, else in enumeration order.
-  void run(const std::uint32_t *Order, ExecBuffers &Buffers) const;
+  /// Executes every instance on \p Data, the tensor base pointers: in the
+  /// order of the instance numbers \p Order when given, else in
+  /// enumeration order.
+  void run(const std::uint32_t *Order, double *const *Data) const;
+  void run(const std::uint32_t *Order, ExecBuffers &Buffers) const {
+    run(Order, tensorData(Buffers).data());
+  }
 
   /// The tensor base pointers of \p Buffers, in declaration order.
   static std::vector<double *> tensorData(ExecBuffers &Buffers);
@@ -150,8 +204,12 @@ public:
   DateOrder plan(const CompiledKernel &Code, const Schedule &S,
                  bool Walk = true);
 
-  /// Executes every instance on \p Buffers in the planned order.
-  void run(ExecBuffers &Buffers);
+  /// Executes every instance on \p Data, the tensor base pointers, in
+  /// the planned order.
+  void run(double *const *Data);
+  void run(ExecBuffers &Buffers) {
+    run(CompiledKernel::tensorData(Buffers).data());
+  }
 
 private:
   struct Impl;
@@ -170,7 +228,10 @@ bool buffersAlmostEqual(const ExecBuffers &A, const ExecBuffers &B,
 /// Checks schedules of one kernel against one original-order run: the
 /// reference buffers are computed by the first check whose schedule is
 /// not in the enumeration order and shared by the later ones, and the
-/// plan scratch is reused.
+/// plan scratch is reused. A transformed run owns only the tensors some
+/// statement writes, refilled with makeInputs' values, and reads every
+/// other tensor from the reference, which no statement writes; only the
+/// written tensors are compared.
 class ScheduleValidator {
 public:
   explicit ScheduleValidator(const Kernel &K, unsigned Seed = 1);
@@ -182,6 +243,10 @@ public:
   /// fail-point; raises what CompiledKernel and DateOrderExecutor::plan
   /// raise.
   bool check(const Schedule &S);
+
+  /// The original-order run, or null until a check has made it. Its
+  /// read-only tensors hold makeInputs' values.
+  const ExecBuffers *reference() const;
 
 private:
   struct State;

@@ -4,28 +4,6 @@
 
 using namespace pinj;
 
-unsigned pinj::numOperands(OpKind Kind) {
-  switch (Kind) {
-  case OpKind::Assign:
-  case OpKind::Relu:
-  case OpKind::Exp:
-  case OpKind::Rsqrt:
-  case OpKind::Neg:
-    return 1;
-  case OpKind::Add:
-  case OpKind::Sub:
-  case OpKind::Mul:
-  case OpKind::Div:
-  case OpKind::Max:
-  case OpKind::Min:
-    return 2;
-  case OpKind::Fma:
-  case OpKind::MulSub:
-    return 3;
-  }
-  fatalError("unknown op kind");
-}
-
 const char *pinj::opKindName(OpKind Kind) {
   switch (Kind) {
   case OpKind::Assign:

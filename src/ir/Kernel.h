@@ -74,7 +74,27 @@ enum class OpKind {
 };
 
 /// \returns the number of read operands \p Kind consumes.
-unsigned numOperands(OpKind Kind);
+constexpr unsigned numOperands(OpKind Kind) {
+  switch (Kind) {
+  case OpKind::Assign:
+  case OpKind::Relu:
+  case OpKind::Exp:
+  case OpKind::Rsqrt:
+  case OpKind::Neg:
+    return 1;
+  case OpKind::Add:
+  case OpKind::Sub:
+  case OpKind::Mul:
+  case OpKind::Div:
+  case OpKind::Max:
+  case OpKind::Min:
+    return 2;
+  case OpKind::Fma:
+  case OpKind::MulSub:
+    return 3;
+  }
+  fatalError("unknown op kind");
+}
 
 /// \returns a short mnemonic ("add", "fma", ...).
 const char *opKindName(OpKind Kind);

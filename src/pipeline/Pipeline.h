@@ -118,8 +118,10 @@ struct PipelineOptions {
   /// still names it.
   static constexpr GpuModel Gpu{};
   /// Execute original vs scheduled order on real buffers and compare
-  /// (reference interpreter; the 22-operator corpus validates in well
-  /// under a second).
+  /// (ScheduleValidator, exec/Interpreter.h). The 22-operator corpus
+  /// compiles and validates in ~80 ms at --jobs=1 (median of 10 runs on
+  /// a shared 4-vCPU host, RelWithDebInfo; ~160 ms before rows and
+  /// borrowed inputs).
   bool Validate = false;
   /// Whole-operator resource limits, installed around everything
   /// runOperator does (all four configurations plus validation). WallMs

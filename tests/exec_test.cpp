@@ -538,6 +538,142 @@ TEST(DateWalk, LockstepNeedsOffsetsInsideOneKeyStep) {
       "(i, j, 0) / (i, j, 1)");
 }
 
+// In the merge, a one-statement walk runs its innermost row up to the
+// next walk's head, which here falls inside the row: S0 steps its key by
+// 5 and S1 by 2, and both update one scalar with different ops, so any
+// reordering changes the result. At the equal keys 0, 10 and 20 S0 runs
+// first: S0 runs its equal-key point when S1 is next (keys 0, 10, 20),
+// and S1 stops short of it when S0 is next (S1 at 6 and 8 before 10).
+TEST(DateWalk, MergeRunsRowsUpToTheNextHead) {
+  KernelBuilder B("interleaved_scalar");
+  unsigned X = B.tensor("X", {6});
+  unsigned Y = B.tensor("Y", {14});
+  unsigned Acc = B.tensor("ACC", {1});
+  B.stmt("S0", {{"i", 6}})
+      .write(Acc, {IndexExpr(Int(0))})
+      .read(Acc, {IndexExpr(Int(0))})
+      .read(X, {"i"})
+      .op(OpKind::Mul);
+  B.stmt("S1", {{"i", 14}})
+      .write(Acc, {IndexExpr(Int(0))})
+      .read(Acc, {IndexExpr(Int(0))})
+      .read(Y, {"i"})
+      .op(OpKind::Add);
+  Kernel K = B.build();
+  EXPECT_EQ(expectWalkMatchesSort(K, makeRowSchedule({{{5, 0}}, {{2, 0}}}),
+                                  "(5i) / (2i)"),
+            DateOrder::Walk);
+  // Reversed, the rows run downwards: S0 at 25 - 5i, S1 at 26 - 2i.
+  EXPECT_EQ(expectWalkMatchesSort(K,
+                                  makeRowSchedule({{{-5, 25}}, {{-2, 26}}}),
+                                  "(25 - 5i) / (26 - 2i)"),
+            DateOrder::Walk);
+  expectMatchesOracle(K, makeRowSchedule({{{5, 0}}, {{2, 0}}}), "(5i) / (2i)");
+}
+
+// Every op kind, run in rows: an interchanged schedule runs the rows
+// along i, a reversed column runs them along j downwards, so every
+// access steps backwards and its offsets wrap. The reads go through a
+// transposed tensor too.
+TEST(DateWalk, EveryOpKindRunsInRows) {
+  for (unsigned I = 0; I <= static_cast<unsigned>(OpKind::MulSub); ++I) {
+    OpKind Kind = static_cast<OpKind>(I);
+    KernelBuilder B(std::string("op_") + opKindName(Kind));
+    unsigned X = B.tensor("X", {5, 7});
+    unsigned Y = B.tensor("Y", {7, 5});
+    unsigned Z = B.tensor("Z", {5, 8});
+    unsigned Out = B.tensor("OUT", {5, 7});
+    B.stmt("S", {{"i", 5}, {"j", 7}})
+        .write(Out, {"i", "j"})
+        .read(X, {"i", "j"});
+    if (numOperands(Kind) > 1)
+      B.read(Y, {"j", "i"});
+    if (numOperands(Kind) > 2)
+      B.read(Z, {"i", IndexExpr("j") + 1});
+    B.op(Kind);
+    Kernel K = B.build();
+    expectWalkMatchesOracle(K, makeRowSchedule({{{0, 1, 0}, {1, 0, 0}}}),
+                            K.Name + " (j, i)");
+    expectWalkMatchesOracle(K, makeRowSchedule({{{1, 0, 0}, {0, -1, 6}}}),
+                            K.Name + " (i, 6 - j)");
+  }
+}
+
+//===----------------------------------------------------------------------===//
+// ScheduleValidator: a transformed run owns the written tensors and
+// reads the others from the reference run.
+//===----------------------------------------------------------------------===//
+
+// TMP is written twice and read once; with S0 and S1 swapped it ends as
+// -X instead of X, while OUT = rsqrt(|TMP| + 1) comes out the same.
+TEST(ScheduleValidator, RejectsWrongIntermediateOnly) {
+  KernelBuilder B("negate_twice");
+  unsigned X = B.tensor("X", {8});
+  unsigned Tmp = B.tensor("TMP", {8});
+  unsigned Out = B.tensor("OUT", {8});
+  B.stmt("S0", {{"i", 8}}).write(Tmp, {"i"}).read(X, {"i"}).op(OpKind::Neg);
+  B.stmt("S1", {{"i", 8}}).write(Tmp, {"i"}).read(Tmp, {"i"}).op(OpKind::Neg);
+  B.stmt("S2", {{"i", 8}})
+      .write(Out, {"i"})
+      .read(Tmp, {"i"})
+      .op(OpKind::Rsqrt);
+  Kernel K = B.build();
+  Schedule Swapped =
+      makeRowSchedule({{{0, 1}, {1, 0}}, {{0, 0}, {1, 0}}, {{0, 2}, {1, 0}}});
+  ExecBuffers Original = makeInputs(K, 1), Scheduled = Original;
+  runOriginal(K, Original);
+  runScheduled(K, Swapped, Scheduled);
+  EXPECT_TRUE(Original.Tensors[Out] == Scheduled.Tensors[Out]);
+  EXPECT_FALSE(Original.Tensors[Tmp] == Scheduled.Tensors[Tmp]);
+  EXPECT_EQ(planOf(K, Swapped), DateOrder::Walk);
+  EXPECT_FALSE(scheduleIsSemanticallyEqual(K, Swapped));
+}
+
+// OUT is read and written (a reduction accumulator): the transformed run
+// refills it with its inputs before running. After two runs the
+// reference's read-only tensors still hold the inputs, and its written
+// one holds the original order's result.
+TEST(ScheduleValidator, AccumulatorValidatesAndInputsStayIntact) {
+  Kernel K = makeRowReduction(4, 9);
+  ScheduleValidator V(K, 3);
+  Schedule Interchanged = makeRowSchedule({{{0, 1, 0}, {1, 0, 0}}});
+  Schedule Reversed = makeRowSchedule({{{-1, 0, 3}, {0, 1, 0}}});
+  EXPECT_EQ(planOf(K, Interchanged), DateOrder::Walk);
+  EXPECT_EQ(planOf(K, Reversed), DateOrder::Walk);
+  EXPECT_TRUE(V.check(Interchanged));
+  EXPECT_TRUE(V.check(Reversed));
+  ASSERT_NE(V.reference(), nullptr);
+  ExecBuffers Inputs = makeInputs(K, 3), Original = Inputs;
+  runOriginal(K, Original);
+  const std::vector<std::vector<double>> &Ref = V.reference()->Tensors;
+  ASSERT_EQ(Ref.size(), K.Tensors.size());
+  for (unsigned T = 0, E = K.Tensors.size(); T != E; ++T) {
+    bool Written = T == K.Stmts[0].Write.TensorId;
+    EXPECT_TRUE(Ref[T] == (Written ? Original : Inputs).Tensors[T])
+        << K.Tensors[T].Name;
+  }
+}
+
+// A check of a schedule in the enumeration order runs nothing; the next
+// check makes the reference and runs, and a broken schedule still fails.
+TEST(ScheduleValidator, RunsAfterAnEnumerationOrderCheck) {
+  Kernel K = makeProducerConsumer(4, 5);
+  Schedule Serial = makeRowSchedule({{{0, 0, 0}, {1, 0, 0}, {0, 1, 0}},
+                                     {{0, 0, 1}, {1, 0, 0}, {0, 1, 0}}});
+  ScheduleValidator V(K);
+  EXPECT_EQ(planOf(K, Serial), DateOrder::Enumeration);
+  EXPECT_TRUE(V.check(Serial));
+  EXPECT_EQ(V.reference(), nullptr);
+  Schedule Fused = makeRowSchedule({{{1, 0, 0}, {0, 1, 0}, {0, 0, 0}},
+                                    {{1, 0, 0}, {0, 1, 0}, {0, 0, 1}}});
+  EXPECT_EQ(planOf(K, Fused), DateOrder::Walk);
+  EXPECT_TRUE(V.check(Fused));
+  EXPECT_NE(V.reference(), nullptr);
+  Schedule Broken = makeRowSchedule({{{0, 0, 1}, {1, 0, 0}, {0, 1, 0}},
+                                     {{0, 0, 0}, {1, 0, 0}, {0, 1, 0}}});
+  EXPECT_FALSE(V.check(Broken));
+}
+
 //===----------------------------------------------------------------------===//
 // Out-of-bounds accesses: OUT[i] = IN[i + 1] with i < N leaves IN only at
 // the far corner of the iteration box.

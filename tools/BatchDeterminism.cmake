@@ -4,14 +4,16 @@
 # submission index, all nondeterministic output routed to stderr).
 #
 # Expected -D variables: TOOL (polyinject-opt path), OPS (corpus.txt).
+# Optional: ARGS (extra arguments for both runs, e.g. "--validate").
 
 foreach(_var TOOL OPS)
   if(NOT DEFINED ${_var})
     message(FATAL_ERROR "BatchDeterminism.cmake needs -D${_var}=...")
   endif()
 endforeach()
+separate_arguments(_args UNIX_COMMAND "${ARGS}")
 
-execute_process(COMMAND ${TOOL} --jobs=1 --ops-file=${OPS}
+execute_process(COMMAND ${TOOL} --jobs=1 --ops-file=${OPS} ${_args}
                 OUTPUT_VARIABLE _serial
                 ERROR_VARIABLE _serial_err
                 RESULT_VARIABLE _serial_rc)
@@ -20,7 +22,7 @@ if(NOT _serial_rc EQUAL 0)
                       "${_serial_err}")
 endif()
 
-execute_process(COMMAND ${TOOL} --jobs=8 --ops-file=${OPS}
+execute_process(COMMAND ${TOOL} --jobs=8 --ops-file=${OPS} ${_args}
                 OUTPUT_VARIABLE _parallel
                 ERROR_VARIABLE _parallel_err
                 RESULT_VARIABLE _parallel_rc)
@@ -39,4 +41,4 @@ if(_len EQUAL 0)
   message(FATAL_ERROR "batch produced no output")
 endif()
 message(STATUS "batch output byte-identical for jobs=1 and jobs=8 "
-               "(${_len} bytes)")
+               "(${_len} bytes, ARGS \"${ARGS}\")")
