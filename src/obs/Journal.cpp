@@ -29,17 +29,9 @@ void JournalRecord::renderTo(std::string &Out) const {
   Out += "\",\"type\":\"";
   json::escapeTo(Out, Type);
   Out += '"';
-  for (const JournalField &F : Fields) {
-    Out += ",\"";
-    json::escapeTo(Out, F.Key);
-    Out += "\":";
-    if (F.IsString) {
-      Out += '"';
-      json::escapeTo(Out, F.Value);
-      Out += '"';
-    } else {
-      Out += F.Value;
-    }
+  for (const Field &F : Fields) {
+    Out += ',';
+    json::appendField(Out, F);
   }
   Out += '}';
 }
@@ -189,14 +181,6 @@ RequestScope::RequestScope(std::string Id)
 RequestScope::~RequestScope() { CurrentRequestId = std::move(Previous); }
 
 const std::string &RequestScope::id() const { return CurrentRequestId; }
-
-//===----------------------------------------------------------------------===//
-// JournalEvent
-//===----------------------------------------------------------------------===//
-
-JournalEvent &JournalEvent::field(const char *Key, double Value) {
-  return add(Key, json::number(Value), /*IsString=*/false);
-}
 
 } // namespace obs
 } // namespace pinj

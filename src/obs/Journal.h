@@ -33,6 +33,8 @@
 #ifndef POLYINJECT_OBS_JOURNAL_H
 #define POLYINJECT_OBS_JOURNAL_H
 
+#include "obs/Json.h"
+
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -45,22 +47,13 @@
 namespace pinj {
 namespace obs {
 
-/// One key/value payload field of a journal record. Value is stored
-/// rendered; IsString selects quoting in the JSONL form (mirrors
-/// TraceArg).
-struct JournalField {
-  std::string Key;
-  std::string Value;
-  bool IsString = true;
-};
-
 /// One journal record. Serialized as a single JSONL object:
 /// {"ts_us":..,"request_id":"..","type":"..",<fields>}.
 struct JournalRecord {
   double TsUs = 0;       ///< Relative to the journal epoch.
   std::string RequestId; ///< Empty only for request-less records.
   std::string Type;      ///< Stable event type name ("solve_end", ...).
-  std::vector<JournalField> Fields;
+  std::vector<Field> Fields;
 
   std::string jsonl() const;
   /// Appends the JSONL form to \p Out without allocating a temporary
@@ -190,42 +183,13 @@ public:
 
   bool active() const { return Active; }
 
-  JournalEvent &field(const char *Key, const std::string &Value) {
-    return add(Key, Value, /*IsString=*/true);
-  }
-  JournalEvent &field(const char *Key, const char *Value) {
-    return add(Key, Value, /*IsString=*/true);
-  }
-  JournalEvent &field(const char *Key, bool Value) {
-    return add(Key, Value ? "true" : "false", /*IsString=*/false);
-  }
-  JournalEvent &field(const char *Key, double Value);
-  JournalEvent &field(const char *Key, long long Value) {
-    return add(Key, std::to_string(Value), /*IsString=*/false);
-  }
-  JournalEvent &field(const char *Key, unsigned long long Value) {
-    return add(Key, std::to_string(Value), /*IsString=*/false);
-  }
-  JournalEvent &field(const char *Key, int Value) {
-    return field(Key, static_cast<long long>(Value));
-  }
-  JournalEvent &field(const char *Key, long Value) {
-    return field(Key, static_cast<long long>(Value));
-  }
-  JournalEvent &field(const char *Key, unsigned Value) {
-    return field(Key, static_cast<unsigned long long>(Value));
-  }
-  JournalEvent &field(const char *Key, unsigned long Value) {
-    return field(Key, static_cast<unsigned long long>(Value));
-  }
-
-private:
-  JournalEvent &add(const char *Key, std::string Value, bool IsString) {
+  template <class T> JournalEvent &field(const char *Key, const T &Value) {
     if (Active)
-      R.Fields.push_back({Key, std::move(Value), IsString});
+      R.Fields.push_back(json::field(Key, Value));
     return *this;
   }
 
+private:
   bool Active = false;
   JournalRecord R;
 };

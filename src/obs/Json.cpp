@@ -337,6 +337,19 @@ void pinj::obs::json::escapeTo(std::string &Out, const std::string &S) {
   }
 }
 
+void pinj::obs::json::appendField(std::string &Out, const Field &F) {
+  Out += '"';
+  escapeTo(Out, F.Key);
+  Out += "\":";
+  if (F.IsString) {
+    Out += '"';
+    escapeTo(Out, F.Value);
+    Out += '"';
+  } else {
+    Out += F.Value;
+  }
+}
+
 std::string pinj::obs::json::number(double V) {
   if (!std::isfinite(V))
     V = 0;

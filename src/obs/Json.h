@@ -9,7 +9,8 @@
 /// A small self-contained JSON layer for the observability subsystem:
 /// enough of a recursive-descent parser to validate the Chrome trace
 /// files and metrics sidecars this project emits (and to inspect them in
-/// tests), plus the string-escaping helper the writers share. Not a
+/// tests), plus the key/value field type and the escaping and field
+/// rendering helpers the writers share. Not a
 /// general-purpose JSON library; numbers are doubles, objects preserve
 /// member order.
 ///
@@ -20,11 +21,21 @@
 
 #include <optional>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
 namespace pinj {
 namespace obs {
+
+/// One key/value field of a trace span's args or a journal record. Value
+/// is stored rendered; IsString selects quoting in the JSON form.
+struct Field {
+  std::string Key;
+  std::string Value;
+  bool IsString = true;
+};
+
 namespace json {
 
 /// One parsed JSON value.
@@ -63,9 +74,27 @@ std::string escape(const std::string &S);
 /// serializer builds each line with this).
 void escapeTo(std::string &Out, const std::string &S);
 
+/// Appends \p F as one JSON object member, "key":value, with the value
+/// quoted and escaped when F.IsString (the trace and journal writers'
+/// shared field renderer).
+void appendField(std::string &Out, const Field &F);
+
 /// Renders a double the way the writers in this subsystem do: fixed
 /// notation, trimmed, never "nan"/"inf" (clamped to 0).
 std::string number(double V);
+
+/// \p Value as a field: bools and integers bare, floating point through
+/// number(), anything else as a quoted string.
+template <class T> Field field(const char *Key, const T &Value) {
+  if constexpr (std::is_same_v<T, bool>)
+    return {Key, Value ? "true" : "false", false};
+  else if constexpr (std::is_floating_point_v<T>)
+    return {Key, number(Value), false};
+  else if constexpr (std::is_integral_v<T>)
+    return {Key, std::to_string(Value), false};
+  else
+    return {Key, std::string(Value), true};
+}
 
 } // namespace json
 } // namespace obs

@@ -78,32 +78,62 @@ double Histogram::bucketUpperBound(unsigned I) {
   return I == 0 ? 1.0 : std::exp2(I / 4.0);
 }
 
-void Histogram::observe(double Sample) {
-  std::lock_guard<std::mutex> L(Mu);
-  if (N == 0) {
+void HistogramSummary::add(double Sample) {
+  if (Count == 0) {
     Min = Max = Sample;
+    Buckets.assign(Histogram::NumBuckets, 0);
   } else {
     Min = std::min(Min, Sample);
     Max = std::max(Max, Sample);
   }
-  ++N;
+  ++Count;
   Sum += Sample;
-  ++Buckets[bucketIndex(Sample)];
+  ++Buckets[Histogram::bucketIndex(Sample)];
 }
 
-HistogramSummary Histogram::summary() const {
-  std::lock_guard<std::mutex> L(Mu);
-  HistogramSummary S{N, Sum, N ? Min : 0, N ? Max : 0, {}};
-  S.Buckets.assign(Buckets, Buckets + NumBuckets);
+void Histogram::observe(double Sample) {
+  {
+    std::lock_guard<std::mutex> L(Mu);
+    S.add(Sample);
+  }
+  if (Tally *T = detail::CurrentTally)
+    T->observe(Id, Sample);
+}
+
+void Tally::observe(unsigned HistogramId, double Sample) {
+  if (HistogramId == NoMetricId)
+    return;
+  if (HistogramId >= Samples.size())
+    Samples.resize(HistogramId + 1);
+  Samples[HistogramId].add(Sample);
+}
+
+void Tally::merge(const Tally &Other) {
+  if (Counts.size() < Other.Counts.size())
+    Counts.resize(Other.Counts.size(), 0);
+  for (std::size_t I = 0; I < Other.Counts.size(); ++I)
+    Counts[I] += Other.Counts[I];
+  if (Samples.size() < Other.Samples.size())
+    Samples.resize(Other.Samples.size());
+  for (std::size_t I = 0; I < Other.Samples.size(); ++I)
+    Samples[I].merge(Other.Samples[I]);
+}
+
+std::uint64_t Tally::count(const Counter &C) const {
+  return C.Id < Counts.size() ? Counts[C.Id] : 0;
+}
+
+MetricsSnapshot Tally::nonzero() const {
+  MetricsSnapshot S;
+  const MetricsRegistry &R = metrics();
+  std::lock_guard<std::mutex> L(R.Mu);
+  for (std::size_t I = 0; I < Counts.size(); ++I)
+    if (Counts[I] != 0)
+      S.Counters.emplace(*R.CounterNames[I], Counts[I]);
+  for (std::size_t I = 0; I < Samples.size(); ++I)
+    if (Samples[I].Count != 0)
+      S.Histograms.emplace(*R.HistogramNames[I], Samples[I]);
   return S;
-}
-
-void Histogram::reset() {
-  std::lock_guard<std::mutex> L(Mu);
-  N = 0;
-  Sum = Min = Max = 0;
-  for (std::uint64_t &B : Buckets)
-    B = 0;
 }
 
 std::uint64_t MetricsSnapshot::counter(const std::string &Name) const {
@@ -218,12 +248,22 @@ MetricsRegistry &MetricsRegistry::get() {
 
 Counter &MetricsRegistry::counter(const std::string &Name) {
   std::lock_guard<std::mutex> L(Mu);
-  return Counters[Name];
+  auto [It, New] = Counters.try_emplace(Name);
+  if (New) {
+    It->second.Id = static_cast<unsigned>(CounterNames.size());
+    CounterNames.push_back(&It->first);
+  }
+  return It->second;
 }
 
 Histogram &MetricsRegistry::histogram(const std::string &Name) {
   std::lock_guard<std::mutex> L(Mu);
-  return Histograms[Name];
+  auto [It, New] = Histograms.try_emplace(Name);
+  if (New) {
+    It->second.Id = static_cast<unsigned>(HistogramNames.size());
+    HistogramNames.push_back(&It->first);
+  }
+  return It->second;
 }
 
 MetricsSnapshot MetricsRegistry::snapshot() const {

@@ -10,17 +10,25 @@
 /// solves/failures/nodes, simplex pivots, dependences computed,
 /// scenarios enumerated, warps simulated, memory transactions, and
 /// whatever future phases need. Counters are always on — one relaxed
-/// 64-bit atomic add through a cached reference — so per-operator deltas
-/// can be taken by diffing snapshots (`MetricsSnapshot::since`).
-/// `reset()` zeroes values in place, keeping references obtained from
-/// `counter()`/`histogram()` valid, so hot call sites may cache them in
-/// function-local statics.
+/// 64-bit atomic add through a cached reference — and the process-wide
+/// registry holds only process totals. `reset()` zeroes values in place,
+/// keeping references obtained from `counter()`/`histogram()` valid, so
+/// hot call sites may cache them in function-local statics.
+///
+/// Per-request and per-stage counts come from a `Tally`: every increment
+/// and observation also lands in the tally a `TallyScope` installed on
+/// the current thread, indexed by the metric id the registry assigned
+/// when it created the metric. Scopes nest; a closing scope folds its
+/// tally into the one it displaced. The pipeline opens one per operator
+/// and one per stage (obs/Stage.h), so concurrent workers never count
+/// into each other's records.
 ///
 /// The registry is thread-safe: the batch compiler (service/) runs
 /// pipeline workers concurrently, so counter increments are atomic,
 /// histograms take a per-histogram mutex, and the name maps are guarded
 /// by a registry mutex. Map nodes are stable, so cached references stay
-/// valid for the process lifetime.
+/// valid for the process lifetime. Tallies are per thread and need no
+/// lock.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -36,20 +44,6 @@
 
 namespace pinj {
 namespace obs {
-
-/// A monotonically increasing 64-bit counter. Increments are relaxed
-/// atomics: concurrent workers never lose counts, but cross-counter
-/// consistency is only what snapshot() observes.
-class Counter {
-public:
-  void inc() { Val.fetch_add(1, std::memory_order_relaxed); }
-  void add(std::uint64_t N) { Val.fetch_add(N, std::memory_order_relaxed); }
-  std::uint64_t value() const { return Val.load(std::memory_order_relaxed); }
-  void reset() { Val.store(0, std::memory_order_relaxed); }
-
-private:
-  std::atomic<std::uint64_t> Val{0};
-};
 
 /// The diffable, mergeable summary of one histogram. Buckets use the
 /// fixed quarter-octave scheme described on Histogram, so summaries from
@@ -75,10 +69,95 @@ struct HistogramSummary {
   /// quarter-octave bucket width (~19%) and is typically far smaller.
   double percentile(double Q) const;
 
+  /// Records one sample.
+  void add(double Sample);
+
   /// Accumulates \p Other into this summary. Exact for count/sum/
   /// min/max/buckets: merging is associative and commutative, so
   /// fleet-level aggregation order does not matter.
   void merge(const HistogramSummary &Other);
+};
+
+struct MetricsSnapshot;
+class Counter;
+
+/// The id of a counter or histogram the registry did not create; such a
+/// metric counts into no tally.
+inline constexpr unsigned NoMetricId = ~0u;
+
+/// The counts and samples recorded while it was installed on a thread
+/// (see TallyScope), indexed by metric id. Not thread-safe: one thread
+/// owns it.
+class Tally {
+public:
+  void add(unsigned CounterId, std::uint64_t N) {
+    if (CounterId == NoMetricId)
+      return;
+    if (CounterId >= Counts.size())
+      Counts.resize(CounterId + 1, 0);
+    Counts[CounterId] += N;
+  }
+  void observe(unsigned HistogramId, double Sample);
+  /// Adds \p Other's counts and samples into this tally.
+  void merge(const Tally &Other);
+
+  /// \p C's count in this tally.
+  std::uint64_t count(const Counter &C) const;
+  /// The nonzero counters and nonempty histograms, by name.
+  MetricsSnapshot nonzero() const;
+
+private:
+  std::vector<std::uint64_t> Counts;
+  std::vector<HistogramSummary> Samples;
+};
+
+namespace detail {
+/// The tally this thread counts into; null outside every TallyScope.
+inline thread_local Tally *CurrentTally = nullptr;
+} // namespace detail
+
+/// RAII: installs a fresh tally on this thread; at close, restores the
+/// tally it displaced and folds its own counts into it.
+class TallyScope {
+public:
+  TallyScope() : Enclosing(detail::CurrentTally) {
+    detail::CurrentTally = &Own;
+  }
+  ~TallyScope() {
+    detail::CurrentTally = Enclosing;
+    if (Enclosing)
+      Enclosing->merge(Own);
+  }
+  TallyScope(const TallyScope &) = delete;
+  TallyScope &operator=(const TallyScope &) = delete;
+
+  const Tally &tally() const { return Own; }
+
+private:
+  Tally Own;
+  Tally *Enclosing;
+};
+
+/// A monotonically increasing 64-bit counter. Increments are relaxed
+/// atomics: concurrent workers never lose counts, but cross-counter
+/// consistency is only what snapshot() observes. Each increment also
+/// lands in this thread's tally, if one is installed.
+class Counter {
+public:
+  void inc() { add(1); }
+  void add(std::uint64_t N) {
+    Val.fetch_add(N, std::memory_order_relaxed);
+    if (Tally *T = detail::CurrentTally)
+      T->add(Id, N);
+  }
+  std::uint64_t value() const { return Val.load(std::memory_order_relaxed); }
+  void reset() { Val.store(0, std::memory_order_relaxed); }
+
+private:
+  friend class MetricsRegistry;
+  friend class Tally;
+  std::atomic<std::uint64_t> Val{0};
+  unsigned Id = NoMetricId;
 };
 
 /// Count/sum/min/max plus fixed log-scale buckets over nonnegative
@@ -88,7 +167,8 @@ struct HistogramSummary {
 /// two processes remain mergeable bucket-by-bucket (the scheme is fixed,
 /// never adapted to data). 256 buckets span [1, 2^63.75), enough for
 /// nanosecond-scale samples up to hours. Guarded by a per-histogram
-/// mutex (observations are rare compared to counter increments).
+/// mutex (observations are rare compared to counter increments). Each
+/// observation also lands in this thread's tally, if one is installed.
 class Histogram {
 public:
   static constexpr unsigned NumBuckets = 256;
@@ -104,30 +184,21 @@ public:
 
   void observe(double Sample);
 
-  std::uint64_t count() const { std::lock_guard<std::mutex> L(Mu); return N; }
-  double sum() const { std::lock_guard<std::mutex> L(Mu); return Sum; }
-  double min() const { std::lock_guard<std::mutex> L(Mu); return N ? Min : 0; }
-  double max() const { std::lock_guard<std::mutex> L(Mu); return N ? Max : 0; }
-  double mean() const {
-    std::lock_guard<std::mutex> L(Mu);
-    return N ? Sum / static_cast<double>(N) : 0;
-  }
-  /// Samples in bucket \p I.
-  std::uint64_t bucket(unsigned I) const {
-    std::lock_guard<std::mutex> L(Mu);
-    return Buckets[I];
-  }
   /// One consistent view of count/sum/min/max/buckets.
-  HistogramSummary summary() const;
-  void reset();
+  HistogramSummary summary() const {
+    std::lock_guard<std::mutex> L(Mu);
+    return S;
+  }
+  void reset() {
+    std::lock_guard<std::mutex> L(Mu);
+    S = HistogramSummary();
+  }
 
 private:
+  friend class MetricsRegistry;
+  unsigned Id = NoMetricId;
   mutable std::mutex Mu;
-  std::uint64_t N = 0;
-  double Sum = 0;
-  double Min = 0;
-  double Max = 0;
-  std::uint64_t Buckets[NumBuckets] = {};
+  HistogramSummary S;
 };
 
 /// A point-in-time copy of every metric value; cheap to diff.
@@ -141,8 +212,9 @@ struct MetricsSnapshot {
   const HistogramSummary *histogram(const std::string &Name) const;
 
   /// Per-entry difference: this minus \p Before (entries absent from
-  /// Before count from zero). Histogram buckets diff element-wise;
-  /// Min/Max keep this snapshot's values (extrema are not diffable).
+  /// Before count from zero), for process-level deltas such as a bench
+  /// phase. Histogram buckets diff element-wise; Min/Max keep this
+  /// snapshot's values (extrema are not diffable).
   MetricsSnapshot since(const MetricsSnapshot &Before) const;
 
   /// {"counters":{...},"histograms":{"n":{"count":..,"sum":..,"min":..,
@@ -164,8 +236,9 @@ class MetricsRegistry {
 public:
   static MetricsRegistry &get();
 
-  /// The counter/histogram named \p Name, created on first use. The
-  /// returned reference stays valid for the process lifetime.
+  /// The counter/histogram named \p Name, created on first use with the
+  /// next free id of its kind. The returned reference stays valid for the
+  /// process lifetime.
   Counter &counter(const std::string &Name);
   Histogram &histogram(const std::string &Name);
 
@@ -182,9 +255,12 @@ public:
   void reset();
 
 private:
+  friend class Tally;
   mutable std::mutex Mu;
   std::map<std::string, Counter> Counters;
   std::map<std::string, Histogram> Histograms;
+  /// Map keys by id, for naming a tally's entries.
+  std::vector<const std::string *> CounterNames, HistogramNames;
 };
 
 inline MetricsRegistry &metrics() { return MetricsRegistry::get(); }

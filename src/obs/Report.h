@@ -31,7 +31,7 @@ struct ConfigRecord {
   double Transactions = 0;
   double TransactionBytes = 0;
   double UsefulBytes = 0;
-  MetricsSnapshot Metrics; ///< Delta attributed to this configuration.
+  MetricsSnapshot Metrics; ///< This configuration's own nonzero counts.
 };
 
 /// One recorded degradation: a configuration that failed and what the
@@ -65,7 +65,7 @@ struct OperatorRecord {
   std::string TuneStrategy;  ///< "exhaustive", "greedy", "anneal".
   std::vector<ConfigRecord> Configs;
   std::vector<DegradationRecord> Degradations;
-  MetricsSnapshot Metrics; ///< Whole-operator delta.
+  MetricsSnapshot Metrics; ///< The operator's own nonzero counts.
 };
 
 /// Serializes one operator record as a JSON object — the ONLY emitter

@@ -4,6 +4,15 @@
 // Operators with Polyhedral Scheduling Constraint Injection" (CGO 2022).
 //
 //===----------------------------------------------------------------------===//
+///
+/// \file
+/// The scope every pipeline stage runs in: its span, its clock, a tally
+/// of the work it does on this thread (obs/Metrics.h), and its
+/// `stage_end` journal record. The tally holds the stage's own counts
+/// only, so a stage's metrics do not depend on what else the process
+/// does meanwhile; at close it folds into the enclosing (operator) tally.
+///
+//===----------------------------------------------------------------------===//
 
 #ifndef POLYINJECT_OBS_STAGE_H
 #define POLYINJECT_OBS_STAGE_H
@@ -20,50 +29,45 @@ namespace pinj {
 namespace obs {
 
 /// One pipeline stage (isl, novec, infl, tvm, validate) as one RAII
-/// scope: span \p SpanName, then at close the registry delta and the
+/// scope: span \p SpanName and the stage's tally, then at close the
 /// `stage_end` journal record (nothing while an exception unwinds).
 class Stage {
 public:
-  /// With \p Mark, \p Delta receives the registry delta since \p Mark
-  /// and \p Mark advances, so stages chained on one mark partition the
-  /// counters; without, stage_end reports zero solver effort.
-  Stage(const char *Name, const char *SpanName,
-        MetricsSnapshot *Mark = nullptr, MetricsSnapshot *Delta = nullptr)
-      : Name(Name), Mark(Mark), Delta(Delta), Scope(std::in_place, SpanName) {}
+  Stage(const char *Name, const char *SpanName)
+      : Name(Name), Scope(std::in_place, SpanName) {}
 
   ~Stage() {
     Scope.reset();
-    if (std::uncaught_exceptions() > Unwinding)
+    if (std::uncaught_exceptions() > Unwinding || !Journal::fastEnabled())
       return;
-    if (Mark) {
-      MetricsSnapshot Now = metrics().snapshot();
-      *Delta = Now.since(*Mark);
-      *Mark = std::move(Now);
-    }
-    if (!Journal::fastEnabled())
-      return;
-    static const MetricsSnapshot None;
-    const MetricsSnapshot &Counters = Mark ? *Delta : None;
+    static Counter &Nodes = metrics().counter("lp.ilp_nodes");
+    static Counter &Solves = metrics().counter("lp.ilp_solves");
+    static Counter &Pivots = metrics().counter("lp.simplex_pivots");
+    const Tally &Own = Work.tally();
     JournalEvent("stage_end")
         .field("stage", Name)
         .field("dur_us", std::chrono::duration<double, std::micro>(
                              std::chrono::steady_clock::now() - T0)
                              .count())
-        .field("ilp_nodes", Counters.counter("lp.ilp_nodes"))
-        .field("ilp_solves", Counters.counter("lp.ilp_solves"))
-        .field("pivots", Counters.counter("lp.simplex_pivots"))
+        .field("ilp_nodes", Own.count(Nodes))
+        .field("ilp_solves", Own.count(Solves))
+        .field("pivots", Own.count(Pivots))
         .field("outcome", Outcome);
   }
 
   /// The stage_end record's outcome ("ok" until set).
   void setOutcome(const char *Label) { Outcome = Label; }
 
+  /// The stage's own work so far: nonzero counters and nonempty
+  /// histograms.
+  MetricsSnapshot counts() const { return Work.tally().nonzero(); }
+
 private:
   const char *Name;
   const char *Outcome = "ok";
-  MetricsSnapshot *Mark, *Delta;
   std::chrono::steady_clock::time_point T0 = std::chrono::steady_clock::now();
   int Unwinding = std::uncaught_exceptions();
+  TallyScope Work;
   std::optional<Span> Scope;
 };
 

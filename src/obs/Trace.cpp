@@ -102,7 +102,7 @@ void Tracer::closeSpan(unsigned Index) {
     Events.clear();
 }
 
-void Tracer::addSpanArg(unsigned Index, TraceArg Arg) {
+void Tracer::addSpanArg(unsigned Index, Field Arg) {
   std::lock_guard<std::mutex> L(Mu);
   if (Index < Events.size() && !Events[Index].Closed)
     Events[Index].Args.push_back(std::move(Arg));
@@ -110,7 +110,7 @@ void Tracer::addSpanArg(unsigned Index, TraceArg Arg) {
 
 void Tracer::printHuman(const TraceEvent &E) const {
   std::string Args;
-  for (const TraceArg &A : E.Args) {
+  for (const Field &A : E.Args) {
     Args += ' ';
     Args += A.Key;
     Args += '=';
@@ -151,15 +151,11 @@ std::string Tracer::json() const {
     if (!E.Args.empty()) {
       Out += ",\"args\":{";
       bool FirstArg = true;
-      for (const TraceArg &A : E.Args) {
+      for (const Field &A : E.Args) {
         if (!FirstArg)
           Out += ',';
         FirstArg = false;
-        Out += '"' + json::escape(A.Key) + "\":";
-        if (A.IsString)
-          Out += '"' + json::escape(A.Value) + '"';
-        else
-          Out += A.Value;
+        json::appendField(Out, A);
       }
       Out += '}';
     }
@@ -199,17 +195,6 @@ bool Tracer::writeJson(const std::string &Path, std::string &Error) const {
     return false;
   }
   return true;
-}
-
-Span &Span::addArg(const char *Key, std::string Value, bool IsString) {
-  if (!Active)
-    return *this;
-  Tracer::get().addSpanArg(Index, {Key, std::move(Value), IsString});
-  return *this;
-}
-
-Span &Span::arg(const char *Key, double Value) {
-  return addArg(Key, json::number(Value), /*IsString=*/false);
 }
 
 namespace {

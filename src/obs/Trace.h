@@ -30,6 +30,8 @@
 #ifndef POLYINJECT_OBS_TRACE_H
 #define POLYINJECT_OBS_TRACE_H
 
+#include "obs/Json.h"
+
 #include <atomic>
 #include <chrono>
 #include <mutex>
@@ -38,14 +40,6 @@
 
 namespace pinj {
 namespace obs {
-
-/// One key/value attribute of a trace event. Value is stored rendered;
-/// IsString selects quoting in the JSON form.
-struct TraceArg {
-  std::string Key;
-  std::string Value;
-  bool IsString = true;
-};
 
 /// One closed (or still open) span.
 struct TraceEvent {
@@ -56,7 +50,7 @@ struct TraceEvent {
   unsigned Depth = 0; ///< Nesting depth at open time (per thread).
   unsigned Tid = 0;   ///< Small per-thread id (Chrome trace "tid").
   bool Closed = false;
-  std::vector<TraceArg> Args;
+  std::vector<Field> Args;
 };
 
 /// The process-wide trace collector; all state lives behind
@@ -112,7 +106,7 @@ public:
   // Span implementation interface (not for direct use).
   unsigned openSpan(const char *Name, const char *Category);
   void closeSpan(unsigned Index);
-  void addSpanArg(unsigned Index, TraceArg Arg);
+  void addSpanArg(unsigned Index, Field Arg);
 
 private:
   Tracer();
@@ -151,40 +145,15 @@ public:
   Span(const Span &) = delete;
   Span &operator=(const Span &) = delete;
 
-  Span &arg(const char *Key, const std::string &Value) {
-    return addArg(Key, Value, /*IsString=*/true);
+  template <class T> Span &arg(const char *Key, const T &Value) {
+    if (Active)
+      Tracer::get().addSpanArg(Index, json::field(Key, Value));
+    return *this;
   }
-  Span &arg(const char *Key, const char *Value) {
-    return addArg(Key, Value, /*IsString=*/true);
-  }
-  Span &arg(const char *Key, long long Value) {
-    return addArg(Key, std::to_string(Value), /*IsString=*/false);
-  }
-  Span &arg(const char *Key, unsigned long long Value) {
-    return addArg(Key, std::to_string(Value), /*IsString=*/false);
-  }
-  Span &arg(const char *Key, int Value) {
-    return arg(Key, static_cast<long long>(Value));
-  }
-  Span &arg(const char *Key, long Value) {
-    return arg(Key, static_cast<long long>(Value));
-  }
-  Span &arg(const char *Key, unsigned Value) {
-    return arg(Key, static_cast<unsigned long long>(Value));
-  }
-  Span &arg(const char *Key, unsigned long Value) {
-    return arg(Key, static_cast<unsigned long long>(Value));
-  }
-  Span &arg(const char *Key, bool Value) {
-    return addArg(Key, Value ? "true" : "false", /*IsString=*/false);
-  }
-  Span &arg(const char *Key, double Value);
 
   bool active() const { return Active; }
 
 private:
-  Span &addArg(const char *Key, std::string Value, bool IsString);
-
   bool Active = false;
   unsigned Index = 0;
 };

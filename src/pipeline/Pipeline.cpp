@@ -65,17 +65,6 @@ std::string pinj::renderCuda(const Kernel &K, const Schedule &S,
 
 namespace {
 
-/// Nesting depth of runOperator on this thread. Exactly one
-/// request_start/request_end pair is journaled per operator compilation:
-/// the outermost call owns them, so the tuner-dispatch recursion and any
-/// evaluation runs the tuner performs internally never double-emit.
-thread_local unsigned RequestDepth = 0;
-
-struct RequestDepthGuard {
-  RequestDepthGuard() { ++RequestDepth; }
-  ~RequestDepthGuard() { --RequestDepth; }
-};
-
 /// The scheduling half of runOperator and the only code that runs the
 /// degradation ladder (see DegradationEvent): runOperator drives it one
 /// configuration per stage, scheduleInflConfig asks for infl alone. The
@@ -319,78 +308,24 @@ bool pinj::scheduleInflConfig(const Kernel &K, const PipelineOptions &Options,
   return true;
 }
 
-OperatorReport pinj::runOperator(const Kernel &K,
-                                 const PipelineOptions &Options) {
-  // Request identity: the outermost runOperator call on this thread owns
-  // the request — it allocates the id (unless the batch compiler
-  // pre-assigned one via RequestScope) and journals the single
-  // request_start/request_end pair. Tuner-dispatch recursion and the
-  // tuner's internal evaluation runs inherit the id and stay silent.
-  const bool Outermost = RequestDepth == 0;
-  std::string Rid = obs::currentRequestId();
-  if (Rid.empty())
-    Rid = obs::nextRequestId();
-  obs::RequestScope Request(Rid);
-  RequestDepthGuard DepthGuard;
-  const auto RequestT0 = std::chrono::steady_clock::now();
-  if (Outermost && obs::Journal::fastEnabled())
-    obs::JournalEvent("request_start")
-        .field("operator", K.Name)
-        .field("tuner", Options.Tuner != nullptr);
-  auto journalRequestEnd = [&](const OperatorReport &R) {
-    if (!Outermost || !obs::Journal::fastEnabled())
-      return;
-    obs::JournalEvent("request_end")
-        .field("operator", K.Name)
-        .field("dur_us", std::chrono::duration<double, std::micro>(
-                             std::chrono::steady_clock::now() - RequestT0)
-                             .count())
-        .field("degradations", R.Degradations.size())
-        .field("influenced", R.Influenced)
-        .field("vec_eligible", R.VecEligible)
-        .field("cache_hit", R.CacheHit)
-        .field("tuned", R.Tuned);
-  };
+namespace {
 
-  // Autotuning dispatch: the hook picks the options this operator runs
-  // under (possibly unchanged), and the compilation below proceeds as a
-  // plain run of those options — the cache keys on them, so tuned and
-  // untuned compilations never alias. The sink record is written here
-  // so it carries the tuning outcome.
-  if (Options.Tuner) {
-    PipelineOptions Inner = Options;
-    Inner.Tuner = nullptr;
-    Inner.Sink = nullptr;
-    TunedConfig Chosen;
-    bool Applied = Options.Tuner->tune(K, Inner, Chosen);
-    OperatorReport Report = runOperator(K, Inner);
-    if (Applied) {
-      Report.Tuned = true;
-      Report.Tuning = std::move(Chosen);
-    }
-    if (obs::Journal::fastEnabled())
-      obs::JournalEvent("tuning")
-          .field("applied", Applied)
-          .field("encoding", Report.Tuned ? Report.Tuning.Encoding
-                                          : std::string())
-          .field("from_db", Report.Tuned && Report.Tuning.FromDb)
-          .field("strategy", Report.Tuned ? Report.Tuning.Strategy
-                                          : std::string());
-    if (Options.Sink)
-      Options.Sink->add(toSinkRecord(Report));
-    journalRequestEnd(Report);
-    return Report;
-  }
-
+/// Compiles \p K under \p Options: the operator span and tally, the
+/// three scheduled configurations, the tvm proxy, validation and the
+/// cache. The request scope, the tuner and the sink are runOperator's.
+OperatorReport compileOperator(const Kernel &K, const PipelineOptions &Options,
+                               const std::string &Rid) {
   obs::Span Op("pipeline.operator");
   if (Op.active())
     Op.arg("name", K.Name).arg("request_id", Rid);
-  obs::MetricsRegistry &M = obs::metrics();
-  static obs::Counter &Operators = M.counter("pipeline.operators");
-  static obs::Counter &Degradations = M.counter("pipeline.degradations");
+  static obs::Counter &Operators =
+      obs::metrics().counter("pipeline.operators");
+  static obs::Counter &Degradations =
+      obs::metrics().counter("pipeline.degradations");
   Operators.inc();
-  const obs::MetricsSnapshot Begin = M.snapshot();
-  obs::MetricsSnapshot Mark = Begin;
+  // The operator's own tally opens after its pipeline.operators count, so
+  // Report.Metrics holds only the compile's work.
+  obs::TallyScope Work;
 
   OperatorReport Report;
   Report.Name = K.Name;
@@ -465,11 +400,12 @@ OperatorReport pinj::runOperator(const Kernel &K,
   auto configStage = [&](const char *Config, const char *SpanName,
                          ConfigResult (ScheduleLadder::*Step)(),
                          ConfigResult &Out) {
-    obs::Stage S(Config, SpanName, &Mark, &Out.Metrics);
+    obs::Stage S(Config, SpanName);
     Out = (Ladder.*Step)();
     if (!Out.Skipped)
       simulateGuarded(Config, Out);
     S.setOutcome(Out.Outcome.ok() ? "ok" : statusCodeName(Out.Outcome.code()));
+    Out.Metrics = S.counts();
   };
 
   configStage("isl", "pipeline.config.isl", &ScheduleLadder::isl, Report.Isl);
@@ -515,10 +451,69 @@ OperatorReport pinj::runOperator(const Kernel &K,
       obs::JournalEvent("cache_store").field("operator", K.Name);
   }
 
-  Report.Metrics = M.snapshot().since(Begin);
+  Report.Metrics = Work.tally().nonzero();
+  return Report;
+}
+
+} // namespace
+
+OperatorReport pinj::runOperator(const Kernel &K,
+                                 const PipelineOptions &Options) {
+  // Request identity: a batch compiler or daemon may have pre-assigned
+  // the id through RequestScope; otherwise this compilation allocates
+  // one. The tuner's evaluation runs inherit it.
+  std::string Rid = obs::currentRequestId();
+  if (Rid.empty())
+    Rid = obs::nextRequestId();
+  obs::RequestScope Request(Rid);
+  const auto RequestT0 = std::chrono::steady_clock::now();
+  if (obs::Journal::fastEnabled())
+    obs::JournalEvent("request_start")
+        .field("operator", K.Name)
+        .field("tuner", Options.Tuner != nullptr);
+
+  // Autotuning dispatch: the hook picks the options this operator
+  // compiles under (possibly unchanged). The cache keys on them, so
+  // tuned and untuned compilations never alias. The search runs before
+  // the operator's tally opens, so Report.Metrics excludes it.
+  std::optional<PipelineOptions> Tuned;
+  TunedConfig Chosen;
+  bool Applied = false;
+  if (Options.Tuner) {
+    Tuned = Options;
+    Tuned->Tuner = nullptr;
+    Tuned->Sink = nullptr;
+    Applied = Options.Tuner->tune(K, *Tuned, Chosen);
+  }
+  OperatorReport Report = compileOperator(K, Tuned ? *Tuned : Options, Rid);
+  if (Tuned) {
+    if (Applied) {
+      Report.Tuned = true;
+      Report.Tuning = std::move(Chosen);
+    }
+    if (obs::Journal::fastEnabled())
+      obs::JournalEvent("tuning")
+          .field("applied", Applied)
+          .field("encoding", Report.Tuned ? Report.Tuning.Encoding
+                                          : std::string())
+          .field("from_db", Report.Tuned && Report.Tuning.FromDb)
+          .field("strategy", Report.Tuned ? Report.Tuning.Strategy
+                                          : std::string());
+  }
+
   if (Options.Sink)
     Options.Sink->add(toSinkRecord(Report));
-  journalRequestEnd(Report);
+  if (obs::Journal::fastEnabled())
+    obs::JournalEvent("request_end")
+        .field("operator", K.Name)
+        .field("dur_us", std::chrono::duration<double, std::micro>(
+                             std::chrono::steady_clock::now() - RequestT0)
+                             .count())
+        .field("degradations", Report.Degradations.size())
+        .field("influenced", Report.Influenced)
+        .field("vec_eligible", Report.VecEligible)
+        .field("cache_hit", Report.CacheHit)
+        .field("tuned", Report.Tuned);
   return Report;
 }
 

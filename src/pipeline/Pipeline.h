@@ -160,9 +160,10 @@ struct ConfigResult {
   /// The operator deadline expired before this configuration ran: Sched
   /// holds its fallback, and nothing was simulated.
   bool Skipped = false;
-  /// Pipeline metrics delta attributed to this configuration (isl:
-  /// reference scheduling + simulation; novec: influenced scheduling +
-  /// simulation; infl: vector finalization + simulation).
+  /// The work this configuration's stage counted on its own tally
+  /// (obs/Stage.h), nonzero entries only. isl: reference scheduling +
+  /// simulation; novec: influenced scheduling + simulation; infl: vector
+  /// finalization + simulation.
   obs::MetricsSnapshot Metrics;
 };
 
@@ -210,8 +211,9 @@ struct OperatorReport {
   TunedConfig Tuning;
 
   bool degraded() const { return !Degradations.empty(); }
-  /// Whole-operator pipeline metrics delta (covers all configurations,
-  /// the tvm proxy and validation).
+  /// The operator's own tally, nonzero entries only: all
+  /// configurations, the tvm proxy, validation and the cache, but not a
+  /// tuner's search.
   obs::MetricsSnapshot Metrics;
 };
 

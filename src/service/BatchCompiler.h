@@ -23,9 +23,9 @@
 /// after the pool joins — so for any worker count, the reports and the
 /// sidecar are ordered exactly as submitted. Per-operator *content* is
 /// deterministic because every pipeline phase is (analytic simulation,
-/// no randomness); only the global metrics interleaving varies with
-/// worker count, which is why BatchResult carries no cross-operator
-/// metrics deltas.
+/// no randomness), and each report's metrics come from its own
+/// thread-local tally (obs/Metrics.h); only the process totals'
+/// interleaving varies with worker count.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -4,6 +4,7 @@
 
 #include "codegen/Mapping.h"
 #include "lp/Budget.h"
+#include "obs/Journal.h"
 #include "obs/Metrics.h"
 #include "support/Parallel.h"
 #include "support/Status.h"
@@ -143,6 +144,10 @@ Evaluator::scoreAll(const std::vector<PipelineOptions> &Opts) {
            O.Sched.Budget.WallMs <= 0 && Cfg.CandidateBudget.WallMs <= 0;
   };
 
+  // Pool workers journal under the caller's request id, as inline
+  // workers do.
+  const std::string Rid = obs::currentRequestId();
+
   // Each memoizable candidate's tree and schedule key. A tree that
   // fails to build leaves the candidate to the ladder, which records
   // that failure itself.
@@ -150,6 +155,7 @@ Evaluator::scoreAll(const std::vector<PipelineOptions> &Opts) {
   std::vector<std::unique_ptr<InfluenceTree>> Trees(N);
   std::vector<service::Fingerprint> Keys(N);
   parallelFor(N, Cfg.Jobs, [&](std::size_t I) {
+    obs::RequestScope Request(Rid);
     if (!memoizable(Opts[I]))
       return;
     try {
@@ -186,6 +192,7 @@ Evaluator::scoreAll(const std::vector<PipelineOptions> &Opts) {
   std::vector<double> Scores(N, failedScore());
   std::vector<Work> GroupWork(Groups.size());
   parallelFor(Groups.size(), Cfg.Jobs, [&](std::size_t G) {
+    obs::RequestScope Request(Rid);
     for (std::size_t I : Groups[G])
       Scores[I] = scoreOne(Opts[I], Trees[I].get(), Slots[G], GroupWork[G]);
   });

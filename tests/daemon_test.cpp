@@ -704,7 +704,7 @@ TEST(DaemonJournalTest, AdmitShedAndDrainEventsCarryTheirFields) {
 
   auto fieldOf = [](const obs::JournalRecord &R,
                     const char *Key) -> std::string {
-    for (const obs::JournalField &F : R.Fields)
+    for (const obs::Field &F : R.Fields)
       if (F.Key == Key)
         return F.Value;
     return std::string();

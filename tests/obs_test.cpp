@@ -253,11 +253,12 @@ TEST(Metrics, HistogramAccuracy) {
   H.observe(1);
   H.observe(3);
   H.observe(8);
-  EXPECT_EQ(H.count(), 3u);
-  EXPECT_EQ(H.sum(), 12);
-  EXPECT_EQ(H.min(), 1);
-  EXPECT_EQ(H.max(), 8);
-  EXPECT_EQ(H.mean(), 4);
+  obs::HistogramSummary Live = H.summary();
+  EXPECT_EQ(Live.Count, 3u);
+  EXPECT_EQ(Live.Sum, 12);
+  EXPECT_EQ(Live.Min, 1);
+  EXPECT_EQ(Live.Max, 8);
+  EXPECT_EQ(Live.mean(), 4);
   obs::MetricsSnapshot S = obs::metrics().snapshot();
   const obs::HistogramSummary *Sum = S.histogram("test.obs_hist");
   ASSERT_TRUE(Sum);
@@ -673,8 +674,9 @@ TEST(Journal, ConcurrentEmitIsThreadSafe) {
 
 TEST(Journal, StageEndPerPipelineStageMatchesReport) {
   // One stage_end per stage, in pipeline order, with a fixed field list;
-  // a configuration stage reports its own metrics delta's solver effort.
-  // This operator's ILPs branch, so nodes and solves differ.
+  // a configuration stage reports its own metrics' solver effort, and the
+  // five stages' effort adds up to the operator's. This operator's ILPs
+  // branch, so nodes and solves differ.
   JournalGuard Guard;
   Kernel K = makeGatherReduction(8);
   PipelineOptions Options;
@@ -685,30 +687,34 @@ TEST(Journal, StageEndPerPipelineStageMatchesReport) {
     if (Rec.Type == "stage_end")
       Stages.push_back(std::move(Rec));
   const char *Names[] = {"isl", "novec", "infl", "tvm", "validate"};
-  const ConfigResult *Configs[] = {&R.Isl, &R.Novec, &R.Infl, nullptr,
-                                   nullptr};
+  const ConfigResult *Configs[] = {&R.Isl, &R.Novec, &R.Infl};
+  const char *Counters[] = {"lp.ilp_nodes", "lp.ilp_solves",
+                            "lp.simplex_pivots"};
+  std::uint64_t StageSums[3] = {};
   ASSERT_EQ(Stages.size(), 5u);
   for (unsigned I = 0; I != 5; ++I) {
-    const std::vector<obs::JournalField> &F = Stages[I].Fields;
+    const std::vector<obs::Field> &F = Stages[I].Fields;
     ASSERT_EQ(F.size(), 6u) << Names[I];
     EXPECT_EQ(Stages[I].RequestId, R.RequestId);
     EXPECT_EQ(F[0].Key, "stage");
     EXPECT_EQ(F[0].Value, Names[I]);
     EXPECT_EQ(F[1].Key, "dur_us");
-    const char *Counters[] = {"lp.ilp_nodes", "lp.ilp_solves",
-                              "lp.simplex_pivots"};
-    for (unsigned C = 0; C != 3; ++C)
-      EXPECT_EQ(F[2 + C].Value,
-                std::to_string(Configs[I]
-                                   ? Configs[I]->Metrics.counter(Counters[C])
-                                   : 0))
-          << Names[I] << " " << F[2 + C].Key;
+    for (unsigned C = 0; C != 3; ++C) {
+      StageSums[C] += std::stoull(F[2 + C].Value);
+      if (I < 3) {
+        EXPECT_EQ(F[2 + C].Value,
+                  std::to_string(Configs[I]->Metrics.counter(Counters[C])))
+            << Names[I] << " " << F[2 + C].Key;
+      }
+    }
     EXPECT_EQ(F[2].Key, "ilp_nodes");
     EXPECT_EQ(F[3].Key, "ilp_solves");
     EXPECT_EQ(F[4].Key, "pivots");
     EXPECT_EQ(F[5].Key, "outcome");
     EXPECT_EQ(F[5].Value, "ok");
   }
+  for (unsigned C = 0; C != 3; ++C)
+    EXPECT_EQ(StageSums[C], R.Metrics.counter(Counters[C])) << Counters[C];
   EXPECT_GT(R.Isl.Metrics.counter("lp.ilp_nodes"),
             R.Isl.Metrics.counter("lp.ilp_solves"));
 }
@@ -779,7 +785,7 @@ TEST(ObsPipeline, FallbackSpansCarryKind) {
     if (E.Name != "sched.fallback")
       continue;
     bool HasKind = false;
-    for (const obs::TraceArg &A : E.Args)
+    for (const obs::Field &A : E.Args)
       HasKind |= A.Key == std::string("kind") && !A.Value.empty();
     EXPECT_TRUE(HasKind);
   }

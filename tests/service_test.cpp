@@ -4,7 +4,8 @@
 // (de)serialization round-trips over every shared test kernel, the
 // LRU/disk cache (hits byte-identical, eviction, options mismatch,
 // corrupt entries degrade to misses), the batch compiler's determinism
-// across worker counts, and the thread safety of the obs metrics
+// across worker counts, per-request metrics and journal attribution
+// over the operator corpus, and the thread safety of the obs metrics
 // registry and tracer. This executable is the one the thread-sanitizer
 // CTest configuration runs.
 //
@@ -23,6 +24,7 @@
 #include "target/Target.h"
 
 #include "TestKernels.h"
+#include "../tools/ToolSupport.h"
 
 #include <filesystem>
 #include <fstream>
@@ -748,6 +750,133 @@ TEST(BatchCompilerTest, JournalAssignsUniqueRequestIdsUnderConcurrency) {
 }
 
 //===----------------------------------------------------------------------===//
+// Per-request accounting over the operator corpus
+//===----------------------------------------------------------------------===//
+
+/// The checked-in operator corpus, in corpus.txt order.
+std::vector<BatchJob> corpusJobs() {
+  std::vector<BatchJob> Jobs;
+  for (const std::string &P :
+       readOpsFile(std::string(POLYINJECT_KERNELS_DIR) + "/corpus.txt"))
+    Jobs.push_back(BatchJob{loadKernelOrDie(P)});
+  return Jobs;
+}
+
+/// One validated corpus compile with the sidecar and journal on.
+struct CorpusRun {
+  BatchResult Result;
+  obs::ReportSink Sink;
+  std::vector<obs::JournalRecord> Journal;
+};
+
+void compileCorpus(const std::vector<BatchJob> &Jobs, unsigned Workers,
+                   CorpusRun &Run) {
+  obs::journal().disable();
+  obs::journal().reset();
+  obs::journal().enable();
+  PipelineOptions Options;
+  Options.Validate = true;
+  Options.Sink = &Run.Sink;
+  Run.Result = BatchCompiler(Options, Workers).run(Jobs);
+  Run.Journal = obs::journal().snapshot();
+  obs::journal().disable();
+  obs::journal().reset();
+  ASSERT_EQ(obs::journal().dropped(), 0u);
+}
+
+/// Each job's journal records in emission order, as JSONL with the
+/// timestamps and durations zeroed and the request id replaced by the
+/// job's index.
+std::vector<std::vector<std::string>> journalByJob(const CorpusRun &Run) {
+  std::map<std::string, std::size_t> JobOf;
+  for (std::size_t I = 0; I != Run.Result.Reports.size(); ++I)
+    JobOf[Run.Result.Reports[I].RequestId] = I;
+  std::vector<std::vector<std::string>> Out(Run.Result.Reports.size());
+  for (obs::JournalRecord Rec : Run.Journal) {
+    auto It = JobOf.find(Rec.RequestId);
+    if (It == JobOf.end())
+      continue;
+    Rec.TsUs = 0;
+    Rec.RequestId = std::to_string(It->second);
+    for (obs::Field &F : Rec.Fields)
+      if (F.Key == "dur_us")
+        F.Value = "0";
+    Out[It->second].push_back(Rec.jsonl());
+  }
+  return Out;
+}
+
+TEST(RequestAccountingTest, CorpusSidecarAndJournalIndependentOfJobs) {
+  // Every operator's and configuration's metrics, and every request's
+  // journal records, are that request's own: a second run with four
+  // workers, after the first has populated the registry, reproduces them.
+  std::vector<BatchJob> Jobs = corpusJobs();
+  ASSERT_EQ(Jobs.size(), 22u);
+  CorpusRun Serial, Parallel;
+  compileCorpus(Jobs, 1, Serial);
+  compileCorpus(Jobs, 4, Parallel);
+
+  const auto &A = Serial.Sink.operators(), &B = Parallel.Sink.operators();
+  ASSERT_EQ(A.size(), Jobs.size());
+  ASSERT_EQ(B.size(), Jobs.size());
+  for (std::size_t I = 0; I != Jobs.size(); ++I) {
+    obs::OperatorRecord RA = A[I], RB = B[I];
+    RA.RequestId = RB.RequestId = "";
+    EXPECT_FALSE(RA.Metrics.Counters.empty()) << RA.Name;
+    EXPECT_EQ(obs::renderOperatorRecord(RA), obs::renderOperatorRecord(RB))
+        << RA.Name;
+  }
+
+  std::vector<std::vector<std::string>> JA = journalByJob(Serial);
+  std::vector<std::vector<std::string>> JB = journalByJob(Parallel);
+  for (std::size_t I = 0; I != Jobs.size(); ++I) {
+    EXPECT_FALSE(JA[I].empty()) << Jobs[I].K.Name;
+    EXPECT_EQ(JA[I], JB[I]) << Jobs[I].K.Name;
+  }
+}
+
+TEST(RequestAccountingTest, OperatorCountsAreTheSumOfItsStages) {
+  // isl, novec and infl report their counts in ConfigResult::Metrics;
+  // tvm and validate report their solver effort in stage_end. Together
+  // they account for the operator's solver effort exactly, and the three
+  // configurations never count more than the operator.
+  std::vector<BatchJob> Jobs = corpusJobs();
+  CorpusRun Run;
+  compileCorpus(Jobs, 1, Run);
+  const std::pair<const char *, const char *> Solver[] = {
+      {"lp.ilp_nodes", "ilp_nodes"},
+      {"lp.ilp_solves", "ilp_solves"},
+      {"lp.simplex_pivots", "pivots"}};
+  for (const OperatorReport &R : Run.Result.Reports) {
+    ASSERT_TRUE(R.Validated) << R.Name;
+    std::map<std::string, std::uint64_t> Staged;
+    for (const ConfigResult *C : {&R.Isl, &R.Novec, &R.Infl})
+      for (const auto &[Name, Value] : C->Metrics.Counters)
+        Staged[Name] += Value;
+    for (const auto &[Name, Value] : Staged)
+      EXPECT_LE(Value, R.Metrics.counter(Name)) << R.Name << " " << Name;
+
+    unsigned StageEnds = 0;
+    for (const obs::JournalRecord &Rec : Run.Journal) {
+      if (Rec.RequestId != R.RequestId || Rec.Type != "stage_end")
+        continue;
+      ++StageEnds;
+      const std::string &Stage = Rec.Fields[0].Value;
+      if (Stage != "tvm" && Stage != "validate")
+        continue;
+      for (const obs::Field &F : Rec.Fields)
+        for (const auto &[Counter, Key] : Solver)
+          if (F.Key == Key)
+            Staged[Counter] += std::stoull(F.Value);
+    }
+    EXPECT_EQ(StageEnds, 5u) << R.Name;
+    for (const auto &[Counter, Key] : Solver)
+      EXPECT_EQ(Staged[Counter], R.Metrics.counter(Counter))
+          << R.Name << " " << Counter;
+  }
+}
+
+//===----------------------------------------------------------------------===//
 // Observability thread safety
 //===----------------------------------------------------------------------===//
 
@@ -773,8 +902,8 @@ TEST(ObsThreadSafetyTest, ConcurrentCounterAndHistogramUpdates) {
     T.join();
 
   EXPECT_EQ(Threads * PerThread, C.value());
-  EXPECT_EQ(Threads * PerThread, H.count());
-  EXPECT_DOUBLE_EQ(static_cast<double>(Threads * PerThread), H.sum());
+  EXPECT_EQ(Threads * PerThread, H.summary().Count);
+  EXPECT_DOUBLE_EQ(static_cast<double>(Threads * PerThread), H.summary().Sum);
   obs::MetricsSnapshot Snap = obs::metrics().snapshot();
   EXPECT_EQ(Threads * PerThread, Snap.counter("service.test.counter2"));
 }

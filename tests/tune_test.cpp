@@ -11,6 +11,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "obs/Journal.h"
 #include "obs/Metrics.h"
 #include "pipeline/Pipeline.h"
 #include "service/Fingerprint.h"
@@ -838,6 +839,31 @@ TEST(Autotuner, RunOperatorReportsTunedConfig) {
   EXPECT_NE(Sink.json().find("\"tuning\""), std::string::npos);
   EXPECT_NE(Sink.json().find("\"strategy\":\"exhaustive\""),
             std::string::npos);
+}
+
+TEST(Autotuner, ParallelEvaluatorJournalsUnderTheRequestId) {
+  // The evaluator's pool workers journal solver events; each must carry
+  // the compilation's request id, as the same events do at one worker.
+  Kernel K = makeRunningExample(8);
+  Autotuner::Config Cfg = tinyTunerConfig();
+  Cfg.Jobs = 4;
+  Autotuner Tuner(Cfg);
+  PipelineOptions Options;
+  Options.Tuner = &Tuner;
+  obs::journal().disable();
+  obs::journal().reset();
+  obs::journal().enable();
+  OperatorReport R = runOperator(K, Options);
+  std::vector<obs::JournalRecord> Snap = obs::journal().snapshot();
+  obs::journal().disable();
+  obs::journal().reset();
+  ASSERT_FALSE(R.RequestId.empty());
+  std::size_t SolveEnds = 0;
+  for (const obs::JournalRecord &Rec : Snap) {
+    EXPECT_EQ(Rec.RequestId, R.RequestId) << Rec.Type;
+    SolveEnds += Rec.Type == "solve_end";
+  }
+  EXPECT_GT(SolveEnds, 0u);
 }
 
 TEST(Autotuner, WarmDatabaseReplaysWithoutSearching) {

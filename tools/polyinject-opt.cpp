@@ -92,11 +92,12 @@
 #include "target/Target.h"
 #include "tune/Autotuner.h"
 
+#include "ToolSupport.h"
+
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <filesystem>
 #include <fstream>
 #include <memory>
 #include <set>
@@ -158,56 +159,6 @@ void printConfig(const Kernel &K, const char *Name, const ConfigResult &R,
                 R.TimeUs, R.Sim.Transactions, R.Sim.TransactionBytes,
                 R.Sim.UsefulBytes, R.Sim.efficiency() * 100);
   std::printf("\n");
-}
-
-/// Reads one kernel file; exits the process with a diagnostic on
-/// failure (both modes treat an unreadable/unparsable input as fatal).
-Kernel loadKernel(const std::string &Path) {
-  std::string Text;
-  if (!readFile(Path, Text)) {
-    std::fprintf(stderr, "error: cannot open %s\n", Path.c_str());
-    std::exit(1);
-  }
-  std::string Error;
-  std::optional<Kernel> K = parseKernel(Text, Error);
-  if (!K) {
-    std::fprintf(stderr, "%s: %s\n", Path.c_str(), Error.c_str());
-    std::exit(1);
-  }
-  std::string Diag = K->verify();
-  if (!Diag.empty()) {
-    std::fprintf(stderr, "%s: malformed kernel: %s\n", Path.c_str(),
-                 Diag.c_str());
-    std::exit(1);
-  }
-  return std::move(*K);
-}
-
-/// Expands an --ops-file list: one path per line, '#' comments,
-/// relative paths resolved against the list file's directory.
-std::vector<std::string> readOpsFile(const std::string &ListPath) {
-  std::ifstream In(ListPath);
-  if (!In) {
-    std::fprintf(stderr, "error: cannot open %s\n", ListPath.c_str());
-    std::exit(1);
-  }
-  std::filesystem::path Base =
-      std::filesystem::path(ListPath).parent_path();
-  std::vector<std::string> Paths;
-  std::string Line;
-  while (std::getline(In, Line)) {
-    size_t Hash = Line.find('#');
-    if (Hash != std::string::npos)
-      Line = Line.substr(0, Hash);
-    size_t First = Line.find_first_not_of(" \t\r");
-    if (First == std::string::npos)
-      continue;
-    size_t Last = Line.find_last_not_of(" \t\r");
-    std::string Entry = Line.substr(First, Last - First + 1);
-    std::filesystem::path P(Entry);
-    Paths.push_back(P.is_absolute() ? P.string() : (Base / P).string());
-  }
-  return Paths;
 }
 
 /// Writes the current process metrics in the exposition format to
@@ -279,7 +230,7 @@ int runBatch(const std::vector<std::string> &Paths,
   std::vector<service::BatchJob> Batch;
   Batch.reserve(Paths.size());
   for (const std::string &P : Paths)
-    Batch.push_back(service::BatchJob{loadKernel(P)});
+    Batch.push_back(service::BatchJob{loadKernelOrDie(P)});
 
   obs::ReportSink Sink;
   if (!MetricsJsonPath.empty())
@@ -319,13 +270,16 @@ int runBatch(const std::vector<std::string> &Paths,
     if (R.Tuned)
       TunedNote = " tuned=" + R.Tuning.Encoding;
     std::printf("summary: influenced=%s vectorizable=%s "
-                "speedup(infl/isl)=%.2fx%s%s\n",
+                "speedup(infl/isl)=%.2fx%s%s%s\n",
                 R.Influenced ? "yes" : "no", R.VecEligible ? "yes" : "no",
                 R.Infl.TimeUs > 0 ? R.Isl.TimeUs / R.Infl.TimeUs : 0.0,
                 !CacheEnabled   ? ""
                 : R.CacheHit    ? " cache=hit"
                                 : " cache=miss",
-                TunedNote.c_str());
+                TunedNote.c_str(),
+                !Options.Validate ? ""
+                : R.Validated     ? " validated=yes"
+                                  : " validated=no");
     if (R.degraded()) {
       std::printf("degradations (%zu):\n", R.Degradations.size());
       for (const DegradationEvent &E : R.Degradations)
@@ -629,7 +583,7 @@ int main(int Argc, char **Argv) {
     return Rc;
   }
   std::string Error;
-  std::optional<Kernel> K = loadKernel(Paths.front());
+  std::optional<Kernel> K = loadKernelOrDie(Paths.front());
 
   std::printf("kernel '%s'\n\n%s\n", K->Name.c_str(),
               printKernel(*K).c_str());
