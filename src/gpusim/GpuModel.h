@@ -22,6 +22,7 @@
 
 #include "codegen/Mapping.h"
 
+#include <memory>
 #include <vector>
 
 namespace pinj {
@@ -130,9 +131,41 @@ private:
 /// turns counters into microseconds. Counters are independent of every
 /// time-model constant, which is what makes calibration cheap: the
 /// calibrator accumulates each table row once and re-applies candidate
-/// time parameters to the fixed counters.
+/// time parameters to the fixed counters. Inside a SimMemoScope, a
+/// statement whose sampled lane walk the scope has already seen replays
+/// it instead: the result is bit-identical either way.
 KernelSim accumulateTransactions(const MappedKernel &M,
                                  const TransactionModel &Tx);
+
+class StmtWalkMemo; // Defined in WarpSimulator.cpp.
+
+/// RAII: installs a fresh memo of sampled statement walks on the current
+/// thread; at close, restores the memo it displaced (nested scopes never
+/// share entries). Inside it, accumulateTransactions samples each
+/// distinct statement walk once. The key is everything the walk reads:
+/// the transaction model's type, laneCount() and transactionBytes(); per
+/// schedule dimension a lane can move along (thread and vector dims, and
+/// sequential ones the statement iterates) its role, thread count,
+/// vector width, the statement's extent and whether it is the
+/// statement's vector dim; the vector width; per access its lane kind,
+/// constant offset and stride along each of those dimensions. Its hash
+/// only picks the bucket; a hit compares the whole key. A hit replays
+/// the walk's per-sample averages, charges gpusim.warps_simulated the
+/// samples its walk counted and counts one gpusim.stmt_memo_hits, so
+/// every KernelSim field and every other counter equals the walk's. The
+/// pipeline opens one per compile and the tuner's evaluator one per
+/// schedule group: a memo never outlives them.
+class SimMemoScope {
+public:
+  SimMemoScope();
+  ~SimMemoScope();
+  SimMemoScope(const SimMemoScope &) = delete;
+  SimMemoScope &operator=(const SimMemoScope &) = delete;
+
+private:
+  std::unique_ptr<StmtWalkMemo> Own;
+  StmtWalkMemo *Enclosing;
+};
 
 /// The GPU analytic time model applied to accumulated counters:
 /// bandwidth-saturation efficiency from warps in flight, memory vs

@@ -9,6 +9,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <typeinfo>
+#include <unordered_map>
 
 using namespace pinj;
 
@@ -52,6 +54,48 @@ enum class LaneAccessKind {
   Broadcast, ///< Constant in the vector iterator: one scalar access.
   Replay     ///< Strided in the vector iterator: Width scalar accesses.
 };
+
+/// What one statement's sampled walk yields: per-sample averages and
+/// the number of samples.
+struct WalkAverages {
+  double AvgTx = 0;
+  double AvgInstr = 0;
+  double AvgActive = 0;
+  unsigned Samples = 0;
+};
+
+/// Every input of one statement's sampled walk (StmtSimulator::walkKey).
+/// The hash only picks the bucket; a hit compares the whole key.
+struct WalkKey {
+  const std::type_info *Model = nullptr; ///< The coalescing rule.
+  std::vector<Int> Fields;
+
+  bool operator==(const WalkKey &O) const {
+    return *Model == *O.Model && Fields == O.Fields;
+  }
+};
+
+struct WalkKeyHash {
+  std::size_t operator()(const WalkKey &Key) const {
+    U64 H = Key.Model->hash_code();
+    for (Int F : Key.Fields)
+      H = (H ^ U64(F)) * 0x100000001b3ull; // FNV-1a over 64-bit words.
+    return H;
+  }
+};
+
+} // namespace
+
+class pinj::StmtWalkMemo {
+public:
+  std::unordered_map<WalkKey, WalkAverages, WalkKeyHash> Walks;
+};
+
+namespace {
+
+/// The memo the innermost SimMemoScope on this thread installed; null
+/// outside every scope.
+thread_local StmtWalkMemo *CurrentMemo = nullptr;
 
 /// Per-statement simulation state. Generic over the transaction model:
 /// the walk itself only needs the lane-group size and the coalescing
@@ -141,7 +185,56 @@ public:
       }
     }
 
-    // Sample a handful of warps of block 0 at two sequential positions.
+    // The sampled walk, or its replay from the enclosing memo.
+    static obs::Counter &WarpSamples =
+        obs::metrics().counter("gpusim.warps_simulated");
+    static obs::Counter &MemoHits =
+        obs::metrics().counter("gpusim.stmt_memo_hits");
+    StmtWalkMemo *Memo = CurrentMemo;
+    WalkKey Key;
+    const WalkAverages *Stored = nullptr;
+    if (Memo) {
+      Key = walkKey();
+      auto It = Memo->Walks.find(Key);
+      if (It != Memo->Walks.end())
+        Stored = &It->second;
+    }
+    WalkAverages Walk;
+    if (Stored) {
+      Walk = *Stored;
+      MemoHits.inc();
+    } else {
+      Walk = walk(ThreadDims, WarpsPerBlock);
+      if (Memo)
+        Memo->Walks.emplace(std::move(Key), Walk);
+    }
+    WarpSamples.add(Walk.Samples);
+    if (Walk.Samples == 0)
+      return;
+
+    double WarpSteps = TotalWarps * StepsPerThread;
+    Sim.Transactions += Walk.AvgTx * WarpSteps;
+    Sim.TransactionBytes += Walk.AvgTx * WarpSteps * Tx.transactionBytes();
+    Sim.MemInstructions += Walk.AvgInstr * WarpSteps;
+    Sim.ComputeInstructions += Walk.AvgActive * WarpSteps;
+    double Instances = 1;
+    for (Int E : S.Extents)
+      Instances *= static_cast<double>(E);
+    Sim.UsefulBytes += Instances * ElemBytes * (1 + S.Reads.size());
+    Sim.Warps = std::max(Sim.Warps, TotalWarps);
+  }
+
+private:
+  struct ThreadDim {
+    unsigned Dim;
+    Int Count;
+    Int Scale; ///< Iterator units per lane step (vector width or 1).
+  };
+
+  /// Samples a handful of warps of block 0 at two sequential positions.
+  WalkAverages walk(const std::vector<ThreadDim> &ThreadDims,
+                    Int WarpsPerBlock) {
+    const unsigned ElemBytes = 4;
     const unsigned MaxSampleWarps = 16;
     unsigned SampleCount =
         std::min<unsigned>(MaxSampleWarps, static_cast<unsigned>(
@@ -151,7 +244,7 @@ public:
         static_cast<double>(WarpsPerBlock) / std::max(1u, SampleCount);
 
     double SumTransactions = 0, SumInstructions = 0, SumActive = 0;
-    unsigned Samples = 0;
+    WalkAverages W;
     for (unsigned WS = 0; WS != SampleCount; ++WS) {
       Int Warp = static_cast<Int>(WS * WarpStride);
       for (Int SeqPos : {Int(0), Int(1)}) {
@@ -161,31 +254,57 @@ public:
         SumTransactions += Tx;
         SumInstructions += Instr;
         SumActive += Active;
-        ++Samples;
+        ++W.Samples;
       }
     }
-    static obs::Counter &WarpSamples =
-        obs::metrics().counter("gpusim.warps_simulated");
-    WarpSamples.add(Samples);
-    if (Samples == 0)
-      return;
-    double AvgTx = SumTransactions / Samples;
-    double AvgInstr = SumInstructions / Samples;
-    double AvgActive = SumActive / Samples;
-
-    double WarpSteps = TotalWarps * StepsPerThread;
-    Sim.Transactions += AvgTx * WarpSteps;
-    Sim.TransactionBytes += AvgTx * WarpSteps * Tx.transactionBytes();
-    Sim.MemInstructions += AvgInstr * WarpSteps;
-    Sim.ComputeInstructions += AvgActive * WarpSteps;
-    double Instances = 1;
-    for (Int E : S.Extents)
-      Instances *= static_cast<double>(E);
-    Sim.UsefulBytes += Instances * ElemBytes * (1 + S.Reads.size());
-    Sim.Warps = std::max(Sim.Warps, TotalWarps);
+    if (W.Samples != 0) {
+      W.AvgTx = SumTransactions / W.Samples;
+      W.AvgInstr = SumInstructions / W.Samples;
+      W.AvgActive = SumActive / W.Samples;
+    }
+    return W;
   }
 
-private:
+  /// Everything walk() reads, as it stands after the constructor: the
+  /// transaction model; per dimension the walk reads, its mapping and
+  /// this statement's extent there; the vector width; per access its
+  /// lane kind, constant offset and strides. The walk never reads a
+  /// dimension whose coordinate is 0 in every lane (see walksDim), so
+  /// the key leaves those out.
+  WalkKey walkKey() const {
+    const unsigned ND = M.Dims.size();
+    unsigned Walked = 0;
+    for (unsigned D = 0; D != ND; ++D)
+      Walked += walksDim(D);
+    WalkKey Key;
+    Key.Model = &typeid(Tx);
+    std::vector<Int> &F = Key.Fields;
+    F.reserve(5 + 5 * Walked + Strides.size() * (2 + Walked));
+    F.insert(F.end(), {Int(LaneCount), Int(Tx.transactionBytes()),
+                       Int(VectorWidth), Int(Walked)});
+    for (unsigned D = 0; D != ND; ++D)
+      if (walksDim(D))
+        F.insert(F.end(), {Int(M.Dims[D].Role), M.Dims[D].ThreadCount,
+                           Int(M.Dims[D].VectorWidth), StmtExtent[D],
+                           Int(static_cast<int>(D) == VectorDim)});
+    F.push_back(Int(Strides.size()));
+    for (unsigned A = 0; A != Strides.size(); ++A) {
+      F.insert(F.end(), {Int(Kinds[A]), Strides[A].ConstOffset});
+      for (unsigned D = 0; D != ND; ++D)
+        if (walksDim(D))
+          F.push_back(DimStride[A][D]);
+    }
+    return Key;
+  }
+
+  /// Whether the walk's lane coordinates can be nonzero along \p D: a
+  /// thread or vector dim, or a sequential one the statement iterates.
+  bool walksDim(unsigned D) const {
+    DimRole Role = M.Dims[D].Role;
+    return Role == DimRole::Thread || Role == DimRole::Vector ||
+           (Role == DimRole::Seq && StmtExtent[D] != 1);
+  }
+
   LaneAccessKind accessKind(unsigned A) const {
     if (VectorDim < 0)
       return LaneAccessKind::Scalar;
@@ -206,12 +325,6 @@ private:
         return I;
     return 0;
   }
-
-  struct ThreadDim {
-    unsigned Dim;
-    Int Count;
-    Int Scale; ///< Iterator units per lane step (vector width or 1).
-  };
 
   void simulateWarp(Int Warp, Int SeqPos,
                     const std::vector<ThreadDim> &ThreadDims,
@@ -309,6 +422,13 @@ private:
 };
 
 } // namespace
+
+SimMemoScope::SimMemoScope()
+    : Own(std::make_unique<StmtWalkMemo>()), Enclosing(CurrentMemo) {
+  CurrentMemo = Own.get();
+}
+
+SimMemoScope::~SimMemoScope() { CurrentMemo = Enclosing; }
 
 KernelSim pinj::accumulateTransactions(const MappedKernel &M,
                                        const TransactionModel &Tx) {

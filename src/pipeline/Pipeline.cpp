@@ -324,8 +324,10 @@ OperatorReport compileOperator(const Kernel &K, const PipelineOptions &Options,
       obs::metrics().counter("pipeline.degradations");
   Operators.inc();
   // The operator's own tally opens after its pipeline.operators count, so
-  // Report.Metrics holds only the compile's work.
+  // Report.Metrics holds only the compile's work. Every simulation below
+  // (the three configurations and the tvm proxy) shares one walk memo.
   obs::TallyScope Work;
+  SimMemoScope SimMemo;
 
   OperatorReport Report;
   Report.Name = K.Name;
@@ -426,6 +428,7 @@ OperatorReport compileOperator(const Kernel &K, const PipelineOptions &Options,
         recordDegradation("tvm", E.status());
       }
     }
+    Report.TvmMetrics = S.counts();
   }
 
   if (Options.Validate && !Ladder.deadlineExpired("validate")) {
@@ -519,14 +522,16 @@ OperatorReport pinj::runOperator(const Kernel &K,
 
 namespace {
 
-obs::ConfigRecord toConfigRecord(const char *Name, const ConfigResult &R) {
+obs::ConfigRecord toConfigRecord(const char *Name, double TimeUs,
+                                 const KernelSim &Sim,
+                                 const obs::MetricsSnapshot &Metrics) {
   obs::ConfigRecord C;
   C.Name = Name;
-  C.TimeUs = R.TimeUs;
-  C.Transactions = R.Sim.Transactions;
-  C.TransactionBytes = R.Sim.TransactionBytes;
-  C.UsefulBytes = R.Sim.UsefulBytes;
-  C.Metrics = R.Metrics;
+  C.TimeUs = TimeUs;
+  C.Transactions = Sim.Transactions;
+  C.TransactionBytes = Sim.TransactionBytes;
+  C.UsefulBytes = Sim.UsefulBytes;
+  C.Metrics = Metrics;
   return C;
 }
 
@@ -555,13 +560,14 @@ obs::OperatorRecord pinj::toSinkRecord(const OperatorReport &R) {
     D.Detail = E.Detail;
     Record.Degradations.push_back(std::move(D));
   }
-  Record.Configs.push_back(toConfigRecord("isl", R.Isl));
-  Record.Configs.push_back(toConfigRecord("novec", R.Novec));
-  Record.Configs.push_back(toConfigRecord("infl", R.Infl));
-  obs::ConfigRecord Tvm;
-  Tvm.Name = "tvm";
-  Tvm.TimeUs = R.Tvm.TimeUs;
-  Record.Configs.push_back(std::move(Tvm));
+  for (const auto &[Name, C] :
+       {std::pair{"isl", &R.Isl}, std::pair{"novec", &R.Novec},
+        std::pair{"infl", &R.Infl}})
+    Record.Configs.push_back(
+        toConfigRecord(Name, C->TimeUs, C->Sim, C->Metrics));
+  // validate has no record: it is not a simulated configuration.
+  Record.Configs.push_back(
+      toConfigRecord("tvm", R.Tvm.TimeUs, R.Tvm.Aggregate, R.TvmMetrics));
   Record.Metrics = R.Metrics;
   return Record;
 }

@@ -190,6 +190,9 @@ struct OperatorReport {
   ConfigResult Novec;
   ConfigResult Infl;
   TvmProxyResult Tvm;
+  /// The tvm stage's own tally, nonzero entries only: the proxy's
+  /// per-statement scheduling and simulation.
+  obs::MetricsSnapshot TvmMetrics;
   /// Our influence changed the schedule relative to isl's solution
   /// (the paper's "infl" operator count).
   bool Influenced = false;

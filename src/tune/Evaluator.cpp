@@ -191,8 +191,11 @@ Evaluator::scoreAll(const std::vector<PipelineOptions> &Opts) {
 
   std::vector<double> Scores(N, failedScore());
   std::vector<Work> GroupWork(Groups.size());
+  // One walk memo per group: a group's candidates share one schedule, and
+  // its scores and hits are then the same at every Jobs.
   parallelFor(Groups.size(), Cfg.Jobs, [&](std::size_t G) {
     obs::RequestScope Request(Rid);
+    SimMemoScope SimMemo;
     for (std::size_t I : Groups[G])
       Scores[I] = scoreOne(Opts[I], Trees[I].get(), Slots[G], GroupWork[G]);
   });

@@ -12,8 +12,11 @@
 
 #include "exec/Interpreter.h"
 #include "exec/Reference.h"
+#include "gpusim/GpuModel.h"
 #include "influence/TreeBuilder.h"
 #include "ir/Builder.h"
+#include "obs/Metrics.h"
+#include "ops/Networks.h"
 #include "pipeline/Pipeline.h"
 #include "poly/Farkas.h"
 #include "sched/ConstraintBuilders.h"
@@ -24,6 +27,8 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstring>
 #include <random>
 
 using namespace pinj;
@@ -479,4 +484,201 @@ TEST(FarkasDifferential, SubstitutedBlocksMatchPlainExpansion) {
     }
   }
   EXPECT_GT(Compared, 1000u);
+}
+
+//===----------------------------------------------------------------------===//
+// The statement-walk memo (gpusim/GpuModel.h, SimMemoScope)
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// Every KernelSim field, compared as bits.
+void expectSimBitsEqual(const KernelSim &A, const KernelSim &B,
+                        const std::string &What) {
+  auto Bits = [](double V) { return std::bit_cast<std::uint64_t>(V); };
+  EXPECT_EQ(Bits(A.TimeUs), Bits(B.TimeUs)) << What;
+  EXPECT_EQ(Bits(A.MemTimeUs), Bits(B.MemTimeUs)) << What;
+  EXPECT_EQ(Bits(A.ComputeTimeUs), Bits(B.ComputeTimeUs)) << What;
+  EXPECT_EQ(Bits(A.Transactions), Bits(B.Transactions)) << What;
+  EXPECT_EQ(Bits(A.TransactionBytes), Bits(B.TransactionBytes)) << What;
+  EXPECT_EQ(Bits(A.UsefulBytes), Bits(B.UsefulBytes)) << What;
+  EXPECT_EQ(Bits(A.MemInstructions), Bits(B.MemInstructions)) << What;
+  EXPECT_EQ(Bits(A.ComputeInstructions), Bits(B.ComputeInstructions))
+      << What;
+  EXPECT_EQ(Bits(A.Warps), Bits(B.Warps)) << What;
+}
+
+/// One kernel's simulations on one target: its mapped configurations,
+/// then the tvm proxy, as runOperator orders them.
+struct SimRun {
+  std::vector<KernelSim> Configs;
+  TvmProxyResult Tvm;
+  std::uint64_t Warps = 0; ///< gpusim.warps_simulated the run charged.
+  std::uint64_t Hits = 0;  ///< gpusim.stmt_memo_hits.
+};
+
+SimRun simulateAll(const Kernel &K, const std::vector<MappedKernel> &Mapped,
+                   const target::TargetModel &T) {
+  static obs::Counter &Warps =
+      obs::metrics().counter("gpusim.warps_simulated");
+  static obs::Counter &Hits = obs::metrics().counter("gpusim.stmt_memo_hits");
+  obs::TallyScope Work;
+  SimRun Run;
+  for (const MappedKernel &M : Mapped)
+    Run.Configs.push_back(T.simulate(M));
+  Run.Tvm = simulateTvmProxy(K, T, GpuMappingOptions());
+  Run.Warps = Work.tally().count(Warps);
+  Run.Hits = Work.tally().count(Hits);
+  return Run;
+}
+
+} // namespace
+
+// A memo hit replays what the walk computes: over the isl/novec/infl
+// schedules and the tvm proxy of the test kernels, the corpus, the seven
+// Table II suites and fuzz seeds 1-40, on every built-in target, the
+// simulations inside one memo scope per kernel equal those outside any
+// scope bit for bit, and charge the same warp samples.
+TEST(SimMemo, HitsAreBitIdenticalToWalks) {
+  std::vector<Kernel> Kernels = tuneBenchCorpus(0);
+  for (const Kernel &K : {makeRunningExample(64), makeElementwise(64, 96),
+                          makeTranspose(64, 96), makeProducerConsumer(64, 96),
+                          makeBadOrderCopy(64, 96), makeRowReduction(64, 96),
+                          makeGatherReduction(64)})
+    Kernels.push_back(K);
+  for (const std::string &Name : allNetworkNames())
+    for (Kernel &K : makeNetworkSuite(Name).Operators)
+      Kernels.push_back(std::move(K));
+  for (unsigned Seed = 1; Seed <= 40; ++Seed)
+    Kernels.push_back(makeRandomKernel(Seed));
+
+  std::vector<std::shared_ptr<target::TargetModel>> Targets;
+  for (const char *Name : {"v100", "a100", "p100", "cpu-simd"})
+    Targets.push_back(target::makeBuiltinTarget(Name));
+
+  std::uint64_t Hits = 0;
+  unsigned Simulated = 0;
+  for (const Kernel &K : Kernels) {
+    OperatorReport R = runOperator(K, PipelineOptions());
+    std::vector<MappedKernel> Mapped;
+    for (const ConfigResult *C : {&R.Isl, &R.Novec, &R.Infl})
+      if (isSimulatableSchedule(K, C->Sched))
+        Mapped.push_back(mapToGpu(K, C->Sched));
+    for (const auto &T : Targets) {
+      const std::string What = K.Name + "/" + T->name();
+      SimRun Walked = simulateAll(K, Mapped, *T);
+      SimRun Memoized;
+      {
+        SimMemoScope Memo;
+        Memoized = simulateAll(K, Mapped, *T);
+      }
+      ASSERT_EQ(Walked.Configs.size(), Memoized.Configs.size());
+      for (std::size_t I = 0; I != Walked.Configs.size(); ++I, ++Simulated)
+        expectSimBitsEqual(Walked.Configs[I], Memoized.Configs[I],
+                           What + " config " + std::to_string(I));
+      expectSimBitsEqual(Walked.Tvm.Aggregate, Memoized.Tvm.Aggregate,
+                         What + " tvm");
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(Walked.Tvm.TimeUs),
+                std::bit_cast<std::uint64_t>(Memoized.Tvm.TimeUs))
+          << What;
+      EXPECT_EQ(Walked.Warps, Memoized.Warps) << What;
+      EXPECT_EQ(Walked.Hits, 0u) << What;
+      Hits += Memoized.Hits;
+    }
+  }
+  EXPECT_GT(Simulated, 2000u);
+  EXPECT_GT(Hits, 1000u);
+}
+
+// v100 warps are 32 lanes over 32-byte sectors, cpu-simd vectors 16
+// lanes over 64-byte lines: one scope must not serve a walk of one to
+// the other.
+TEST(SimMemo, NoHitAcrossLaneCounts) {
+  Kernel K = makeRunningExample(64);
+  MappedKernel M = mapToGpu(K, runOperator(K, PipelineOptions()).Infl.Sched);
+  auto Gpu = target::makeBuiltinTarget("v100");
+  auto Cpu = target::makeBuiltinTarget("cpu-simd");
+  SimRun CpuAlone;
+  {
+    SimMemoScope Memo;
+    CpuAlone = simulateAll(K, {M}, *Cpu);
+  }
+  SimMemoScope Memo;
+  SimRun GpuFirst = simulateAll(K, {M}, *Gpu);
+  SimRun CpuAfter = simulateAll(K, {M}, *Cpu);
+  EXPECT_NE(GpuFirst.Configs[0].Transactions, CpuAfter.Configs[0].Transactions);
+  expectSimBitsEqual(CpuAlone.Configs[0], CpuAfter.Configs[0], "cpu-simd");
+  EXPECT_EQ(CpuAlone.Hits, CpuAfter.Hits);
+  EXPECT_EQ(CpuAlone.Warps, CpuAfter.Warps);
+}
+
+// Walks one key field apart must not share a memo entry. Each case is
+// a copy kernel's infl mapping with one field changed: a read shifted
+// by one element (its constant offset), a one-trip sequential iterator
+// in the read's column (its lane kind: no address moves, but the read
+// no longer vectorizes), and a shorter column under the same mapping
+// (the statement's extent). Each case also runs on a 16-lane model over
+// 32-byte sectors and a 32-lane one over 64-byte lines (the lane count
+// alone, the transaction size alone).
+TEST(SimMemo, NearMissesWalkAgain) {
+  auto copyKernel = [](const char *Name, IndexExpr Col, bool OneTrip,
+                       Int Cols) {
+    KernelBuilder B(Name);
+    unsigned In = B.tensor("IN", {64, 132});
+    unsigned Out = B.tensor("OUT", {64, 128});
+    std::vector<std::pair<std::string, Int>> Iters = {{"i", 64},
+                                                      {"j", Cols}};
+    if (OneTrip)
+      Iters.insert(Iters.begin() + 1, {"k", 1});
+    B.stmt("S", Iters)
+        .write(Out, {"i", "j"})
+        .read(In, {"i", Col})
+        .op(OpKind::Assign);
+    return B.build();
+  };
+  auto inflMapping = [](const Kernel &K) {
+    return mapToGpu(K, runOperator(K, PipelineOptions()).Infl.Sched);
+  };
+  IndexExpr PlusK("j");
+  PlusK.Terms.emplace_back("k", 1);
+  const Kernel Kernels[] = {
+      copyKernel("aligned", "j", false, 128),
+      copyKernel("shifted", IndexExpr("j") + 1, false, 128),
+      copyKernel("one_trip", PlusK, true, 128),
+      copyKernel("short", "j", false, 120)};
+  std::vector<MappedKernel> Cases;
+  for (const Kernel &K : Kernels)
+    Cases.push_back(inflMapping(K));
+  // The mapper gives k's one-trip dim a thread; as a sequential dim the
+  // walk never reads it.
+  ASSERT_EQ(Cases[2].Dims.size(), 3u);
+  ASSERT_EQ(Cases[2].Dims[1].Extent, 1);
+  Cases[2].Dims[1].Role = DimRole::Seq;
+  Cases[3].Dims = Cases[0].Dims;
+
+  SectorTransactionModel Warp(32, 32), HalfWarp(16, 32), WideLines(32, 64);
+  const TransactionModel *Models[] = {&Warp, &HalfWarp, &WideLines};
+  std::vector<KernelSim> Walked;
+  for (const TransactionModel *Tx : Models)
+    for (const MappedKernel &M : Cases)
+      Walked.push_back(accumulateTransactions(M, *Tx));
+  // Every case walks differently from the aligned copy on the same
+  // model, so a shared entry would show.
+  for (std::size_t I = 0; I != Walked.size(); ++I) {
+    if (I % Cases.size() != 0) {
+      EXPECT_NE(std::memcmp(&Walked[I], &Walked[I - I % Cases.size()],
+                            sizeof(KernelSim)),
+                0)
+          << I;
+    }
+  }
+
+  SimMemoScope Memo;
+  std::size_t I = 0;
+  for (const TransactionModel *Tx : Models)
+    for (const MappedKernel &M : Cases)
+      expectSimBitsEqual(Walked[I++], accumulateTransactions(M, *Tx),
+                         M.K->Name + " on " +
+                             std::to_string(Tx->laneCount()) + "x" +
+                             std::to_string(Tx->transactionBytes()));
 }

@@ -836,22 +836,32 @@ TEST(RequestAccountingTest, CorpusSidecarAndJournalIndependentOfJobs) {
 }
 
 TEST(RequestAccountingTest, OperatorCountsAreTheSumOfItsStages) {
-  // isl, novec and infl report their counts in ConfigResult::Metrics;
-  // tvm and validate report their solver effort in stage_end. Together
-  // they account for the operator's solver effort exactly, and the three
-  // configurations never count more than the operator.
+  // isl, novec, infl and tvm report their counts in their sidecar
+  // records; validate, which has no record, reports its solver effort in
+  // stage_end. Together they account for the operator's solver effort
+  // exactly, and the four records never count more than the operator.
   std::vector<BatchJob> Jobs = corpusJobs();
   CorpusRun Run;
   compileCorpus(Jobs, 1, Run);
+  std::map<std::string, const obs::OperatorRecord *> RecordOf;
+  for (const obs::OperatorRecord &Rec : Run.Sink.operators())
+    RecordOf[Rec.RequestId] = &Rec;
   const std::pair<const char *, const char *> Solver[] = {
       {"lp.ilp_nodes", "ilp_nodes"},
       {"lp.ilp_solves", "ilp_solves"},
       {"lp.simplex_pivots", "pivots"}};
   for (const OperatorReport &R : Run.Result.Reports) {
     ASSERT_TRUE(R.Validated) << R.Name;
+    ASSERT_TRUE(RecordOf.count(R.RequestId)) << R.Name;
+    const obs::OperatorRecord &Sidecar = *RecordOf[R.RequestId];
+    ASSERT_EQ(Sidecar.Configs.size(), 4u) << R.Name;
+    const obs::ConfigRecord &Tvm = Sidecar.Configs.back();
+    EXPECT_EQ(Tvm.Name, "tvm");
+    EXPECT_EQ(Tvm.Transactions, R.Tvm.Aggregate.Transactions) << R.Name;
+    EXPECT_GT(Tvm.Metrics.counter("gpusim.kernels_simulated"), 0u) << R.Name;
     std::map<std::string, std::uint64_t> Staged;
-    for (const ConfigResult *C : {&R.Isl, &R.Novec, &R.Infl})
-      for (const auto &[Name, Value] : C->Metrics.Counters)
+    for (const obs::ConfigRecord &C : Sidecar.Configs)
+      for (const auto &[Name, Value] : C.Metrics.Counters)
         Staged[Name] += Value;
     for (const auto &[Name, Value] : Staged)
       EXPECT_LE(Value, R.Metrics.counter(Name)) << R.Name << " " << Name;
@@ -861,8 +871,7 @@ TEST(RequestAccountingTest, OperatorCountsAreTheSumOfItsStages) {
       if (Rec.RequestId != R.RequestId || Rec.Type != "stage_end")
         continue;
       ++StageEnds;
-      const std::string &Stage = Rec.Fields[0].Value;
-      if (Stage != "tvm" && Stage != "validate")
+      if (Rec.Fields[0].Value != "validate")
         continue;
       for (const obs::Field &F : Rec.Fields)
         for (const auto &[Counter, Key] : Solver)
