@@ -140,8 +140,10 @@ KernelSim accumulateTransactions(const MappedKernel &M,
 class StmtWalkMemo; // Defined in WarpSimulator.cpp.
 
 /// RAII: installs a fresh memo of sampled statement walks on the current
-/// thread; at close, restores the memo it displaced (nested scopes never
-/// share entries). Inside it, accumulateTransactions samples each
+/// thread for the scope's lifetime. A scope opened inside another one on
+/// the same thread joins the enclosing memo instead (installs nothing),
+/// so a tuning request's compile and evaluator groups share the request's
+/// memo. Inside it, accumulateTransactions samples each
 /// distinct statement walk once. The key is everything the walk reads:
 /// the transaction model's type, laneCount() and transactionBytes(); per
 /// schedule dimension a lane can move along (thread and vector dims, and
@@ -153,8 +155,9 @@ class StmtWalkMemo; // Defined in WarpSimulator.cpp.
 /// the walk's per-sample averages, charges gpusim.warps_simulated the
 /// samples its walk counted and counts one gpusim.stmt_memo_hits, so
 /// every KernelSim field and every other counter equals the walk's. The
-/// pipeline opens one per compile and the tuner's evaluator one per
-/// schedule group: a memo never outlives them.
+/// pipeline opens one per compile, runOperator one per tuning request and
+/// the tuner's evaluator one per schedule group: a memo never outlives
+/// them.
 class SimMemoScope {
 public:
   SimMemoScope();
@@ -164,7 +167,6 @@ public:
 
 private:
   std::unique_ptr<StmtWalkMemo> Own;
-  StmtWalkMemo *Enclosing;
 };
 
 /// The GPU analytic time model applied to accumulated counters:

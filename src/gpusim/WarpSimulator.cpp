@@ -93,8 +93,8 @@ public:
 
 namespace {
 
-/// The memo the innermost SimMemoScope on this thread installed; null
-/// outside every scope.
+/// The memo the outermost open SimMemoScope on this thread installed;
+/// null outside every scope.
 thread_local StmtWalkMemo *CurrentMemo = nullptr;
 
 /// Per-statement simulation state. Generic over the transaction model:
@@ -423,12 +423,17 @@ private:
 
 } // namespace
 
-SimMemoScope::SimMemoScope()
-    : Own(std::make_unique<StmtWalkMemo>()), Enclosing(CurrentMemo) {
+SimMemoScope::SimMemoScope() {
+  if (CurrentMemo)
+    return;
+  Own = std::make_unique<StmtWalkMemo>();
   CurrentMemo = Own.get();
 }
 
-SimMemoScope::~SimMemoScope() { CurrentMemo = Enclosing; }
+SimMemoScope::~SimMemoScope() {
+  if (Own)
+    CurrentMemo = nullptr;
+}
 
 KernelSim pinj::accumulateTransactions(const MappedKernel &M,
                                        const TransactionModel &Tx) {

@@ -78,6 +78,12 @@ inline LpMetrics &lpMetrics() {
 /// Adds \p N pivots to this thread's threadSimplexPivots() tally.
 void addThreadSimplexPivots(std::uint64_t N);
 
+/// Emits the journal's solve_end record of one lexmin solve: \p R with
+/// its node fields summed over \p Levels objective levels, which took
+/// \p Pivots simplex pivots.
+void journalSolveEnd(const IlpResult &R, unsigned Levels,
+                     std::uint64_t Pivots);
+
 /// \returns \p Problem's objective at \p Point, exactly.
 Rational objectiveValue(const LpProblem &Problem,
                         const std::vector<Rational> &Point);

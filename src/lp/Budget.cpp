@@ -37,6 +37,7 @@ struct pinj::budget::BudgetState {
 namespace {
 thread_local BudgetState *Top = nullptr;
 thread_local SolverWork Charged;
+thread_local SolverWork Chargeable;
 } // namespace
 
 BudgetScope::BudgetScope(const SolverBudget &B) {
@@ -73,8 +74,13 @@ bool pinj::budget::active() { return Top != nullptr; }
 
 SolverWork pinj::budget::threadCharges() { return Charged; }
 
+SolverWork pinj::budget::threadChargeable() { return Chargeable; }
+
+void pinj::budget::skipPivot() { ++Chargeable.Pivots; }
+
 bool pinj::budget::chargePivot() {
   ++Charged.Pivots;
+  ++Chargeable.Pivots;
   bool Ok = true;
   for (BudgetState *S = Top; S; S = S->Parent) {
     if (S->Tripped)
@@ -87,6 +93,7 @@ bool pinj::budget::chargePivot() {
 
 bool pinj::budget::chargeNode() {
   ++Charged.Nodes;
+  ++Chargeable.Nodes;
   bool Ok = true;
   for (BudgetState *S = Top; S; S = S->Parent) {
     if (S->Tripped)
@@ -95,6 +102,27 @@ bool pinj::budget::chargeNode() {
       Ok = S->trip();
   }
   return Ok;
+}
+
+bool pinj::budget::chargeWork(const SolverWork &W) {
+  for (const BudgetState *S = Top; S; S = S->Parent)
+    if (S->Tripped || S->HasDeadline ||
+        (S->HasPivots && S->PivotsLeft < W.Pivots) ||
+        (S->HasNodes && S->NodesLeft < W.Nodes))
+      return false;
+  Charged.Nodes += W.Nodes;
+  Chargeable.Nodes += W.Nodes;
+  Chargeable.Pivots += W.Pivots;
+  if (!Top)
+    return true;
+  Charged.Pivots += W.Pivots;
+  for (BudgetState *S = Top; S; S = S->Parent) {
+    if (S->HasPivots)
+      S->PivotsLeft -= W.Pivots;
+    if (S->HasNodes)
+      S->NodesLeft -= W.Nodes;
+  }
+  return true;
 }
 
 bool pinj::budget::deadlineExpired() {

@@ -98,10 +98,30 @@ bool anyTripped();
 bool active();
 
 /// Every chargePivot()/chargeNode() call made on this thread so far,
-/// passing or not. The simplex charges pivots only while some scope is
-/// active (nodes always), so the pivot count is complete only under an
-/// active scope.
+/// passing or not, plus the work chargeWork() charged in blocks. The
+/// simplex charges pivots only while some scope is active (nodes
+/// always), so the pivot count is complete only under an active scope.
 SolverWork threadCharges();
+
+/// Counts one pivot the simplex would have charged had a scope been
+/// active (see threadChargeable).
+void skipPivot();
+
+/// Every node and every chargeable pivot seen on this thread so far: the
+/// threadCharges() calls plus the skipPivot() ones. Unlike
+/// threadCharges(), the pivot count does not depend on whether a scope
+/// was active, so a solve's share of it is what the solve charges under
+/// any scope that admits it.
+SolverWork threadChargeable();
+
+/// Charges \p W as one block: \p W.Nodes always and \p W.Pivots only
+/// while some scope is active, as a run that charged them one at a time
+/// would. Admits the block only when that run would not trip any scope:
+/// no scope has tripped, each cap has at least \p W left and no scope has
+/// a wall-clock deadline (time cannot be replayed). \returns false and
+/// charges nothing otherwise; the caller then does the work for real,
+/// which trips where it always did.
+bool chargeWork(const SolverWork &W);
 
 } // namespace budget
 } // namespace pinj

@@ -2,6 +2,10 @@
 
 #include "lp/Builder.h"
 
+#include "lp/IlpMemo.h"
+
+#include <algorithm>
+
 using namespace pinj;
 
 void SparseForm::addScaled(const SparseForm &Other, Int Scale) {
@@ -21,10 +25,29 @@ IntVector SparseForm::densify(unsigned NumVars) const {
   return Row;
 }
 
-unsigned IlpBuilder::addVar(std::string Name, bool IsInteger) {
-  Names.push_back(std::move(Name));
+SparseForm SparseForm::canonical() const {
+  SparseForm Out;
+  Out.Constant = Constant;
+  Out.Terms = Terms;
+  std::sort(Out.Terms.begin(), Out.Terms.end(),
+            [](const auto &A, const auto &B) { return A.first < B.first; });
+  // Sum each variable's run of terms in place, keeping nonzero sums.
+  std::size_t Kept = 0;
+  for (std::size_t I = 0, E = Out.Terms.size(); I != E;) {
+    const unsigned Var = Out.Terms[I].first;
+    Int Sum = 0;
+    for (; I != E && Out.Terms[I].first == Var; ++I)
+      Sum = checkedAdd(Sum, Out.Terms[I].second);
+    if (Sum != 0)
+      Out.Terms[Kept++] = {Var, Sum};
+  }
+  Out.Terms.resize(Kept);
+  return Out;
+}
+
+unsigned IlpBuilder::addVar(bool IsInteger) {
   Integrality.push_back(IsInteger);
-  return Names.size() - 1;
+  return Integrality.size() - 1;
 }
 
 void IlpBuilder::addUpperBound(unsigned Var, Int Bound) {
@@ -47,8 +70,7 @@ IlpBuilder::ConstraintBlock IlpBuilder::captureBlock(unsigned VarMark,
          "capture marks beyond current size");
   ConstraintBlock Block;
   Block.VarBase = VarMark;
-  for (unsigned V = VarMark, E = numVars(); V != E; ++V)
-    Block.Vars.emplace_back(Names[V], static_cast<bool>(Integrality[V]));
+  Block.Integrality.assign(Integrality.begin() + VarMark, Integrality.end());
   for (unsigned R = RowMark, E = Rows.size(); R != E; ++R)
     Block.Rows.emplace_back(Rows[R].Form, Rows[R].Kind);
   return Block;
@@ -56,8 +78,8 @@ IlpBuilder::ConstraintBlock IlpBuilder::captureBlock(unsigned VarMark,
 
 void IlpBuilder::replayBlock(const ConstraintBlock &Block) {
   const unsigned NewBase = numVars();
-  for (const auto &[Name, IsInteger] : Block.Vars)
-    addVar(Name, IsInteger);
+  Integrality.insert(Integrality.end(), Block.Integrality.begin(),
+                     Block.Integrality.end());
   for (const auto &[Form, Kind] : Block.Rows) {
     SparseForm Rebased = Form;
     for (auto &[Var, Coeff] : Rebased.Terms) {
@@ -96,6 +118,8 @@ IlpBuilder::materialize() const {
 }
 
 IlpResult IlpBuilder::solve() const {
+  if (IlpMemo *Memo = currentIlpMemo())
+    return Memo->solve(*this);
   auto [Problem, Levels] = materialize();
   return solveLexMin(std::move(Problem), Levels);
 }

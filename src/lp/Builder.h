@@ -17,8 +17,6 @@
 
 #include "lp/LexMin.h"
 
-#include <string>
-
 namespace pinj {
 
 /// A sparse linear form over builder variables plus a constant.
@@ -38,9 +36,21 @@ struct SparseForm {
   /// Densifies into a row of width \p NumVars, accumulating duplicate
   /// terms.
   IntVector densify(unsigned NumVars) const;
+
+  /// This form with its terms sorted by variable, duplicates summed and
+  /// zeros dropped: two forms densify equally exactly when their
+  /// canonical forms are equal.
+  SparseForm canonical() const;
+
+  bool operator==(const SparseForm &O) const {
+    return Constant == O.Constant && Terms == O.Terms;
+  }
 };
 
-/// Incremental mixed-ILP builder with named variables.
+class IlpMemo;
+
+/// Incremental mixed-ILP builder. Variables are known by their index;
+/// the builder keeps no names.
 class IlpBuilder {
 public:
   enum RowKind { RowGe, RowEq, RowLe };
@@ -54,16 +64,15 @@ public:
   /// variables identically for every dimension).
   struct ConstraintBlock {
     unsigned VarBase = 0;
-    std::vector<std::pair<std::string, bool>> Vars; ///< (name, integer)
+    std::vector<bool> Integrality; ///< One flag per block variable.
     std::vector<std::pair<SparseForm, RowKind>> Rows;
   };
 
   /// Allocates a variable; all variables are nonnegative. Integer
   /// variables participate in branch and bound.
-  unsigned addVar(std::string Name, bool IsInteger);
+  unsigned addVar(bool IsInteger);
 
-  unsigned numVars() const { return Names.size(); }
-  const std::string &varName(unsigned Var) const { return Names[Var]; }
+  unsigned numVars() const { return Integrality.size(); }
 
   /// Adds Form >= 0.
   void addGe(const SparseForm &Form) { Rows.push_back({Form, RowGe}); }
@@ -97,16 +106,22 @@ public:
   /// problem; solve() is materialize() followed by solveLexMin.
   std::pair<IlpProblem, std::vector<LexObjective>> materialize() const;
 
-  /// Solves lexicographic minimization over the collected objectives.
+  /// Solves lexicographic minimization over the collected objectives;
+  /// inside an IlpMemoScope (lp/IlpMemo.h), through its memo.
   IlpResult solve() const;
 
 private:
+  friend class IlpMemo;
+
   struct Row {
     SparseForm Form;
     RowKind Kind;
+
+    bool operator==(const Row &O) const {
+      return Kind == O.Kind && Form == O.Form;
+    }
   };
 
-  std::vector<std::string> Names;
   std::vector<bool> Integrality;
   std::vector<Row> Rows;
   std::vector<SparseForm> Objectives;

@@ -159,6 +159,13 @@ void recordDimensionSolve(const IlpResult &R, unsigned Levels,
   LpMetrics &M = lpMetrics();
   M.NodesPerDim.observe(R.NodesExplored);
   M.PivotsPerDim.observe(Pivots);
+  journalSolveEnd(R, Levels, Pivots);
+}
+
+} // namespace
+
+void pinj::journalSolveEnd(const IlpResult &R, unsigned Levels,
+                           std::uint64_t Pivots) {
   if (!obs::Journal::fastEnabled())
     return;
   const char *Status = R.Status == IlpResult::Optimal      ? "optimal"
@@ -173,8 +180,6 @@ void recordDimensionSolve(const IlpResult &R, unsigned Levels,
       .field("pivots", static_cast<unsigned long long>(Pivots))
       .field("status", Status);
 }
-
-} // namespace
 
 IlpResult pinj::solveLexMin(IlpProblem Problem,
                             const std::vector<LexObjective> &Objectives) {

@@ -357,7 +357,9 @@ SimplexTableau::Outcome SimplexTableau::minimize() {
       ++DegenerateStreak; // No objective progress: possible cycling.
     else
       DegenerateStreak = 0;
-    if (Budgeted && (!budget::chargePivot() || budget::deadlineExpired()))
+    if (!Budgeted)
+      budget::skipPivot();
+    else if (!budget::chargePivot() || budget::deadlineExpired())
       return Outcome::Budget;
     pivot(Leaving, Entering);
   }
@@ -497,7 +499,9 @@ SimplexTableau::Outcome SimplexTableau::dualReoptimize() {
       DegenerateStreak = 0;
     if (++Pivots > MaxPivots)
       return Outcome::Budget;
-    if (Budgeted && (!budget::chargePivot() || budget::deadlineExpired()))
+    if (!Budgeted)
+      budget::skipPivot();
+    else if (!budget::chargePivot() || budget::deadlineExpired())
       return Outcome::Budget;
     pivot(Leaving, Entering);
   }

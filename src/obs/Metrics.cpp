@@ -52,8 +52,10 @@ void HistogramSummary::merge(const HistogramSummary &Other) {
   Count += Other.Count;
   Sum += Other.Sum;
   if (!Other.Buckets.empty()) {
-    if (Buckets.size() < Other.Buckets.size())
-      Buckets.resize(Other.Buckets.size(), 0);
+    // Other may stop at its last used bucket (a TallyRecord's do); this
+    // summary keeps the full scheme, as add() expects.
+    if (Buckets.size() < Histogram::NumBuckets)
+      Buckets.resize(Histogram::NumBuckets, 0);
     for (std::size_t I = 0; I < Other.Buckets.size(); ++I)
       Buckets[I] += Other.Buckets[I];
   }
@@ -100,6 +102,23 @@ void Histogram::observe(double Sample) {
     T->observe(Id, Sample);
 }
 
+void Histogram::merge(const HistogramSummary &Samples) {
+  {
+    std::lock_guard<std::mutex> L(Mu);
+    S.merge(Samples);
+  }
+  if (Tally *T = detail::CurrentTally)
+    T->merge(Id, Samples);
+}
+
+void Tally::merge(unsigned HistogramId, const HistogramSummary &Other) {
+  if (HistogramId == NoMetricId)
+    return;
+  if (HistogramId >= Samples.size())
+    Samples.resize(HistogramId + 1);
+  Samples[HistogramId].merge(Other);
+}
+
 void Tally::observe(unsigned HistogramId, double Sample) {
   if (HistogramId == NoMetricId)
     return;
@@ -129,11 +148,35 @@ MetricsSnapshot Tally::nonzero() const {
   std::lock_guard<std::mutex> L(R.Mu);
   for (std::size_t I = 0; I < Counts.size(); ++I)
     if (Counts[I] != 0)
-      S.Counters.emplace(*R.CounterNames[I], Counts[I]);
+      S.Counters.emplace(R.CountersById[I]->first, Counts[I]);
   for (std::size_t I = 0; I < Samples.size(); ++I)
     if (Samples[I].Count != 0)
-      S.Histograms.emplace(*R.HistogramNames[I], Samples[I]);
+      S.Histograms.emplace(R.HistogramsById[I]->first, Samples[I]);
   return S;
+}
+
+TallyRecord::TallyRecord(const Tally &T) {
+  MetricsRegistry &R = metrics();
+  std::lock_guard<std::mutex> L(R.Mu);
+  for (std::size_t I = 0; I < T.Counts.size(); ++I)
+    if (T.Counts[I] != 0)
+      Counts.emplace_back(&R.CountersById[I]->second, T.Counts[I]);
+  for (std::size_t I = 0; I < T.Samples.size(); ++I) {
+    if (T.Samples[I].Count == 0)
+      continue;
+    HistogramSummary Kept = T.Samples[I];
+    while (!Kept.Buckets.empty() && Kept.Buckets.back() == 0)
+      Kept.Buckets.pop_back();
+    Kept.Buckets.shrink_to_fit();
+    Samples.emplace_back(&R.HistogramsById[I]->second, std::move(Kept));
+  }
+}
+
+void TallyRecord::replay() const {
+  for (const auto &[C, N] : Counts)
+    C->add(N);
+  for (const auto &[H, S] : Samples)
+    H->merge(S);
 }
 
 std::uint64_t MetricsSnapshot::counter(const std::string &Name) const {
@@ -250,8 +293,8 @@ Counter &MetricsRegistry::counter(const std::string &Name) {
   std::lock_guard<std::mutex> L(Mu);
   auto [It, New] = Counters.try_emplace(Name);
   if (New) {
-    It->second.Id = static_cast<unsigned>(CounterNames.size());
-    CounterNames.push_back(&It->first);
+    It->second.Id = static_cast<unsigned>(CountersById.size());
+    CountersById.push_back(&*It);
   }
   return It->second;
 }
@@ -260,8 +303,8 @@ Histogram &MetricsRegistry::histogram(const std::string &Name) {
   std::lock_guard<std::mutex> L(Mu);
   auto [It, New] = Histograms.try_emplace(Name);
   if (New) {
-    It->second.Id = static_cast<unsigned>(HistogramNames.size());
-    HistogramNames.push_back(&It->first);
+    It->second.Id = static_cast<unsigned>(HistogramsById.size());
+    HistogramsById.push_back(&*It);
   }
   return It->second;
 }

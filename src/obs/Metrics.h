@@ -98,6 +98,8 @@ public:
     Counts[CounterId] += N;
   }
   void observe(unsigned HistogramId, double Sample);
+  /// Adds \p Samples into histogram \p HistogramId's entry.
+  void merge(unsigned HistogramId, const HistogramSummary &Samples);
   /// Adds \p Other's counts and samples into this tally.
   void merge(const Tally &Other);
 
@@ -107,6 +109,7 @@ public:
   MetricsSnapshot nonzero() const;
 
 private:
+  friend class TallyRecord;
   std::vector<std::uint64_t> Counts;
   std::vector<HistogramSummary> Samples;
 };
@@ -183,6 +186,8 @@ public:
   static double bucketUpperBound(unsigned I);
 
   void observe(double Sample);
+  /// Records \p Samples as if each of its samples were observed.
+  void merge(const HistogramSummary &Samples);
 
   /// One consistent view of count/sum/min/max/buckets.
   HistogramSummary summary() const {
@@ -256,14 +261,35 @@ public:
 
 private:
   friend class Tally;
+  friend class TallyRecord;
   mutable std::mutex Mu;
   std::map<std::string, Counter> Counters;
   std::map<std::string, Histogram> Histograms;
-  /// Map keys by id, for naming a tally's entries.
-  std::vector<const std::string *> CounterNames, HistogramNames;
+  /// Map entries by id, for naming and finding a tally's entries.
+  std::vector<std::pair<const std::string, Counter> *> CountersById;
+  std::vector<std::pair<const std::string, Histogram> *> HistogramsById;
 };
 
 inline MetricsRegistry &metrics() { return MetricsRegistry::get(); }
+
+/// A tally's nonzero counts and nonempty histograms, bound to their
+/// metrics and kept small (histogram buckets past the last used one are
+/// dropped), so that many can be stored: a memo entry keeps the counts
+/// its miss recorded and a hit replays them.
+class TallyRecord {
+public:
+  TallyRecord() = default;
+  explicit TallyRecord(const Tally &T);
+
+  /// Records every count and sample again, into the registry and this
+  /// thread's tally, exactly as the original increments and observations
+  /// did.
+  void replay() const;
+
+private:
+  std::vector<std::pair<Counter *, std::uint64_t>> Counts;
+  std::vector<std::pair<Histogram *, HistogramSummary>> Samples;
+};
 
 } // namespace obs
 } // namespace pinj

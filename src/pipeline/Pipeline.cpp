@@ -5,6 +5,7 @@
 #include "codegen/Vectorizer.h"
 #include "exec/Interpreter.h"
 #include "lp/Budget.h"
+#include "lp/IlpMemo.h"
 #include "obs/Journal.h"
 #include "obs/Stage.h"
 #include "obs/Trace.h"
@@ -479,6 +480,21 @@ OperatorReport pinj::runOperator(const Kernel &K,
   // compiles under (possibly unchanged). The cache keys on them, so
   // tuned and untuned compilations never alias. The search runs before
   // the operator's tally opens, so Report.Metrics excludes it.
+  //
+  // A tuning request builds the same dimension ILPs and statement walks
+  // many times over: its search and its compile share one ILP memo and
+  // one walk memo (the scopes that compileOperator and the evaluator open
+  // join these). A hit replays its miss's counts and budget charges, so
+  // only the two hit counters tell. A wall-clock deadline makes a run
+  // depend on time, not on its problem: such a request opens none.
+  struct RequestMemos {
+    IlpMemoScope Ilp;
+    SimMemoScope Sim;
+  };
+  std::optional<RequestMemos> Memos;
+  if (Options.Tuner && Options.Budget.WallMs <= 0 &&
+      Options.Sched.Budget.WallMs <= 0)
+    Memos.emplace();
   std::optional<PipelineOptions> Tuned;
   TunedConfig Chosen;
   bool Applied = false;
@@ -489,6 +505,7 @@ OperatorReport pinj::runOperator(const Kernel &K,
     Applied = Options.Tuner->tune(K, *Tuned, Chosen);
   }
   OperatorReport Report = compileOperator(K, Tuned ? *Tuned : Options, Rid);
+  Memos.reset();
   if (Tuned) {
     if (Applied) {
       Report.Tuned = true;

@@ -125,8 +125,7 @@ private:
 } // namespace
 
 void pinj::addFarkasNonNegative(IlpBuilder &B, const AffineSet &P,
-                                const VarAffineForm &Psi,
-                                const std::string &Tag) {
+                                const VarAffineForm &Psi) {
   failpoint::hit("poly.farkas");
   unsigned Width = P.space().width();
   assert(Psi.Cols.size() == Width && "form width mismatch with set");
@@ -162,25 +161,20 @@ void pinj::addFarkasNonNegative(IlpBuilder &B, const AffineSet &P,
     unsigned Neg; ///< lambda- variable, or -1u for inequalities.
   };
   std::vector<Multiplier> Lambdas;
-  unsigned Counter = 0;
   for (unsigned K = 0; K != Ineqs.size(); ++K) {
     if (std::find(SubstRow.begin(), SubstRow.end(), K) != SubstRow.end())
       continue;
     Multiplier M;
     M.Row = &Ineqs[K];
-    M.Pos =
-        B.addVar(Tag + ".l" + std::to_string(Counter++), /*IsInteger=*/false);
+    M.Pos = B.addVar(/*IsInteger=*/false);
     M.Neg = ~0u;
     Lambdas.push_back(M);
   }
   for (const IntVector &Row : System.equalities()) {
     Multiplier M;
     M.Row = &Row;
-    M.Pos =
-        B.addVar(Tag + ".l" + std::to_string(Counter), /*IsInteger=*/false);
-    M.Neg = B.addVar(Tag + ".l" + std::to_string(Counter) + "n",
-                     /*IsInteger=*/false);
-    ++Counter;
+    M.Pos = B.addVar(/*IsInteger=*/false);
+    M.Neg = B.addVar(/*IsInteger=*/false);
     Lambdas.push_back(M);
   }
 

@@ -46,10 +46,10 @@ struct VarAffineForm {
 };
 
 /// Emits into \p B the Farkas constraints enforcing
-/// "Psi(x) >= 0 for all x in P" (P nonempty). Fresh multiplier variables
-/// are named with prefix \p Tag.
+/// "Psi(x) >= 0 for all x in P" (P nonempty), allocating fresh
+/// multiplier variables.
 void addFarkasNonNegative(IlpBuilder &B, const AffineSet &P,
-                          const VarAffineForm &Psi, const std::string &Tag);
+                          const VarAffineForm &Psi);
 
 } // namespace pinj
 

@@ -14,25 +14,22 @@ DimIlp pinj::makeDimIlp(const Kernel &K, const SchedulerOptions &Options) {
   for (const Statement &S : K.Stmts) {
     DimIlp::StmtVars Vars;
     for (unsigned I = 0, E = S.numIters(); I != E; ++I) {
-      unsigned V = Ilp.Builder.addVar("c." + S.Name + "." + S.IterNames[I],
-                                      /*IsInteger=*/true);
+      unsigned V = Ilp.Builder.addVar(/*IsInteger=*/true);
       Ilp.Builder.addUpperBound(V, Options.CoeffBound);
       Vars.Iter.push_back(V);
     }
     for (unsigned P = 0, E = K.numParams(); P != E; ++P) {
-      unsigned V = Ilp.Builder.addVar("d." + S.Name + "." + K.ParamNames[P],
-                                      /*IsInteger=*/true);
+      unsigned V = Ilp.Builder.addVar(/*IsInteger=*/true);
       Ilp.Builder.addUpperBound(V, Options.CoeffBound);
       Vars.Param.push_back(V);
     }
-    Vars.Const = Ilp.Builder.addVar("e." + S.Name, /*IsInteger=*/true);
+    Vars.Const = Ilp.Builder.addVar(/*IsInteger=*/true);
     Ilp.Builder.addUpperBound(Vars.Const, Options.ConstBound);
     Ilp.Stmts.push_back(std::move(Vars));
   }
   for (unsigned P = 0, E = K.numParams(); P != E; ++P)
-    Ilp.U.push_back(
-        Ilp.Builder.addVar("u." + K.ParamNames[P], /*IsInteger=*/false));
-  Ilp.W = Ilp.Builder.addVar("w", /*IsInteger=*/false);
+    Ilp.U.push_back(Ilp.Builder.addVar(/*IsInteger=*/false));
+  Ilp.W = Ilp.Builder.addVar(/*IsInteger=*/false);
   return Ilp;
 }
 
@@ -68,7 +65,7 @@ VarAffineForm scheduleDifferenceForm(DimIlp &Ilp, const Kernel &K,
 void pinj::addValidity(DimIlp &Ilp, const Kernel &K,
                        const DependenceRelation &D) {
   VarAffineForm Psi = scheduleDifferenceForm(Ilp, K, D, /*Sign=*/1);
-  addFarkasNonNegative(Ilp.Builder, D.Rel, Psi, "v");
+  addFarkasNonNegative(Ilp.Builder, D.Rel, Psi);
 }
 
 void pinj::addProximity(DimIlp &Ilp, const Kernel &K,
@@ -78,7 +75,7 @@ void pinj::addProximity(DimIlp &Ilp, const Kernel &K,
   for (unsigned P = 0, E = K.numParams(); P != E; ++P)
     Psi.Cols[D.Rel.space().NumDims + P].addTerm(Ilp.U[P], 1);
   Psi.constCoeff().addTerm(Ilp.W, 1);
-  addFarkasNonNegative(Ilp.Builder, D.Rel, Psi, "p");
+  addFarkasNonNegative(Ilp.Builder, D.Rel, Psi);
 }
 
 namespace {
@@ -247,13 +244,12 @@ std::vector<unsigned> pinj::addFeautrierSatisfaction(
   std::vector<unsigned> SatVars;
   for (unsigned I = 0, E = Deps.size(); I != E; ++I) {
     const DependenceRelation &D = *Deps[I];
-    unsigned Sat = Ilp.Builder.addVar("sat." + std::to_string(I),
-                                      /*IsInteger=*/true);
+    unsigned Sat = Ilp.Builder.addVar(/*IsInteger=*/true);
     Ilp.Builder.addUpperBound(Sat, 1);
     // phi_T - phi_S - sat >= 0 over the relation.
     VarAffineForm Psi = scheduleDifferenceForm(Ilp, K, D, /*Sign=*/1);
     Psi.constCoeff().addTerm(Sat, -1);
-    addFarkasNonNegative(Ilp.Builder, D.Rel, Psi, "f");
+    addFarkasNonNegative(Ilp.Builder, D.Rel, Psi);
     SatVars.push_back(Sat);
   }
   // Highest priority: minimize the number of unsatisfied relations.

@@ -191,8 +191,10 @@ Evaluator::scoreAll(const std::vector<PipelineOptions> &Opts) {
 
   std::vector<double> Scores(N, failedScore());
   std::vector<Work> GroupWork(Groups.size());
-  // One walk memo per group: a group's candidates share one schedule, and
-  // its scores and hits are then the same at every Jobs.
+  // One walk memo per group: a group's candidates share one schedule. A
+  // group run inline joins the caller's memo when it has one (a tuning
+  // request's); a pool worker's starts empty. Scores are the same either
+  // way; only the hit counters depend on Jobs.
   parallelFor(Groups.size(), Cfg.Jobs, [&](std::size_t G) {
     obs::RequestScope Request(Rid);
     SimMemoScope SimMemo;

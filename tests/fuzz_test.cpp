@@ -15,6 +15,8 @@
 #include "gpusim/GpuModel.h"
 #include "influence/TreeBuilder.h"
 #include "ir/Builder.h"
+#include "lp/IlpMemo.h"
+#include "obs/Journal.h"
 #include "obs/Metrics.h"
 #include "ops/Networks.h"
 #include "pipeline/Pipeline.h"
@@ -29,6 +31,7 @@
 
 #include <bit>
 #include <cstring>
+#include <optional>
 #include <random>
 
 using namespace pinj;
@@ -361,8 +364,8 @@ namespace {
 /// elimination, no substitution.
 void addPlainFarkas(IlpBuilder &B, const AffineSet &P, VarAffineForm Psi) {
   for (const SetConstraint &C : P.constraints()) {
-    unsigned Pos = B.addVar("plain", /*IsInteger=*/false);
-    unsigned Neg = C.IsEquality ? B.addVar("plain.n", false) : ~0u;
+    unsigned Pos = B.addVar(/*IsInteger=*/false);
+    unsigned Neg = C.IsEquality ? B.addVar(/*IsInteger=*/false) : ~0u;
     for (unsigned J = 0, E = Psi.Cols.size(); J != E; ++J) {
       Psi.Cols[J].addTerm(Pos, checkedNeg(C.Row[J]));
       if (Neg != ~0u)
@@ -478,8 +481,7 @@ TEST(FarkasDifferential, SubstitutedBlocksMatchPlainExpansion) {
         ++Compared;
         for (unsigned V = 0; V != NumSched; ++V)
           EXPECT_EQ(Got.Point[V], Want.Point[V])
-              << K.Name << " trial " << Trial << " "
-              << Plain.Builder.varName(V);
+              << K.Name << " trial " << Trial << " variable " << V;
       }
     }
   }
@@ -681,4 +683,212 @@ TEST(SimMemo, NearMissesWalkAgain) {
                          M.K->Name + " on " +
                              std::to_string(Tx->laneCount()) + "x" +
                              std::to_string(Tx->transactionBytes()));
+}
+
+//===----------------------------------------------------------------------===//
+// The ILP memo (lp/IlpMemo.h)
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// One solve and everything it left behind.
+struct CountedSolve {
+  IlpResult Result;
+  obs::MetricsSnapshot Counts; ///< Its tally, lp.ilp_memo_hits aside.
+  std::uint64_t Hits = 0;      ///< lp.ilp_memo_hits.
+  SolverWork Charged;          ///< Its budget::threadCharges().
+  std::vector<obs::Field> SolveEnd;
+};
+
+/// Solves \p B, under an active budget scope when \p Scoped (where the
+/// simplex charges pivots) and with no scope otherwise.
+CountedSolve countedSolve(const IlpBuilder &B, bool Scoped) {
+  std::optional<budget::BudgetScope> Scope;
+  if (Scoped)
+    Scope.emplace(SolverBudget{/*MaxPivots=*/1ull << 60,
+                               /*MaxIlpNodes=*/1ull << 60, /*WallMs=*/0});
+  CountedSolve Out;
+  obs::journal().reset();
+  const SolverWork Before = budget::threadCharges();
+  {
+    obs::TallyScope Tally;
+    Out.Result = B.solve();
+    Out.Counts = Tally.tally().nonzero();
+  }
+  const SolverWork After = budget::threadCharges();
+  Out.Charged = {After.Pivots - Before.Pivots, After.Nodes - Before.Nodes};
+  Out.Hits = Out.Counts.counter("lp.ilp_memo_hits");
+  Out.Counts.Counters.erase("lp.ilp_memo_hits");
+  for (const obs::JournalRecord &R : obs::journal().snapshot())
+    if (R.Type == "solve_end")
+      Out.SolveEnd = R.Fields;
+  return Out;
+}
+
+void expectSameSolve(const CountedSolve &Want, const CountedSolve &Got,
+                     const std::string &What) {
+  const IlpResult &A = Want.Result, &B = Got.Result;
+  ASSERT_EQ(A.Status, B.Status) << What;
+  EXPECT_EQ(A.Value, B.Value) << What;
+  ASSERT_EQ(A.Point.size(), B.Point.size()) << What;
+  for (std::size_t V = 0; V != A.Point.size(); ++V)
+    EXPECT_EQ(A.Point[V], B.Point[V]) << What << " variable " << V;
+  EXPECT_EQ(A.NodesExplored, B.NodesExplored) << What;
+  EXPECT_EQ(A.NodesPruned, B.NodesPruned) << What;
+  EXPECT_EQ(A.IncumbentUpdates, B.IncumbentUpdates) << What;
+  EXPECT_EQ(A.MaxDepth, B.MaxDepth) << What;
+  EXPECT_EQ(Want.Counts.Counters, Got.Counts.Counters) << What;
+  ASSERT_EQ(Want.Counts.Histograms.size(), Got.Counts.Histograms.size())
+      << What;
+  for (const auto &[Name, H] : Want.Counts.Histograms) {
+    const obs::HistogramSummary *G = Got.Counts.histogram(Name);
+    ASSERT_NE(G, nullptr) << What << " " << Name;
+    EXPECT_EQ(H.Count, G->Count) << What << " " << Name;
+    EXPECT_EQ(H.Sum, G->Sum) << What << " " << Name;
+    EXPECT_EQ(H.Min, G->Min) << What << " " << Name;
+    EXPECT_EQ(H.Max, G->Max) << What << " " << Name;
+    EXPECT_EQ(H.Buckets, G->Buckets) << What << " " << Name;
+  }
+  EXPECT_EQ(Want.Charged.Pivots, Got.Charged.Pivots) << What;
+  EXPECT_EQ(Want.Charged.Nodes, Got.Charged.Nodes) << What;
+  ASSERT_EQ(Want.SolveEnd.size(), Got.SolveEnd.size()) << What;
+  for (std::size_t F = 0; F != Want.SolveEnd.size(); ++F) {
+    EXPECT_EQ(Want.SolveEnd[F].Key, Got.SolveEnd[F].Key) << What;
+    EXPECT_EQ(Want.SolveEnd[F].Value, Got.SolveEnd[F].Value)
+        << What << " " << Want.SolveEnd[F].Key;
+  }
+}
+
+} // namespace
+
+// A memo hit replays its miss: every distinct dimension ILP the pipeline
+// builds for the test kernels, the corpus, the seven Table II suites and
+// fuzz seeds 1-40, each solved outside any memo (the truth) and then
+// through one memo shared by all of them. The first pass runs with no
+// budget scope (a miss, or a hit on an equal ILP of another kernel); the
+// second runs under an active scope and is all hits, which must charge
+// the pivots a scoped solve charges although their misses charged none.
+// Status, point, value, node fields, the lp.* tally, the charged work
+// and the solve_end record must all equal the truth's.
+TEST(IlpMemo, HitsReplayTheirMiss) {
+  std::vector<Kernel> Kernels = tuneBenchCorpus(0);
+  for (const Kernel &K : {makeRunningExample(64), makeElementwise(64, 96),
+                          makeTranspose(64, 96), makeProducerConsumer(64, 96),
+                          makeBadOrderCopy(64, 96), makeRowReduction(64, 96),
+                          makeGatherReduction(64)})
+    Kernels.push_back(K);
+  for (const std::string &Name : allNetworkNames())
+    for (Kernel &K : makeNetworkSuite(Name).Operators)
+      Kernels.push_back(std::move(K));
+  for (unsigned Seed = 1; Seed <= 40; ++Seed)
+    Kernels.push_back(makeRandomKernel(Seed));
+
+  // Every kernel's distinct dimension ILPs, one memo per kernel.
+  std::vector<std::pair<std::string, IlpBuilder>> Problems;
+  for (const Kernel &K : Kernels) {
+    IlpMemoScope Scope;
+    runOperator(K, PipelineOptions());
+    for (IlpBuilder &B : Scope.memo().problems())
+      Problems.emplace_back(K.Name, std::move(B));
+  }
+
+  obs::journal().enable();
+  std::vector<CountedSolve> Free, Scoped;
+  for (const auto &[Name, B] : Problems) {
+    Free.push_back(countedSolve(B, /*Scoped=*/false));
+    Scoped.push_back(countedSolve(B, /*Scoped=*/true));
+    ASSERT_EQ(Free.back().Hits + Scoped.back().Hits, 0u);
+  }
+  std::uint64_t FirstPassHits = 0;
+  {
+    IlpMemoScope Shared;
+    for (std::size_t I = 0; I != Problems.size(); ++I) {
+      CountedSolve Got = countedSolve(Problems[I].second, /*Scoped=*/false);
+      FirstPassHits += Got.Hits;
+      expectSameSolve(Free[I], Got,
+                      Problems[I].first + " #" + std::to_string(I));
+    }
+    for (std::size_t I = 0; I != Problems.size(); ++I) {
+      CountedSolve Got = countedSolve(Problems[I].second, /*Scoped=*/true);
+      EXPECT_EQ(Got.Hits, 1u);
+      expectSameSolve(Scoped[I], Got,
+                      Problems[I].first + " #" + std::to_string(I) +
+                          " scoped");
+    }
+  }
+  obs::journal().disable();
+  obs::journal().reset();
+  EXPECT_GT(Problems.size(), 500u);
+  // Kernels share ILPs (the suites repeat shapes), so the first pass
+  // hits too.
+  EXPECT_GT(FirstPassHits, 100u);
+}
+
+// Problems one key part apart must not share an entry. The base is one
+// integer x in [0, 3] with 2x - 1 >= 0, an empty first objective level
+// and a final level min x (optimum x = 1). Each variant changes one key
+// part, and its optimum moves: x rational (1/2), the row's kind to <=
+// (0), its constant to -3 (2), the final level to min -x (3). Inside one
+// memo, after the base, each variant must still get its own optimum.
+TEST(IlpMemo, NearMissesSolveAgain) {
+  auto make = [](bool Integer, IlpBuilder::RowKind Kind, Int Constant,
+                 Int FinalCoeff) {
+    IlpBuilder B;
+    unsigned X = B.addVar(Integer);
+    B.addUpperBound(X, 3);
+    SparseForm Row;
+    Row.addTerm(X, 2);
+    Row.addConstant(Constant);
+    if (Kind == IlpBuilder::RowGe)
+      B.addGe(Row);
+    else
+      B.addLe(Row);
+    B.addObjective(SparseForm());
+    SparseForm Final;
+    Final.addTerm(X, FinalCoeff);
+    B.addObjective(Final);
+    return B;
+  };
+  const std::pair<const char *, IlpBuilder> Cases[] = {
+      {"base", make(true, IlpBuilder::RowGe, -1, 1)},
+      {"rational", make(false, IlpBuilder::RowGe, -1, 1)},
+      {"row kind", make(true, IlpBuilder::RowLe, -1, 1)},
+      {"constant", make(true, IlpBuilder::RowGe, -3, 1)},
+      {"final level", make(true, IlpBuilder::RowGe, -1, -1)}};
+  const Rational Want[] = {Rational(1), Rational(1, 2), Rational(0),
+                           Rational(2), Rational(3)};
+  for (std::size_t I = 0; I != std::size(Cases); ++I) {
+    IlpResult Truth = Cases[I].second.solve();
+    ASSERT_TRUE(Truth.isOptimal()) << Cases[I].first;
+    ASSERT_EQ(Truth.Point[0], Want[I]) << Cases[I].first;
+  }
+  IlpMemoScope Memo;
+  for (std::size_t I = 0; I != std::size(Cases); ++I) {
+    IlpResult Got = Cases[I].second.solve();
+    ASSERT_TRUE(Got.isOptimal()) << Cases[I].first;
+    EXPECT_EQ(Got.Point[0], Want[I]) << Cases[I].first;
+  }
+  EXPECT_EQ(Memo.memo().size(), std::size(Cases));
+}
+
+// An armed lp fail point fires on a memoized problem as it does on a
+// fresh one: the memo solves for real instead of serving the hit.
+TEST(IlpMemo, ArmedFailPointsStillFire) {
+  IlpBuilder B;
+  unsigned X = B.addVar(/*IsInteger=*/true);
+  B.addUpperBound(X, 3);
+  SparseForm Objective;
+  Objective.addTerm(X, 1);
+  B.addObjective(Objective);
+  IlpMemoScope Memo;
+  ASSERT_TRUE(B.solve().isOptimal());
+  for (const char *Site : {"lp.ilp", "lp.simplex"}) {
+    failpoint::activate(Site);
+    EXPECT_THROW(B.solve(), RecoverableError) << Site;
+    failpoint::deactivate(Site);
+  }
+  obs::TallyScope Tally;
+  ASSERT_TRUE(B.solve().isOptimal());
+  EXPECT_EQ(Tally.tally().count(obs::metrics().counter("lp.ilp_memo_hits")),
+            1u);
 }

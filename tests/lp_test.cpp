@@ -1,11 +1,14 @@
 //===- tests/lp_test.cpp - lp/ unit and property tests --------------------===//
 
+#include "lp/Budget.h"
 #include "lp/Builder.h"
 #include "lp/Ilp.h"
 #include "lp/LexMin.h"
 #include "lp/Simplex.h"
 
 #include <gtest/gtest.h>
+
+#include <memory>
 
 using namespace pinj;
 
@@ -317,8 +320,8 @@ TEST(IlpBuilder, AddScaled) {
 
 TEST(IlpBuilder, EndToEndSolve) {
   IlpBuilder B;
-  unsigned X = B.addVar("x", true);
-  unsigned Y = B.addVar("y", true);
+  unsigned X = B.addVar(/*IsInteger=*/true);
+  unsigned Y = B.addVar(/*IsInteger=*/true);
   B.addUpperBound(X, 10);
   B.addUpperBound(Y, 10);
   SparseForm Sum; // x + y - 4 >= 0
@@ -340,7 +343,7 @@ TEST(IlpBuilder, EndToEndSolve) {
 
 TEST(IlpBuilder, TruncateRemovesConstraints) {
   IlpBuilder B;
-  unsigned X = B.addVar("x", true);
+  unsigned X = B.addVar(/*IsInteger=*/true);
   B.addUpperBound(X, 10);
   unsigned Mark = B.numConstraints();
   SparseForm Floor; // x >= 5
@@ -416,4 +419,142 @@ TEST(Rational, EuclideanComparisonNoOverflow)
   EXPECT_GT(A, B);
   EXPECT_LT(B, A);
   EXPECT_NE(A, B);
+}
+
+//===----------------------------------------------------------------------===//
+// Budget: bulk charging
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// What one way of charging a block of work left behind, under a stack of
+/// scopes (outermost first).
+struct ChargeOutcome {
+  bool Ok = false;       ///< Charged without tripping (or admitted).
+  SolverWork Charged;    ///< The threadCharges() it added.
+  SolverWork Chargeable; ///< The threadChargeable() it added.
+  /// Units of \p ProbeNodes' kind charged one at a time afterwards
+  /// before some scope trips (capped at 64).
+  unsigned Left = 0;
+};
+
+ChargeOutcome chargeUnder(const std::vector<SolverBudget> &Caps,
+                          const SolverWork &W, bool Bulk, bool ProbeNodes) {
+  std::vector<std::unique_ptr<budget::BudgetScope>> Scopes;
+  for (const SolverBudget &B : Caps)
+    Scopes.push_back(std::make_unique<budget::BudgetScope>(B));
+  const SolverWork Charged0 = budget::threadCharges();
+  const SolverWork Chargeable0 = budget::threadChargeable();
+  ChargeOutcome Out;
+  if (Bulk) {
+    Out.Ok = budget::chargeWork(W);
+  } else {
+    // The simplex charges a pivot only while some scope is active.
+    Out.Ok = true;
+    for (std::uint64_t I = 0; I != W.Nodes; ++I)
+      Out.Ok &= budget::chargeNode();
+    for (std::uint64_t I = 0; I != W.Pivots; ++I) {
+      if (budget::active())
+        Out.Ok &= budget::chargePivot();
+      else
+        budget::skipPivot();
+    }
+  }
+  const SolverWork Charged1 = budget::threadCharges();
+  const SolverWork Chargeable1 = budget::threadChargeable();
+  Out.Charged = {Charged1.Pivots - Charged0.Pivots,
+                 Charged1.Nodes - Charged0.Nodes};
+  Out.Chargeable = {Chargeable1.Pivots - Chargeable0.Pivots,
+                    Chargeable1.Nodes - Chargeable0.Nodes};
+  while (Out.Left != 64 &&
+         (ProbeNodes ? budget::chargeNode() : budget::chargePivot()))
+    ++Out.Left;
+  // Scopes must close innermost first.
+  while (!Scopes.empty())
+    Scopes.pop_back();
+  return Out;
+}
+
+} // namespace
+
+// chargeWork admits a block exactly when charging it one unit at a time
+// would not trip, and then leaves every scope as that run does: caps
+// N-1, N and N+1 against N units, alone and nested, on pivots and nodes.
+TEST(BudgetBulkCharge, TripsWhereOneAtATimeChargingTrips) {
+  const std::uint64_t N = 5;
+  auto pivots = [](std::uint64_t Cap) {
+    return SolverBudget{/*MaxPivots=*/Cap, /*MaxIlpNodes=*/0, /*WallMs=*/0};
+  };
+  auto nodes = [](std::uint64_t Cap) {
+    return SolverBudget{/*MaxPivots=*/0, /*MaxIlpNodes=*/Cap, /*WallMs=*/0};
+  };
+  std::vector<std::vector<SolverBudget>> Stacks = {{}};
+  for (std::uint64_t Cap : {N - 1, N, N + 1}) {
+    Stacks.push_back({pivots(Cap)});
+    Stacks.push_back({nodes(Cap)});
+    Stacks.push_back({SolverBudget{Cap, Cap, 0}});
+    // Nested: the tighter cap may sit outside or inside.
+    Stacks.push_back({pivots(N + 1), pivots(Cap)});
+    Stacks.push_back({pivots(Cap), pivots(N + 1)});
+    Stacks.push_back({nodes(Cap), pivots(N + 1)});
+    Stacks.push_back({pivots(N + 1), nodes(Cap)});
+    Stacks.push_back({SolverBudget{N + 1, Cap, 0}, SolverBudget{Cap, N + 1, 0}});
+  }
+  const SolverWork Works[] = {{N, 0}, {0, N}, {N, N}, {N, 1}, {1, N}};
+  unsigned Admitted = 0, Refused = 0;
+  for (std::size_t S = 0; S != Stacks.size(); ++S) {
+    for (const SolverWork &W : Works) {
+      for (bool ProbeNodes : {false, true}) {
+        const std::string What = "stack " + std::to_string(S) + " work " +
+                                 std::to_string(W.Pivots) + "p/" +
+                                 std::to_string(W.Nodes) + "n probe " +
+                                 (ProbeNodes ? "nodes" : "pivots");
+        ChargeOutcome Serial = chargeUnder(Stacks[S], W, false, ProbeNodes);
+        ChargeOutcome Bulk = chargeUnder(Stacks[S], W, true, ProbeNodes);
+        ASSERT_EQ(Bulk.Ok, Serial.Ok) << What;
+        if (Bulk.Ok) {
+          ++Admitted;
+          EXPECT_EQ(Bulk.Charged.Pivots, Serial.Charged.Pivots) << What;
+          EXPECT_EQ(Bulk.Charged.Nodes, Serial.Charged.Nodes) << What;
+          EXPECT_EQ(Bulk.Chargeable.Pivots, Serial.Chargeable.Pivots) << What;
+          EXPECT_EQ(Bulk.Chargeable.Nodes, Serial.Chargeable.Nodes) << What;
+          EXPECT_EQ(Bulk.Left, Serial.Left) << What;
+        } else {
+          // Refused: nothing charged, every cap still whole.
+          ++Refused;
+          EXPECT_EQ(Bulk.Charged.Pivots + Bulk.Charged.Nodes, 0u) << What;
+          ChargeOutcome Fresh =
+              chargeUnder(Stacks[S], SolverWork(), true, ProbeNodes);
+          EXPECT_EQ(Bulk.Left, Fresh.Left) << What;
+        }
+      }
+    }
+  }
+  EXPECT_GT(Admitted, 0u);
+  EXPECT_GT(Refused, 0u);
+}
+
+// With no scope active, a bulk charge counts its nodes and leaves its
+// pivots uncharged but chargeable, as a solve does.
+TEST(BudgetBulkCharge, PivotsChargeOnlyUnderAnActiveScope) {
+  ChargeOutcome Free = chargeUnder({}, SolverWork{7, 3}, true, false);
+  EXPECT_TRUE(Free.Ok);
+  EXPECT_EQ(Free.Charged.Pivots, 0u);
+  EXPECT_EQ(Free.Charged.Nodes, 3u);
+  EXPECT_EQ(Free.Chargeable.Pivots, 7u);
+  EXPECT_EQ(Free.Chargeable.Nodes, 3u);
+}
+
+// A tripped scope or a wall-clock deadline refuses any block.
+TEST(BudgetBulkCharge, RefusesTrippedScopesAndDeadlines) {
+  {
+    budget::BudgetScope Deadline(SolverBudget{0, 0, /*WallMs=*/60000});
+    EXPECT_FALSE(budget::chargeWork(SolverWork{0, 1}));
+  }
+  budget::BudgetScope Outer(SolverBudget{/*MaxPivots=*/1, 0, 0});
+  EXPECT_TRUE(budget::chargePivot());
+  EXPECT_FALSE(budget::chargePivot());
+  budget::BudgetScope Inner(SolverBudget{/*MaxPivots=*/100, 0, 0});
+  EXPECT_FALSE(budget::chargeWork(SolverWork{0, 1}));
+  EXPECT_FALSE(budget::chargeWork(SolverWork{}));
 }

@@ -222,14 +222,14 @@ TEST(Farkas, ForcesNonNegativityOverBox) {
   P.addDimBounds(0, 0, 4);
 
   IlpBuilder B;
-  unsigned A = B.addVar("a", true);
-  unsigned Bv = B.addVar("b", true);
+  unsigned A = B.addVar(/*IsInteger=*/true);
+  unsigned Bv = B.addVar(/*IsInteger=*/true);
   B.addUpperBound(A, 10);
   B.addUpperBound(Bv, 10);
   VarAffineForm Psi(P.space());
   Psi.dimCoeff(0).addTerm(A, 1);
   Psi.constCoeff().addTerm(Bv, 1);
-  addFarkasNonNegative(B, P, Psi, "t");
+  addFarkasNonNegative(B, P, Psi);
   SparseForm Obj;
   Obj.addTerm(A, 1);
   Obj.addTerm(Bv, 1);
@@ -246,12 +246,12 @@ TEST(Farkas, AllowsCompensatingCoefficients) {
   AffineSet P({1, 0});
   P.addDimBounds(0, 1, 4);
   IlpBuilder B;
-  unsigned A = B.addVar("a", true);
+  unsigned A = B.addVar(/*IsInteger=*/true);
   B.addUpperBound(A, 10);
   VarAffineForm Psi(P.space());
   Psi.dimCoeff(0).addTerm(A, 1);
   Psi.constCoeff().addConstant(-2);
-  addFarkasNonNegative(B, P, Psi, "t");
+  addFarkasNonNegative(B, P, Psi);
   SparseForm Obj;
   Obj.addTerm(A, 1);
   B.addObjective(Obj);
@@ -269,12 +269,12 @@ TEST(Farkas, HandlesEqualityConstrainedSets) {
   P.addDimBounds(1, 0, 4);
   P.addEq({1, -1, 0});
   IlpBuilder B;
-  unsigned A = B.addVar("a", true);
+  unsigned A = B.addVar(/*IsInteger=*/true);
   B.addUpperBound(A, 10);
   VarAffineForm Psi(P.space());
   Psi.dimCoeff(0).addTerm(A, 1);
   Psi.dimCoeff(1).addTerm(A, -1);
-  addFarkasNonNegative(B, P, Psi, "t");
+  addFarkasNonNegative(B, P, Psi);
   SparseForm AtLeastOne;
   AtLeastOne.addTerm(A, 1);
   AtLeastOne.addConstant(-1);
@@ -306,7 +306,7 @@ TEST_P(FarkasProperty, AgreesWithDirectCheck) {
   VarAffineForm Psi(P.space());
   Psi.dimCoeff(0).addConstant(CoeffA);
   Psi.constCoeff().addConstant(CoeffB);
-  addFarkasNonNegative(B, P, Psi, "t");
+  addFarkasNonNegative(B, P, Psi);
   bool ViaFarkas = B.solve().isOptimal();
   EXPECT_EQ(Direct, ViaFarkas)
       << "CoeffA=" << CoeffA << " CoeffB=" << CoeffB;

@@ -866,6 +866,110 @@ TEST(Autotuner, ParallelEvaluatorJournalsUnderTheRequestId) {
   EXPECT_GT(SolveEnds, 0u);
 }
 
+namespace {
+
+/// \p M without the two memo hit counters, as JSON.
+std::string withoutMemoHits(obs::MetricsSnapshot M) {
+  M.Counters.erase("lp.ilp_memo_hits");
+  M.Counters.erase("gpusim.stmt_memo_hits");
+  return M.json();
+}
+
+bool sameSimBits(const KernelSim &A, const KernelSim &B) {
+  return std::memcmp(&A, &B, sizeof(KernelSim)) == 0;
+}
+
+/// Runs \p K under \p O with the journal on; \returns the report and
+/// the fields of its solve_end and stage_end records, dur_us left out.
+std::pair<OperatorReport, std::vector<std::string>>
+runJournaled(const Kernel &K, const PipelineOptions &O) {
+  obs::journal().reset();
+  obs::journal().enable();
+  OperatorReport R = runOperator(K, O);
+  std::vector<obs::JournalRecord> Snap = obs::journal().snapshot();
+  obs::journal().disable();
+  obs::journal().reset();
+  std::vector<std::string> Records;
+  for (const obs::JournalRecord &Rec : Snap) {
+    if (Rec.Type != "solve_end" && Rec.Type != "stage_end")
+      continue;
+    std::string Line = Rec.Type;
+    for (const obs::Field &F : Rec.Fields)
+      if (F.Key != "dur_us")
+        Line += " " + F.Key + "=" + F.Value;
+    Records.push_back(std::move(Line));
+  }
+  return {std::move(R), std::move(Records)};
+}
+
+} // namespace
+
+// A tuning request's compile reads its search's ILP and walk memos; what
+// it reports must not show it. Each corpus operator, tuned greedily with
+// 16 evaluations, must report what runOperator reports for the chosen
+// options with no tuner (that compile opens no request memo): the same
+// schedules, every KernelSim double as bits, the same metrics (the two
+// hit counters aside) and the same solve_end and stage_end records.
+TEST(TuningRequest, CompileMatchesUntunedCompileOfChosenOptions) {
+  Autotuner::Config Cfg;
+  Cfg.Strategy = "greedy";
+  Cfg.MaxEvaluations = 16;
+  unsigned Applied = 0;
+  std::uint64_t IlpHits = 0;
+  for (const Kernel &K : tuneBenchCorpus(0)) {
+    Autotuner Tuner(Cfg);
+    PipelineOptions Options;
+    Options.Tuner = &Tuner;
+    auto [Tuned, TunedJournal] = runJournaled(K, Options);
+    ASSERT_TRUE(Tuned.Tuned) << K.Name;
+    PipelineOptions Chosen;
+    if (Tuned.Tuning.Encoding != "baseline") {
+      Candidate C;
+      const SearchSpace &Space = Tuner.config().Space;
+      ASSERT_TRUE(Space.decode(Tuned.Tuning.Encoding, C)) << K.Name;
+      Space.apply(C, Chosen);
+      ++Applied;
+    }
+    auto [Plain, PlainJournal] = runJournaled(K, Chosen);
+
+    const std::pair<const ConfigResult *, const ConfigResult *> Configs[] = {
+        {&Tuned.Isl, &Plain.Isl},
+        {&Tuned.Novec, &Plain.Novec},
+        {&Tuned.Infl, &Plain.Infl}};
+    for (const auto &[T, P] : Configs) {
+      EXPECT_TRUE(T->Sched == P->Sched) << K.Name;
+      EXPECT_TRUE(sameSimBits(T->Sim, P->Sim)) << K.Name;
+      EXPECT_EQ(std::memcmp(&T->TimeUs, &P->TimeUs, sizeof(double)), 0)
+          << K.Name;
+      EXPECT_EQ(withoutMemoHits(T->Metrics), withoutMemoHits(P->Metrics))
+          << K.Name;
+    }
+    EXPECT_TRUE(sameSimBits(Tuned.Tvm.Aggregate, Plain.Tvm.Aggregate))
+        << K.Name;
+    EXPECT_EQ(std::memcmp(&Tuned.Tvm.TimeUs, &Plain.Tvm.TimeUs,
+                          sizeof(double)),
+              0)
+        << K.Name;
+    EXPECT_EQ(withoutMemoHits(Tuned.TvmMetrics),
+              withoutMemoHits(Plain.TvmMetrics))
+        << K.Name;
+    EXPECT_EQ(withoutMemoHits(Tuned.Metrics), withoutMemoHits(Plain.Metrics))
+        << K.Name;
+    EXPECT_EQ(Plain.Metrics.counter("lp.ilp_memo_hits"), 0u) << K.Name;
+    IlpHits += Tuned.Metrics.counter("lp.ilp_memo_hits");
+
+    // The tuned request journals its search first; its compile's records
+    // are the last ones.
+    ASSERT_GE(TunedJournal.size(), PlainJournal.size()) << K.Name;
+    EXPECT_TRUE(std::equal(PlainJournal.begin(), PlainJournal.end(),
+                           TunedJournal.end() - PlainJournal.size()))
+        << K.Name;
+  }
+  EXPECT_GT(Applied, 0u);
+  // The compiles do read the search's memo.
+  EXPECT_GT(IlpHits, 0u);
+}
+
 TEST(Autotuner, WarmDatabaseReplaysWithoutSearching) {
   auto Dir = freshDir("tuner-warm");
   Kernel K = makeBadOrderCopy(16, 64);

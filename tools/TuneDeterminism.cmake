@@ -12,6 +12,11 @@
 # greedy search of the default space, whose solver-budget tier
 # dimension exercises the evaluator's cross-tier schedule reuse.
 #
+# The greedy set also writes --metrics-json at both worker counts, and
+# the two sidecars must be identical once request ids and timings are
+# masked: every counter, the ILP and walk memo hit counters included
+# (a tuning request's memos are private to it).
+#
 # Expected -D variables: TOOL (polyinject-opt path), OPS (corpus.txt),
 # TUNE_DB (scratch database file path).
 
@@ -21,13 +26,34 @@ foreach(_var TOOL OPS TUNE_DB)
   endif()
 endforeach()
 
-# Checks one flag set; \p db is its scratch database path.
+# Masks what legitimately differs between two runs' sidecars: request
+# ids (a per-process prefix) and wall-clock fields.
+function(masked_sidecar path out)
+  file(READ ${path} _json)
+  string(REGEX REPLACE "\"request_id\":\"[^\"]*\"" "\"request_id\":\"\""
+         _json "${_json}")
+  string(REGEX REPLACE "\"(ts_us|dur_us)\":[-0-9.eE+]+" "\"\\1\":0"
+         _json "${_json}")
+  set(${out} "${_json}" PARENT_SCOPE)
+endfunction()
+
+# Checks one flag set; \p db is its scratch database path. With the
+# METRICS keyword first among the flags, the jobs=1 and jobs=8 runs also
+# write metrics sidecars, which must match once masked.
 function(check_tune_determinism name db)
-  set(_flags ${ARGN})
+  cmake_parse_arguments(PARSE_ARGV 2 _arg "METRICS" "" "")
+  set(_flags ${_arg_UNPARSED_ARGUMENTS})
+  set(_serial_sidecar)
+  set(_parallel_sidecar)
+  if(_arg_METRICS)
+    set(_serial_sidecar --metrics-json=${db}.metrics.json)
+    set(_parallel_sidecar --metrics-json=${db}.jobs8.metrics.json)
+    file(REMOVE ${db}.metrics.json ${db}.jobs8.metrics.json)
+  endif()
   file(REMOVE ${db})
 
   execute_process(COMMAND ${TOOL} --jobs=1 --tuning-db=${db}
-                          ${_flags} --ops-file=${OPS}
+                          ${_flags} ${_serial_sidecar} --ops-file=${OPS}
                   OUTPUT_VARIABLE _serial
                   ERROR_VARIABLE _serial_err
                   RESULT_VARIABLE _serial_rc)
@@ -40,7 +66,7 @@ function(check_tune_determinism name db)
   # replaying are different code paths, and this test pins the search.
   file(REMOVE ${db}.jobs8)
   execute_process(COMMAND ${TOOL} --jobs=8 --tuning-db=${db}.jobs8
-                          ${_flags} --ops-file=${OPS}
+                          ${_flags} ${_parallel_sidecar} --ops-file=${OPS}
                   OUTPUT_VARIABLE _parallel
                   ERROR_VARIABLE _parallel_err
                   RESULT_VARIABLE _parallel_rc)
@@ -53,6 +79,20 @@ function(check_tune_determinism name db)
     message(FATAL_ERROR
             "[${name}] tuned batch output differs between --jobs=1 and "
             "--jobs=8")
+  endif()
+
+  if(_arg_METRICS)
+    masked_sidecar(${db}.metrics.json _serial_json)
+    masked_sidecar(${db}.jobs8.metrics.json _parallel_json)
+    string(FIND "${_serial_json}" "\"lp.ilp_memo_hits\"" _hits_at)
+    if(_hits_at EQUAL -1)
+      message(FATAL_ERROR "[${name}] tuned sidecar counts no ILP memo hits")
+    endif()
+    if(NOT _serial_json STREQUAL _parallel_json)
+      message(FATAL_ERROR
+              "[${name}] tuned metrics sidecar differs between --jobs=1 "
+              "and --jobs=8 (request ids and timings masked)")
+    endif()
   endif()
 
   # Warm replay over the jobs=1 database: byte-identical stdout again
@@ -88,6 +128,6 @@ endfunction()
 check_tune_determinism(tiny ${TUNE_DB}
   --autotune=exhaustive --tune-space=tiny --tune-budget=16
   --config=infl --print=sim)
-check_tune_determinism(default ${TUNE_DB}.default
+check_tune_determinism(default ${TUNE_DB}.default METRICS
   --autotune=greedy --tune-space=default --tune-budget=16
   --config=infl --print=sim)
