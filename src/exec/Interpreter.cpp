@@ -6,7 +6,6 @@
 #include "support/Status.h"
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
 #include <limits>
 #include <optional>
@@ -36,30 +35,6 @@ std::pair<I128, I128> rowRange(const IntVector &Row,
   return {Lo, Hi};
 }
 
-/// Calls \p Callback(Iters) for every point of the box \p Extents in
-/// row-major order; \p Iters is scratch of Extents.size() entries.
-template <typename Fn>
-void forEachPoint(const std::vector<Int> &Extents, Int *Iters,
-                  Fn &&Callback) {
-  unsigned NumIters = Extents.size();
-  for (unsigned D = 0; D != NumIters; ++D) {
-    if (Extents[D] <= 0)
-      return;
-    Iters[D] = 0;
-  }
-  for (;;) {
-    Callback(static_cast<const Int *>(Iters));
-    unsigned D = NumIters;
-    while (D-- > 0) {
-      if (++Iters[D] < Extents[D])
-        break;
-      Iters[D] = 0;
-    }
-    if (D > NumIters)
-      return;
-  }
-}
-
 /// Every schedule dimension's smallest date and range (largest - smallest
 /// + 1) over all instances of a compiled kernel.
 struct DateRanges {
@@ -67,10 +42,10 @@ struct DateRanges {
   std::vector<U128> Range;
 };
 
-/// Measures \p S's dates over \p Code. Raises what both orderings raise
-/// for a schedule they cannot run: exec.interpret when \p S does not match
-/// the kernel or the kernel has 2^32 or more instances (the sorted order
-/// numbers instances in 32 bits), Overflow when a date leaves 64 bits.
+/// Measures \p S's dates over \p Code. Raises exec.interpret when \p S
+/// does not match the kernel or the kernel has 2^32 or more instances
+/// (more than a validation run can afford, and what the sorted-order
+/// oracle can number), Overflow when a date leaves 64 bits.
 DateRanges measureDates(const CompiledKernel &Code, const Schedule &S) {
   const Kernel &K = Code.kernel();
   if (!S.compatibleWith(K))
@@ -99,147 +74,6 @@ DateRanges measureDates(const CompiledKernel &Code, const Schedule &S) {
   return Dates;
 }
 
-/// Orders a compiled kernel's instances by a schedule's dates, reusing its
-/// buffers across schedules: the fallback for schedules DateWalker cannot
-/// walk. Each dimension's dates are shifted to start at zero and
-/// consecutive dimensions are packed into mixed-radix 64-bit keys (a new
-/// key starts whenever the product of the dimensions' ranges would pass
-/// 2^64; constant dimensions are dropped). Keys are affine in the
-/// iterators and computed with wrapping arithmetic, which is exact
-/// because every true key fits in 64 bits. The keys are sorted least
-/// significant first by stable counting/radix passes that start from the
-/// enumeration order, so ties keep the (statement, iterators) order.
-class DateSorter {
-public:
-  /// \returns the instance numbers in date order, or null when the
-  /// enumeration order already is.
-  const std::uint32_t *order(const CompiledKernel &Code, const Schedule &S,
-                             const DateRanges &Dates);
-
-private:
-  struct KeyDim {
-    unsigned Dim;
-    U64 Radix; ///< Multiplier of the dimension's shifted date.
-  };
-
-  void fillKeys(const CompiledKernel &Code, const Schedule &S,
-                const DateRanges &Dates, const KeyDim *First,
-                const KeyDim *Last);
-  void sortBy(U64 MaxKey);
-
-  std::vector<U64> Keys, KeysTmp, KeyCoefs;
-  std::vector<std::uint32_t> Order, OrderTmp, Counts;
-  bool Identity = true;
-};
-
-const std::uint32_t *DateSorter::order(const CompiledKernel &Code,
-                                       const Schedule &S,
-                                       const DateRanges &Dates) {
-  // Pack the non-constant dimensions into keys, most significant first.
-  const U128 KeySpace = static_cast<U128>(1) << 64;
-  std::vector<std::vector<KeyDim>> Groups;
-  std::vector<U128> GroupSpace;
-  for (unsigned D = 0, E = S.numDims(); D != E; ++D) {
-    U128 Range = Dates.Range[D];
-    if (Range == 1)
-      continue;
-    if (Groups.empty() || Range > KeySpace / GroupSpace.back()) {
-      Groups.emplace_back();
-      GroupSpace.push_back(1);
-    }
-    for (KeyDim &Prev : Groups.back())
-      Prev.Radix *= static_cast<U64>(Range);
-    Groups.back().push_back({D, 1});
-    GroupSpace.back() *= Range;
-  }
-
-  Identity = true;
-  for (unsigned G = Groups.size(); G-- > 0;) {
-    fillKeys(Code, S, Dates, Groups[G].data(),
-             Groups[G].data() + Groups[G].size());
-    sortBy(static_cast<U64>(GroupSpace[G] - 1));
-  }
-  return Identity ? nullptr : Order.data();
-}
-
-void DateSorter::fillKeys(const CompiledKernel &Code, const Schedule &S,
-                          const DateRanges &Dates, const KeyDim *First,
-                          const KeyDim *Last) {
-  const Kernel &K = Code.kernel();
-  Keys.resize(Code.numInstances());
-  std::vector<Int> Iters(Code.maxIters());
-  for (unsigned Stmt = 0, E = K.Stmts.size(); Stmt != E; ++Stmt) {
-    const std::vector<Int> &Extents = K.Stmts[Stmt].Extents;
-    unsigned NumIters = Extents.size();
-    U64 Key = 0;
-    KeyCoefs.assign(NumIters, 0);
-    for (const KeyDim *KD = First; KD != Last; ++KD) {
-      const IntVector &Row = S.Transforms[Stmt].row(KD->Dim);
-      Key += (static_cast<U64>(Row.back()) -
-              static_cast<U64>(Dates.Lo[KD->Dim])) *
-             KD->Radix;
-      for (unsigned I = 0; I != NumIters; ++I)
-        KeyCoefs[I] += static_cast<U64>(Row[I]) * KD->Radix;
-    }
-    U64 *Out = Keys.data() + Code.firstInstance(Stmt);
-    forEachPoint(Extents, Iters.data(), [&](const Int *It) {
-      U64 Sum = Key;
-      for (unsigned I = 0; I != NumIters; ++I)
-        Sum += KeyCoefs[I] * static_cast<U64>(It[I]);
-      *Out++ = Sum;
-    });
-  }
-}
-
-void DateSorter::sortBy(U64 MaxKey) {
-  std::size_t N = Keys.size();
-  if (Identity) {
-    if (std::is_sorted(Keys.begin(), Keys.end()))
-      return;
-    Order.resize(N);
-    for (std::size_t I = 0; I != N; ++I)
-      Order[I] = I;
-    Identity = false;
-  } else {
-    // Keys are in enumeration order; line them up with the current order.
-    KeysTmp.resize(N);
-    for (std::size_t I = 0; I != N; ++I)
-      KeysTmp[I] = Keys[Order[I]];
-    Keys.swap(KeysTmp);
-  }
-  OrderTmp.resize(N);
-  KeysTmp.resize(N);
-
-  // One counting pass when the key range is small against the instance
-  // count, else least-significant-digit passes of at most 16 bits.
-  unsigned Passes = 1, DigitBits = std::bit_width(MaxKey);
-  if (MaxKey >= std::max<U64>(4 * N, 1u << 16)) {
-    Passes = (DigitBits + 15) / 16;
-    DigitBits = (DigitBits + Passes - 1) / Passes;
-  }
-  for (unsigned P = 0; P != Passes; ++P) {
-    unsigned Shift = P * DigitBits;
-    U64 Mask = Passes == 1 ? ~U64(0) : (U64(1) << DigitBits) - 1;
-    U64 Buckets = Passes == 1 ? MaxKey + 1 : Mask + 1;
-    Counts.assign(Buckets + 1, 0);
-    for (std::size_t I = 0; I != N; ++I)
-      ++Counts[((Keys[I] >> Shift) & Mask) + 1];
-    for (U64 B = 1; B < Buckets; ++B)
-      Counts[B] += Counts[B - 1];
-    bool CarryKeys = P + 1 != Passes;
-    for (std::size_t I = 0; I != N; ++I) {
-      std::uint32_t &Slot = Counts[(Keys[I] >> Shift) & Mask];
-      OrderTmp[Slot] = Order[I];
-      if (CarryKeys)
-        KeysTmp[Slot] = Keys[I];
-      ++Slot;
-    }
-    Order.swap(OrderTmp);
-    if (CarryKeys)
-      Keys.swap(KeysTmp);
-  }
-}
-
 /// Orders a compiled kernel's instances by a schedule's dates without
 /// sorting. Each dimension's dates are shifted to start at zero and the
 /// non-constant dimensions are packed, most significant first, into one
@@ -258,7 +92,7 @@ void DateSorter::sortBy(U64 MaxKey) {
 /// groups' streams are then merged by (key, statement), which is the
 /// (date, statement, iterators) order. A schedule with a statement that
 /// is not walkable (a skewed row), or whose packed dates need more than
-/// 128 bits, is left to DateSorter.
+/// 128 bits, cannot be walked.
 ///
 /// The walk keeps every member's flat access offsets rather than its
 /// iterators: a loop step adds one precomputed move per access, which
@@ -848,41 +682,10 @@ void CompiledKernel::executeRow(unsigned Stmt, std::uint64_t *Offsets,
   fatalError("unknown op kind");
 }
 
-void CompiledKernel::execute(unsigned Stmt, const Int *Iters,
-                             double *const *Data) const {
-  U64 Offsets[4];
-  for (unsigned A = 0, E = numAccesses(Stmt); A != E; ++A)
-    Offsets[A] = offset(Stmt, A, Iters);
-  executeAt(Stmt, Offsets, Data);
-}
-
-void CompiledKernel::run(const std::uint32_t *Order,
-                         double *const *Data) const {
-  if (!Order) {
-    DateWalker Walker;
-    Walker.planEnumeration(*this);
-    Walker.run(*this, Data);
-    return;
-  }
-  std::vector<Int> Iters(MaxIters, 0);
-  unsigned Stmt = 0;
-  for (U64 I = 0, N = numInstances(); I != N; ++I) {
-    std::uint32_t Index = Order[I];
-    while (Index < Begin[Stmt])
-      --Stmt;
-    while (Index >= Begin[Stmt + 1])
-      ++Stmt;
-    // Decode the row-major iterators from the instance number; a sorted
-    // order has fewer than 2^32 instances, so 32-bit division suffices.
-    std::uint32_t Local = Index - Begin[Stmt];
-    const std::vector<Int> &Extents = K->Stmts[Stmt].Extents;
-    for (unsigned D = Extents.size(); D-- > 0;) {
-      std::uint32_t Extent = Extents[D];
-      Iters[D] = Local % Extent;
-      Local /= Extent;
-    }
-    execute(Stmt, Iters.data(), Data);
-  }
+void CompiledKernel::run(double *const *Data) const {
+  DateWalker Walker;
+  Walker.planEnumeration(*this);
+  Walker.run(*this, Data);
 }
 
 std::vector<double *> CompiledKernel::tensorData(ExecBuffers &Buffers) {
@@ -892,16 +695,10 @@ std::vector<double *> CompiledKernel::tensorData(ExecBuffers &Buffers) {
   return Data;
 }
 
-void pinj::runOriginal(const Kernel &K, ExecBuffers &Buffers) {
-  CompiledKernel(K).run(nullptr, Buffers);
-}
-
 struct DateOrderExecutor::Impl {
   const CompiledKernel *Code = nullptr;
   DateOrder Kind = DateOrder::Enumeration;
   DateWalker Walker;
-  DateSorter Sorter;
-  const std::uint32_t *Order = nullptr;
 };
 
 DateOrderExecutor::DateOrderExecutor() : P(std::make_unique<Impl>()) {}
@@ -909,44 +706,19 @@ DateOrderExecutor::DateOrderExecutor() : P(std::make_unique<Impl>()) {}
 DateOrderExecutor::~DateOrderExecutor() = default;
 
 DateOrder DateOrderExecutor::plan(const CompiledKernel &Code,
-                                  const Schedule &S, bool Walk) {
+                                  const Schedule &S) {
   P->Code = &Code;
-  DateRanges Dates = measureDates(Code, S);
-  if (Walk && P->Walker.plan(Code, S, Dates))
-    return P->Kind = P->Walker.identity() ? DateOrder::Enumeration
-                                          : DateOrder::Walk;
-  P->Order = P->Sorter.order(Code, S, Dates);
-  return P->Kind = P->Order ? DateOrder::Sorted : DateOrder::Enumeration;
+  if (!P->Walker.plan(Code, S, measureDates(Code, S)))
+    interpretError("schedule cannot be walked");
+  return P->Kind = P->Walker.identity() ? DateOrder::Enumeration
+                                        : DateOrder::Walk;
 }
 
 void DateOrderExecutor::run(double *const *Data) {
   const CompiledKernel &Code = *P->Code;
-  switch (P->Kind) {
-  case DateOrder::Enumeration:
-    return Code.run(nullptr, Data);
-  case DateOrder::Walk:
-    return P->Walker.run(Code, Data);
-  case DateOrder::Sorted:
-    return Code.run(P->Order, Data);
-  }
-}
-
-void pinj::runScheduled(const Kernel &K, const Schedule &S,
-                        ExecBuffers &Buffers) {
-  CompiledKernel Code(K);
-  DateOrderExecutor Executor;
-  Executor.plan(Code, S);
-  Executor.run(Buffers);
-}
-
-bool pinj::buffersAlmostEqual(const ExecBuffers &A, const ExecBuffers &B,
-                              double Tolerance) {
-  if (A.Tensors.size() != B.Tensors.size())
-    return false;
-  for (std::size_t T = 0, E = A.Tensors.size(); T != E; ++T)
-    if (!tensorsAlmostEqual(A.Tensors[T], B.Tensors[T], Tolerance))
-      return false;
-  return true;
+  if (P->Kind == DateOrder::Enumeration)
+    return Code.run(Data);
+  P->Walker.run(Code, Data);
 }
 
 struct ScheduleValidator::State {
@@ -971,7 +743,7 @@ struct ScheduleValidator::State {
   void makeReference(const Kernel &K, unsigned Seed) {
     Reference.emplace();
     Starts = fillInputs(K, Seed, *Reference);
-    Code.run(nullptr, *Reference);
+    Code.run(*Reference);
     Data = CompiledKernel::tensorData(*Reference);
     std::vector<bool> IsWritten(K.Tensors.size(), false);
     for (const Statement &Stmt : K.Stmts)

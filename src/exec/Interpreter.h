@@ -15,23 +15,27 @@
 /// The kernel is compiled once: every access becomes a flat offset
 /// base + sum(coef * iter), bounds-checked once over its statement's
 /// iteration box. A schedule's dates are packed into one shifted,
-/// mixed-radix 128-bit key, affine in each statement's iterators. When
-/// every statement's key coefficients dominate the key span of the loops
-/// inside them (loop permutations, reversals, shifts and fusions do),
-/// the executor walks each statement's loops in date order, steps
-/// same-shaped fused statements in lockstep, and merges the walks by
-/// (key, statement): the (date, statement, iterators) order with no keys
-/// in memory, no sort and no instance decode. A walk of one statement
-/// runs its innermost loop a row at a time: one op-kind dispatch per row
-/// and one offset move per access and point; the merge runs the longest
-/// stretch of such a row whose keys stay below the next walk's. A
-/// schedule whose order is the enumeration order (statement major, then
-/// row-major iterators) runs as the original program, and
-/// ScheduleValidator accepts it without running it. Other schedules
-/// (skewed rows, or dates wider than 128 bits) fall back to 64-bit date
-/// keys ordered by a stable counting/radix sort over the enumeration
-/// order. The date-sorting interpreter these replace is kept as a test
-/// oracle (exec/Reference.h).
+/// mixed-radix 128-bit key, affine in each statement's iterators. The
+/// executor runs one order: it walks each statement's loops in date
+/// order, steps same-shaped fused statements in lockstep, and merges the
+/// walks by (key, statement), which is the (date, statement, iterators)
+/// order with no keys in memory, no sort and no instance decode. A walk
+/// of one statement runs its innermost loop a row at a time: one op-kind
+/// dispatch per row and one offset move per access and point; the merge
+/// runs the longest stretch of such a row whose keys stay below the next
+/// walk's. A schedule whose order is the enumeration order (statement
+/// major, then row-major iterators) runs as the original program, and
+/// ScheduleValidator accepts it without running it.
+///
+/// Every schedule the backend generates walks: its rows are constants or
+/// single iterators with coefficient 1, so each loop's key coefficient
+/// dominates the key span of the loops inside it. Planning raises
+/// RecoverableError (exec.interpret) for a schedule it cannot walk (a
+/// skewed row, or dates wider than 128 bits), for a schedule that does
+/// not match the kernel and for a kernel of 2^32 or more instances, and
+/// Overflow for a date outside 64 bits. The sorted date order that runs
+/// any schedule, and the date-sorting interpreter these replace, are
+/// test oracles (exec/DateSorter.h, exec/Reference.h).
 ///
 /// ScheduleValidator fills the inputs once, into the original-order
 /// run. A transformed run owns only the tensors some statement writes,
@@ -142,16 +146,11 @@ public:
   void executeRow(unsigned Stmt, std::uint64_t *Offsets,
                   const std::uint64_t *Step, std::uint64_t N,
                   double *const *Data) const;
-  /// Executes iteration \p Iters of statement \p Stmt on \p Data.
-  void execute(unsigned Stmt, const Int *Iters, double *const *Data) const;
 
-  /// Executes every instance on \p Data, the tensor base pointers: in the
-  /// order of the instance numbers \p Order when given, else in
+  /// Executes every instance on \p Data, the tensor base pointers, in
   /// enumeration order.
-  void run(const std::uint32_t *Order, double *const *Data) const;
-  void run(const std::uint32_t *Order, ExecBuffers &Buffers) const {
-    run(Order, tensorData(Buffers).data());
-  }
+  void run(double *const *Data) const;
+  void run(ExecBuffers &Buffers) const { run(tensorData(Buffers).data()); }
 
   /// The tensor base pointers of \p Buffers, in declaration order.
   static std::vector<double *> tensorData(ExecBuffers &Buffers);
@@ -178,14 +177,10 @@ private:
   unsigned MaxIters = 0;
 };
 
-/// Executes \p K in the original program order.
-void runOriginal(const Kernel &K, ExecBuffers &Buffers);
-
 /// How DateOrderExecutor orders a schedule's instances.
 enum class DateOrder {
   Enumeration, ///< The date order is the enumeration order.
   Walk,        ///< Each statement's loops walked in date order, merged.
-  Sorted,      ///< Date keys sorted (the fallback).
 };
 
 /// Executes a compiled kernel under schedules, ordering every statement
@@ -198,11 +193,9 @@ public:
 
   /// Plans the date order of \p S over \p Code, which must outlive the
   /// plan's runs. Raises RecoverableError: exec.interpret when \p S does
-  /// not match the kernel or the kernel has 2^32 or more instances,
-  /// Overflow when a date leaves 64 bits. With \p Walk false the plan
-  /// never walks (differential tests compare the two paths).
-  DateOrder plan(const CompiledKernel &Code, const Schedule &S,
-                 bool Walk = true);
+  /// not match the kernel, the kernel has 2^32 or more instances or the
+  /// schedule cannot be walked, Overflow when a date leaves 64 bits.
+  DateOrder plan(const CompiledKernel &Code, const Schedule &S);
 
   /// Executes every instance on \p Data, the tensor base pointers, in
   /// the planned order.
@@ -215,15 +208,6 @@ private:
   struct Impl;
   std::unique_ptr<Impl> P;
 };
-
-/// Executes \p K in the order defined by \p S (all statement instances
-/// ordered by logical date; ties are semantically unordered and broken
-/// by statement, then iterators).
-void runScheduled(const Kernel &K, const Schedule &S, ExecBuffers &Buffers);
-
-/// Elementwise comparison with relative/absolute tolerance.
-bool buffersAlmostEqual(const ExecBuffers &A, const ExecBuffers &B,
-                        double Tolerance = 1e-9);
 
 /// Checks schedules of one kernel against one original-order run: the
 /// reference buffers are computed by the first check whose schedule is

@@ -109,6 +109,10 @@ bool SearchSpace::decode(const std::string &Text, Candidate &Out) const {
     if (I + 1 < Dims.size() && Pos >= Text.size())
       return false;
   }
+  // Every segment is consumed; a space with no dimensions encodes every
+  // candidate as the empty string.
+  if (Pos != Text.size())
+    return false;
   Out = std::move(C);
   return true;
 }

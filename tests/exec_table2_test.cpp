@@ -2,7 +2,7 @@
 //
 // Runs every isl, novec and infl schedule of the seven Table II suites
 // (about 257M statement instances per configuration) through the
-// date-order walk and the sorted fallback. It takes minutes and several
+// date-order walk and the sorted-order oracle (exec/DateSorter.h). It takes minutes and several
 // hundred MB, so it is a tier-2 test; tests/exec_test.cpp checks the
 // same suites' plans, and the corpus end to end, in tier 1.
 //
@@ -23,8 +23,7 @@ TEST_P(TableTwoWalk, SchedulesWalkBitIdenticalToSort) {
     for (const auto &[Config, S] :
          {std::pair{"isl", &R.Isl.Sched}, std::pair{"novec", &R.Novec.Sched},
           std::pair{"infl", &R.Infl.Sched}})
-      EXPECT_NE(expectWalkMatchesSort(K, *S, K.Name + "/" + Config),
-                DateOrder::Sorted)
+      EXPECT_NO_THROW(expectWalkMatchesSort(K, *S, K.Name + "/" + Config))
           << K.Name << "/" << Config;
   }
 }

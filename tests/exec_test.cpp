@@ -1,6 +1,7 @@
 //===- tests/exec_test.cpp - interpreter and semantic validation ----------===//
 
-#include "exec/Interpreter.h"
+#include "codegen/Mapping.h"
+#include "exec/DateSorter.h"
 #include "exec/Reference.h"
 #include "influence/TreeBuilder.h"
 #include "pipeline/Pipeline.h"
@@ -214,8 +215,12 @@ bool parallelMarksHold(const Kernel &K, const Schedule &S, unsigned Seed) {
   // Execute the instances in the permuted date order.
   CompiledKernel Code(K);
   std::vector<double *> Data = CompiledKernel::tensorData(Shuffled);
-  for (const auto &I : Instances)
-    Code.execute(I.Stmt, I.Iters.data(), Data.data());
+  std::uint64_t Offsets[4];
+  for (const auto &I : Instances) {
+    for (unsigned A = 0, E = Code.numAccesses(I.Stmt); A != E; ++A)
+      Offsets[A] = Code.offset(I.Stmt, A, I.Iters.data());
+    Code.executeAt(I.Stmt, Offsets, Data.data());
+  }
   return buffersAlmostEqual(Reference, Shuffled, 1e-6);
 }
 
@@ -248,9 +253,11 @@ INSTANTIATE_TEST_SUITE_P(Families, ParallelMarking,
                                             ::testing::Values(3, 11)));
 
 //===----------------------------------------------------------------------===//
-// Differential: the flat-key executor against the date-sorting oracle
+// Differential: the executor against the date-sorting oracle
 // (exec/Reference.h). Both run the same instances in the same order, so
-// the buffers must be bit-identical, not merely within tolerance.
+// the buffers must be bit-identical, not merely within tolerance. A
+// schedule the executor cannot walk runs in the sorted-order oracle's
+// order (exec/DateSorter.h).
 //===----------------------------------------------------------------------===//
 
 namespace {
@@ -315,8 +322,9 @@ namespace {
 /// A random (generally invalid) schedule: the differential compares
 /// instance orders, so any date function works. Coefficients mix zero,
 /// small values (many ties), and magnitudes near 2^20 and 2^40, so the
-/// sort meets one-pass counting keys, multi-pass radix keys and
-/// schedules whose packed ranges need more than one 64-bit key.
+/// walk meets skewed rows it refuses, and the sorted-order oracle meets
+/// one-pass counting keys, multi-pass radix keys and schedules whose
+/// packed ranges need more than one 64-bit key.
 Schedule makeRandomSchedule(const Kernel &K, unsigned Seed) {
   unsigned State = Seed * 2654435761u + 7u;
   auto next = [&](unsigned Bound) {
@@ -407,7 +415,8 @@ TEST_P(CorpusOracle, IslAndInflBitIdenticalToOracle) {
 INSTANTIATE_TEST_SUITE_P(Corpus, CorpusOracle, ::testing::Range(0, 22));
 
 //===----------------------------------------------------------------------===//
-// The date-order walk against the sorted fallback and the oracle.
+// The date-order walk against the sorted-order oracle and the
+// date-sorting oracle.
 //===----------------------------------------------------------------------===//
 
 // Every schedule the pipeline builds for the corpus and the seven Table
@@ -431,10 +440,11 @@ TEST(DateWalk, PipelineSchedulesWalk) {
          {std::pair{"isl", &R.Isl.Sched}, std::pair{"novec", &R.Novec.Sched},
           std::pair{"infl", &R.Infl.Sched}}) {
       std::string What = K.Name + "/" + Config;
-      DateOrder Kind = I < Corpus.size()
-                           ? expectWalkMatchesSort(K, *S, What)
-                           : Executor.plan(Code, *S);
-      EXPECT_NE(Kind, DateOrder::Sorted) << What;
+      DateOrder Kind = DateOrder::Walk;
+      EXPECT_NO_THROW(Kind = I < Corpus.size()
+                                 ? expectWalkMatchesSort(K, *S, What)
+                                 : Executor.plan(Code, *S))
+          << What;
       Identity += Kind == DateOrder::Enumeration;
     }
   }
@@ -443,6 +453,78 @@ TEST(DateWalk, PipelineSchedulesWalk) {
   EXPECT_LT(Identity, 3 * Kernels.size());
 }
 
+namespace {
+
+/// A random generatable schedule: each row of each statement is a
+/// constant, or one iterator with coefficient 1 plus a shift, so an
+/// iterator may lead several rows or none.
+Schedule makeGeneratableSchedule(const Kernel &K, unsigned Seed) {
+  unsigned State = Seed * 2654435761u + 13u;
+  auto next = [&](unsigned Bound) {
+    State ^= State << 13;
+    State ^= State >> 17;
+    State ^= State << 5;
+    return State % Bound;
+  };
+  Schedule S;
+  S.Dims.resize(1 + next(5));
+  for (const Statement &St : K.Stmts) {
+    IntMatrix T(S.numDims(), K.rowWidth(St));
+    for (unsigned D = 0; D != S.numDims(); ++D) {
+      if (St.numIters() && next(4) != 0)
+        T.at(D, next(St.numIters())) = 1;
+      T.at(D, T.numCols() - 1) = next(3) ? 0 : 1 + next(4);
+    }
+    S.Transforms.push_back(std::move(T));
+  }
+  return S;
+}
+
+} // namespace
+
+// The precondition of a one-order executor: every generatable schedule
+// walks (each loop's key coefficient is at least its outermost row's
+// radix, which exceeds the span of the rows below it), and runs the
+// date-sorting oracle's order.
+TEST(DateWalk, GeneratableSchedulesWalk) {
+  unsigned Walked = 0, Repeated = 0, Shifted = 0, Constant = 0;
+  for (const Kernel &K : {makeRunningExample(5), makeProducerConsumer(4, 6),
+                          makeRowReduction(3, 7), makeTranspose(5, 4)}) {
+    for (unsigned Seed = 1; Seed != 41; ++Seed) {
+      Schedule S = makeGeneratableSchedule(K, Seed);
+      std::string What = K.Name + " seed " + std::to_string(Seed);
+      ASSERT_TRUE(isGeneratableSchedule(K, S)) << What;
+      for (unsigned Stmt = 0, E = K.Stmts.size(); Stmt != E; ++Stmt) {
+        const IntMatrix &T = S.Transforms[Stmt];
+        std::vector<unsigned> Rows(K.Stmts[Stmt].numIters(), 0);
+        for (unsigned D = 0; D != S.numDims(); ++D) {
+          bool Unit = false;
+          for (unsigned I = 0; I != Rows.size(); ++I)
+            if (T.at(D, I)) {
+              Unit = true;
+              Repeated += ++Rows[I] == 2;
+            }
+          Shifted += Unit && T.at(D, T.numCols() - 1);
+          Constant += !Unit;
+        }
+      }
+      CompiledKernel Code(K);
+      DateOrderExecutor Executor;
+      DateOrder Kind = DateOrder::Enumeration;
+      ASSERT_NO_THROW(Kind = Executor.plan(Code, S)) << What;
+      Walked += Kind == DateOrder::Walk;
+      ExecBuffers Fast = makeInputs(K, Seed), Slow = Fast;
+      Executor.run(Fast);
+      referenceRunScheduled(K, S, Slow);
+      EXPECT_TRUE(Fast.Tensors == Slow.Tensors) << What;
+    }
+  }
+  // Not vacuous: most schedules reorder, and every row shape occurs.
+  EXPECT_GT(Walked, 80u);
+  EXPECT_GT(Repeated, 0u);
+  EXPECT_GT(Shifted, 0u);
+  EXPECT_GT(Constant, 0u);
+}
 
 // A row with a negative coefficient walks its loop downwards: here the
 // recurrence along j runs from the last column to the first, outermost.
@@ -741,8 +823,7 @@ TEST(Interpreter, OutOfBoundsAccessDegradesValidation) {
   EXPECT_EQ(planOf(InBounds, R.Infl.Sched), DateOrder::Enumeration);
 }
 
-// The walk raises what the sorted order raises for a schedule it cannot
-// run, before anything runs.
+// The plan raises for a schedule it cannot run, before anything runs.
 TEST(Interpreter, UnrunnableScheduleRaises) {
   Kernel K = makeElementwise(4, 4);
   Schedule Mismatched = scheduleKernel(K, baseline()).Sched;
@@ -752,6 +833,11 @@ TEST(Interpreter, UnrunnableScheduleRaises) {
                        "mismatched runScheduled");
   expectInterpretError([&] { scheduleIsSemanticallyEqual(K, Mismatched); },
                        "mismatched scheduleIsSemanticallyEqual");
+
+  // A skewed row (i + j, j): the validator's one order cannot walk it.
+  Schedule Skewed = makeRowSchedule({{{1, 1, 0}, {0, 1, 0}}});
+  expectInterpretError([&] { scheduleIsSemanticallyEqual(K, Skewed); },
+                       "skewed scheduleIsSemanticallyEqual");
 
   // 2^32 + 2^16 instances of T[0] = T[0]: nothing is allocated per
   // instance, and the plan refuses before any run.

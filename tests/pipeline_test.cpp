@@ -257,3 +257,36 @@ TEST(Pipeline, OverflowInSharedAnalysisDegradesEveryConfig) {
     EXPECT_EQ(Records, 1u) << Name;
   }
 }
+
+// A cache replay is the one way a schedule the pipeline did not just
+// build reaches the validator. The validator runs one order, the date
+// walk, which a skewed schedule (here (i + j, j)) does not have:
+// validation degrades at exec.interpret instead of passing.
+TEST(Pipeline, ReplayedSkewedScheduleDegradesValidation) {
+  Kernel K = makeElementwise(4, 4);
+  Schedule Skewed;
+  Skewed.Dims.resize(2);
+  IntMatrix T(0, 3);
+  T.appendRow({1, 1, 0});
+  T.appendRow({0, 1, 0});
+  Skewed.Transforms.push_back(T);
+  MapCache Cache;
+  Cache.store(K, PipelineOptions(), {Skewed, Skewed, Skewed, false, false});
+  PipelineOptions Options;
+  Options.Cache = &Cache;
+  Options.Validate = true;
+
+  OperatorReport R;
+  ASSERT_NO_THROW(R = runOperator(K, Options));
+  ASSERT_TRUE(R.CacheHit);
+  EXPECT_FALSE(R.Validated);
+  unsigned Validate = 0;
+  for (const DegradationEvent &E : R.Degradations) {
+    if (E.Config != "validate")
+      continue;
+    ++Validate;
+    EXPECT_EQ(E.Site, "exec.interpret");
+    EXPECT_EQ(E.Code, StatusCode::Internal);
+  }
+  EXPECT_EQ(Validate, 1u);
+}

@@ -2,26 +2,33 @@
 # corpus twice against the same --cache-dir. The first (cold) run must
 # report zero hits, the second (warm) run a hit for every operator, and
 # both runs must agree on every schedule and simulated time (the cache
-# section of stdout aside, the bytes are identical).
+# section of stdout aside, the bytes are identical). Neither run may
+# print validated=no: with --validate in ARGS, the warm run validates the
+# replayed schedules, which the pipeline did not just build.
 #
 # Expected -D variables: TOOL, OPS, CACHE_DIR.
+# Optional: ARGS (extra arguments for both runs, e.g. "--validate").
 
 foreach(_var TOOL OPS CACHE_DIR)
   if(NOT DEFINED ${_var})
     message(FATAL_ERROR "CacheRoundtrip.cmake needs -D${_var}=...")
   endif()
 endforeach()
+separate_arguments(_args UNIX_COMMAND "${ARGS}")
 
 file(REMOVE_RECURSE ${CACHE_DIR})
 
 foreach(_run cold warm)
   execute_process(COMMAND ${TOOL} --cache-dir=${CACHE_DIR}
-                          --ops-file=${OPS}
+                          --ops-file=${OPS} ${_args}
                   OUTPUT_VARIABLE _${_run}
                   ERROR_VARIABLE _err
                   RESULT_VARIABLE _rc)
   if(NOT _rc EQUAL 0)
     message(FATAL_ERROR "${_run} batch failed (${_rc}):\n${_err}")
+  endif()
+  if(_${_run} MATCHES "validated=no")
+    message(FATAL_ERROR "${_run} run did not validate:\n${_${_run}}")
   endif()
 endforeach()
 
@@ -48,4 +55,5 @@ if(NOT _cold_norm STREQUAL _warm_norm)
 endif()
 
 file(REMOVE_RECURSE ${CACHE_DIR})
-message(STATUS "cache round trip: ${_total} operators, warm run hit all")
+message(STATUS "cache round trip: ${_total} operators, warm run hit all "
+               "(ARGS \"${ARGS}\")")
