@@ -39,19 +39,6 @@ void forEachPoint(const std::vector<Int> &Extents, Int *Iters,
   }
 }
 
-bool tensorsAlmostEqual(const std::vector<double> &A,
-                        const std::vector<double> &B, double Tolerance) {
-  if (A.size() != B.size())
-    return false;
-  for (std::size_t I = 0, N = A.size(); I != N; ++I) {
-    double X = A[I], Y = B[I];
-    double Scale = std::max({1.0, std::abs(X), std::abs(Y)});
-    if (std::abs(X - Y) > Tolerance * Scale)
-      return false;
-  }
-  return true;
-}
-
 } // namespace
 
 bool DateSorter::sort(const CompiledKernel &Code, const Schedule &S) {
@@ -221,7 +208,7 @@ void pinj::runScheduled(const Kernel &K, const Schedule &S,
   try {
     Executor.plan(Code, S);
   } catch (const RecoverableError &E) {
-    if (E.status().message() != "schedule cannot be walked")
+    if (E.status().message() != UnwalkableSchedule)
       throw;
     // Every check but the walk passed, as DateSorter requires.
     DateSorter Sorter;

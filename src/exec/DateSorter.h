@@ -76,7 +76,7 @@ void runOriginal(const Kernel &K, ExecBuffers &Buffers);
 /// raises for a schedule it cannot measure.
 void runScheduled(const Kernel &K, const Schedule &S, ExecBuffers &Buffers);
 
-/// Elementwise comparison with relative/absolute tolerance.
+/// Tensor-by-tensor tensorsAlmostEqual of \p A and \p B.
 bool buffersAlmostEqual(const ExecBuffers &A, const ExecBuffers &B,
                         double Tolerance = 1e-9);
 

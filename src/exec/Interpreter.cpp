@@ -554,9 +554,10 @@ void runRow(double *Write, const double *const *Read, U64 *Off,
   std::copy_n(At, NumReads + 1, Off);
 }
 
-/// Compares two tensors elementwise with relative/absolute tolerance.
-bool tensorsAlmostEqual(const std::vector<double> &A,
-                        const std::vector<double> &B, double Tolerance) {
+} // namespace
+
+bool pinj::tensorsAlmostEqual(const std::vector<double> &A,
+                              const std::vector<double> &B, double Tolerance) {
   if (A.size() != B.size())
     return false;
   for (std::size_t I = 0, N = A.size(); I != N; ++I) {
@@ -567,8 +568,6 @@ bool tensorsAlmostEqual(const std::vector<double> &A,
   }
   return true;
 }
-
-} // namespace
 
 ExecBuffers pinj::makeInputs(const Kernel &K, unsigned Seed) {
   ExecBuffers Buffers;
@@ -709,7 +708,7 @@ DateOrder DateOrderExecutor::plan(const CompiledKernel &Code,
                                   const Schedule &S) {
   P->Code = &Code;
   if (!P->Walker.plan(Code, S, measureDates(Code, S)))
-    interpretError("schedule cannot be walked");
+    interpretError(UnwalkableSchedule);
   return P->Kind = P->Walker.identity() ? DateOrder::Enumeration
                                         : DateOrder::Walk;
 }

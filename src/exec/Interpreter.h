@@ -67,6 +67,11 @@ struct ExecBuffers {
 /// pseudo-random pattern derived from \p Seed.
 ExecBuffers makeInputs(const Kernel &K, unsigned Seed);
 
+/// Compares two tensors elementwise with relative/absolute tolerance:
+/// the one tolerance rule of every semantic check.
+bool tensorsAlmostEqual(const std::vector<double> &A,
+                        const std::vector<double> &B, double Tolerance);
+
 /// The value a statement of kind \p Kind computes from its read operands
 /// \p R (numOperands(Kind) of them): the one definition of the op
 /// semantics. Inline, so a caller with a constant kind compiles to that
@@ -183,6 +188,10 @@ enum class DateOrder {
   Walk,        ///< Each statement's loops walked in date order, merged.
 };
 
+/// The exec.interpret message with which DateOrderExecutor::plan refuses
+/// a schedule that passed every other check but cannot be walked.
+inline constexpr const char *UnwalkableSchedule = "schedule cannot be walked";
+
 /// Executes a compiled kernel under schedules, ordering every statement
 /// instance by logical date (ties broken by statement, then iterators);
 /// its plan scratch is reused across schedules.
@@ -239,8 +248,12 @@ private:
   std::unique_ptr<State> St;
 };
 
-/// Convenience: returns true if executing \p K under \p S produces the
-/// same buffers as the original order for a seeded random input.
+/// Convenience: ScheduleValidator(K, Seed).check(S), true if executing
+/// \p K under \p S produces the same buffers as the original order for a
+/// seeded random input. Raises RecoverableError (exec.interpret) for a
+/// schedule the walk cannot order, such as a skewed one that
+/// scheduleKernel can produce, and otherwise what ScheduleValidator::check
+/// raises.
 bool scheduleIsSemanticallyEqual(const Kernel &K, const Schedule &S,
                                  unsigned Seed = 1);
 

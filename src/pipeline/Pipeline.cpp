@@ -270,7 +270,8 @@ private:
 } // namespace
 
 bool pinj::scheduleInflConfig(const Kernel &K, const PipelineOptions &Options,
-                              Schedule &Out, const InfluenceTree *Tree) {
+                              Schedule &Out, const InfluenceTree *Tree,
+                              InflScheduleWork *Work) {
   // runOperator's operator-wide budget; anyTripped() then sees both
   // this scope and any caller-installed one.
   budget::BudgetScope OpBudget(Options.Budget);
@@ -297,8 +298,12 @@ bool pinj::scheduleInflConfig(const Kernel &K, const PipelineOptions &Options,
   }
   // A run that charged more than Sched.Budget admits tripped it, even
   // where its outcome does not say so.
-  if (!Accepted || budget::anyTripped() ||
-      !Options.Sched.Budget.admits(Ladder.maxRunWork()))
+  const SolverWork MaxRun = Ladder.maxRunWork();
+  const bool Tripped =
+      budget::anyTripped() || !Options.Sched.Budget.admits(MaxRun);
+  if (Work)
+    *Work = {MaxRun, Tripped};
+  if (!Accepted || Tripped)
     return false;
   Out = std::move(*Accepted);
   return true;

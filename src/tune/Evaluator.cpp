@@ -68,37 +68,58 @@ service::Fingerprint scheduleKey(const InfluenceTree &Tree,
   H.u64(T.Hi);
   H.u64(T.Lo);
   service::hashSchedulerOptions(H, O.Sched);
-  service::hashBudget(H, O.Sched.Budget);
   service::hashBudget(H, O.Budget);
   return H.get();
+}
+
+bool sameCaps(const SolverBudget &A, const SolverBudget &B) {
+  return A.MaxPivots == B.MaxPivots && A.MaxIlpNodes == B.MaxIlpNodes &&
+         A.WallMs == B.WallMs;
 }
 
 } // namespace
 
 double Evaluator::scoreOne(const PipelineOptions &O, const InfluenceTree *Tree,
-                           ScheduleEntry *Entry, Work &W) const {
+                           ScheduleEntries *Entries, Work &W) const {
+  // Schedule memo: an entry run under this very budget, else one where
+  // nothing tripped and whose largest run fits under this budget. The
+  // second rule needs every pivot charged, which the candidate scope
+  // guarantees (solvers charge pivots only while some scope is active).
+  auto reusable = [&]() -> ScheduleEntry * {
+    if (!Entries)
+      return nullptr;
+    for (ScheduleEntry &Old : *Entries)
+      if (sameCaps(Old.Budget, O.Sched.Budget))
+        return &Old;
+    if (!Cfg.CandidateBudget.unlimited())
+      for (ScheduleEntry &Old : *Entries)
+        if (!Old.Charged.Tripped && O.Sched.Budget.admits(Old.Charged.MaxRun))
+          return &Old;
+    return nullptr;
+  };
+  ScheduleEntry *E = reusable();
   ScheduleEntry Unshared;
-  ScheduleEntry &E = Entry ? *Entry : Unshared;
-  if (E.Scheduled) {
+  if (E) {
     ++W.ScheduleReuses;
   } else {
+    E = Entries ? &Entries->emplace_back() : &Unshared;
+    E->Budget = O.Sched.Budget;
     budget::BudgetScope Isolation(Cfg.CandidateBudget);
-    E.Accepted = scheduleInflConfig(K, O, E.Sched, Tree);
-    E.Scheduled = true;
+    E->Accepted = scheduleInflConfig(K, O, E->Sched, Tree, &E->Charged);
     ++W.ScheduleRuns;
   }
-  if (!E.Accepted)
+  if (!E->Accepted)
     return failedScore();
 
   auto [Score, Fresh] =
-      E.Scores.try_emplace(O.Mapping.MaxThreadsPerBlock, failedScore());
+      E->Scores.try_emplace(O.Mapping.MaxThreadsPerBlock, failedScore());
   if (!Fresh) {
     ++W.ScoreReuses;
     return Score->second;
   }
   MappedKernel M;
   try {
-    M = mapToGpu(K, E.Sched, O.Mapping);
+    M = mapToGpu(K, E->Sched, O.Mapping);
   } catch (const RecoverableError &) {
     return failedScore();
   }
@@ -152,7 +173,7 @@ Evaluator::scoreAll(const std::vector<PipelineOptions> &Opts) {
   // group of its own. Each group's memo slot exists before the workers
   // start, and only that group's worker touches it, so no locks.
   std::vector<std::vector<std::size_t>> Groups;
-  std::vector<ScheduleEntry *> Slots;
+  std::vector<ScheduleEntries *> Slots;
   std::map<service::Fingerprint, std::size_t> GroupOf;
   for (std::size_t I = 0; I < N; ++I) {
     if (!Trees[I]) {

@@ -15,10 +15,12 @@
 ///
 /// Many knobs leave the scheduler's input unchanged, so one search holds
 /// two memos. The schedule memo keys scheduleInflConfig's outcome on the
-/// influence tree's fingerprint, the scheduler options (their budget
-/// included) and the operator budget, one entry per key. The score memo
-/// keys the simulated time on (schedule entry, mapping options); the
-/// target is fixed per search.
+/// influence tree's fingerprint, the scheduler options other than their
+/// budget, and the operator budget; an entry answers a lookup under its
+/// own Sched.Budget, and an entry where nothing tripped also answers any
+/// Sched.Budget that admits its largest per-run charge (the run would
+/// replay identically there). The score memo keys the simulated time on
+/// (schedule entry, mapping options); the target is fixed per search.
 /// Wall-clock budgets and a budget scope already active on the calling
 /// thread bypass both memos. Batches run on a worker pool
 /// (support/Parallel.h parallelFor), candidates sharing a schedule key
@@ -104,25 +106,27 @@ public:
 private:
   /// One scheduleInflConfig outcome, with its schedule's scores.
   struct ScheduleEntry {
-    bool Scheduled = false; ///< scheduleInflConfig has run.
+    SolverBudget Budget; ///< The Sched.Budget it ran under.
+    InflScheduleWork Charged;
     bool Accepted = false;
     Schedule Sched;
     /// The score memo, by GpuMappingOptions::MaxThreadsPerBlock.
     std::map<Int, double> Scores;
   };
+  using ScheduleEntries = std::vector<ScheduleEntry>;
 
   std::vector<double> scoreAll(const std::vector<PipelineOptions> &Opts);
-  /// Scores \p O, through \p Entry (its key's schedule memo slot) when
+  /// Scores \p O, through \p Entries (its key's schedule memo slot) when
   /// given. \p Tree is buildInfluenceTree(K, O.Influence) or null.
   double scoreOne(const PipelineOptions &O, const InfluenceTree *Tree,
-                  ScheduleEntry *Entry, Work &W) const;
+                  ScheduleEntries *Entries, Work &W) const;
 
   const Kernel &K;
   PipelineOptions Base;
   const SearchSpace &Space;
   Config Cfg;
   std::map<Candidate, double> Memo;
-  std::map<service::Fingerprint, ScheduleEntry> Schedules;
+  std::map<service::Fingerprint, ScheduleEntries> Schedules;
   double BaselineScore = 0;
   bool HaveBaseline = false;
   std::size_t Evals = 0;

@@ -10,7 +10,7 @@
 #
 # Two flag sets run: an exhaustive search of the tiny space, and a
 # greedy search of the default space, whose solver-budget tier
-# dimension gives each tier its own schedule-memo entry.
+# dimension exercises the evaluator's cross-tier schedule reuse.
 #
 # The greedy set also writes --metrics-json at both worker counts, and
 # the two sidecars must be identical once request ids and timings are
